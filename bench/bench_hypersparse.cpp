@@ -7,50 +7,34 @@
 // workspaces; the nnz sweep demonstrates the cost tracking nnz rather than
 // any dimension extent.
 //
-// Each nnz point is measured under three list-construction variants so the
-// strategy knobs' effect is a recorded number, not a claim:
+// A second leg runs the same conversion at dimensions whose coordinate
+// tuple packs into 64 bits (2^24 x 2^20 x 2^20 = exactly 64 key bits —
+// still far past the dense-rank budget, so every level stays sorted),
+// where the plan lowers the shared sort to the fused packed-key LSD radix
+// sort + dedup whose source-slot payload precomputes every insertion rank
+// (no searches at all); at 2^31 the tuple cannot pack and the plan merge-
+// sorts. Both choices follow from the extents alone. Every row carries
+// the routine's own per-phase seconds (analysis / edge_insert /
+// insertion / finalize plus the sorted-ranking sub-phases collect / sort
+// / pos / crd), so a change is attributable to a phase, not smeared over
+// the whole conversion.
 //
-//   shared     one full-arity sort, ancestor lists by prefix compaction
-//              (the default for nested sorted levels)
-//   per-level  CONVGEN_NO_SHARED_SORT=1 CONVGEN_RANK_STRATEGY=sorted —
-//              the pre-shared-sort behavior: every level re-collects and
-//              re-sorts the same nonzeros
-//   hashed     CONVGEN_RANK_STRATEGY=hashed — open-addressing dedup before
-//              the (shared) sort
+// The per-level-sort, hashed-presence and packed-merge variants this bench
+// once compared are gone from the library; their recorded numbers stay in
+// the checked-in BENCH_hypersparse.json as the historical record.
 //
-// A second leg pits the two sort lowerings against each other at
-// dimensions whose coordinate tuple packs into 64 bits (2^24 x 2^20 x
-// 2^20 = exactly 64 key bits — still far past the dense-rank budget, so
-// every level stays sorted): "merge" forces the fully unpacked strategy
-// (comparison merge sort + a tuple-compare binary search per inserted
-// nonzero), "radix" the packed-key strategy (fused LSD radix sort +
-// dedup whose source-slot payload precomputes every insertion rank — no
-// searches at all) that is the auto default whenever the dims hint
-// proves the fit. The two variants run in interleaved pairs and the
-// speedup is the median of per-rep ratios (see runPairedRows: sequential
-// timing see-saws with container load drift). Every row
-// carries the routine's own
-// per-phase seconds (analysis / edge_insert / insertion / finalize plus
-// the sorted-ranking sub-phases collect / sort / pos / crd), so a sort-
-// strategy win is attributable to the sort phase, not smeared over the
-// whole conversion.
-//
-// Emits a human-readable table and machine-readable BENCH_hypersparse.json
-// (speedup columns included). Environment: CONVGEN_BENCH_SCALE /
-// CONVGEN_BENCH_REPS as usual; scale 1.0 runs the full 10^6-nonzero point
-// the shared-vs-per-level and radix-vs-merge acceptance numbers are
-// defined at, the default 0.2 a 200k smoke point.
+// Emits a human-readable table and machine-readable BENCH_hypersparse.json.
+// Environment: CONVGEN_BENCH_SCALE / CONVGEN_BENCH_REPS as usual; scale
+// 1.0 runs the full 10^6-nonzero point, the default 0.2 a 200k smoke
+// point.
 //===----------------------------------------------------------------------===//
 
 #include "Common.h"
 
-#include "codegen/Knobs.h"
 #include "support/StringUtils.h"
 #include "tensor/Generators.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,54 +59,19 @@ std::string phasesJson(const double Phases[jit::kNumPhases]) {
   return S + "}";
 }
 
-/// One list-construction variant: a label plus the env overrides that
-/// select it. Overrides are applied for plan acquisition AND the timed
-/// runs (the plan key re-derives its strategy bits from the environment,
-/// so each variant lands on its own cached plan and JIT object). Every
-/// variant pins ALL three strategy knobs — including CONVGEN_SORT_STRATEGY
-/// — so an ambient setting in the caller's environment cannot relabel a
-/// row.
-struct Variant {
-  const char *Label;
-  std::vector<std::pair<const char *, const char *>> Env;
-};
-
-class ScopedVariant {
-public:
-  explicit ScopedVariant(const Variant &V) {
-    for (const auto &[Name, Value] : V.Env) {
-      const char *Old = std::getenv(Name);
-      Saved.emplace_back(Name, Old ? std::make_optional<std::string>(Old)
-                                   : std::nullopt);
-      setenv(Name, Value, 1);
-    }
-    // The strategy knobs are a one-time snapshot; flipping the
-    // environment only takes effect through an explicit reload.
-    codegen::reloadKnobsFromEnv();
-  }
-  ~ScopedVariant() {
-    // Restore, don't unset: an ambient knob (e.g. the README-documented
-    // CONVGEN_RANK_STRATEGY) must survive across variants, or later
-    // "shared" rows would silently measure a different configuration.
-    for (const auto &[Name, Old] : Saved) {
-      if (Old)
-        setenv(Name, Old->c_str(), 1);
-      else
-        unsetenv(Name);
-    }
-    codegen::reloadKnobsFromEnv();
-  }
-
-private:
-  std::vector<std::pair<const char *, std::optional<std::string>>> Saved;
-};
-
-/// Prints + records one timed row from precomputed stats and phases.
-void emitRow(const char *Leg, const char *VariantLabel, int64_t Nnz,
-             const TimeStats &S, const double Phases[jit::kNumPhases],
-             BenchReport &Report) {
+/// Times coo3->csf at \p Dims, prints the table row and records the JSON
+/// row (with the per-phase breakdown).
+void runRow(const char *Variant, const std::vector<int64_t> &Dims,
+            const tensor::SparseTensor &In, int64_t Nnz, const char *Leg,
+            BenchReport &Report) {
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
+  const jit::JitConversion &Fwd = jitConversion("coo3", "csf", Opts);
+  double Phases[jit::kNumPhases] = {};
+  TimeStats S = timeJitWithPhases(Fwd, In, Phases);
   std::string Label = strfmt("%s.%lldk.%s", Leg,
-                             static_cast<long long>(Nnz / 1000), VariantLabel);
+                             static_cast<long long>(Nnz / 1000), Variant);
   double NsPerNnz =
       Nnz ? S.MedianSeconds * 1e9 / static_cast<double>(Nnz) : 0;
   std::printf("%-26s %12.3f %12.3f %14.1f\n", Label.c_str(),
@@ -135,86 +84,9 @@ void emitRow(const char *Leg, const char *VariantLabel, int64_t Nnz,
                     "\"nnz\": %lld, \"median_seconds\": %.6g, "
                     "\"min_seconds\": %.6g, \"ns_per_nnz\": %.1f, "
                     "\"phases\": %s}",
-                    Label.c_str(), VariantLabel, static_cast<long long>(Nnz),
+                    Label.c_str(), Variant, static_cast<long long>(Nnz),
                     S.MedianSeconds, S.MinSeconds, NsPerNnz,
                     phasesJson(Phases).c_str()));
-}
-
-/// Times coo3->csf under \p V at \p Dims, prints the table row, records
-/// the JSON row (with the per-phase breakdown), and returns the median.
-double runVariantRow(const Variant &V, const std::vector<int64_t> &Dims,
-                     const tensor::SparseTensor &In, int64_t Nnz,
-                     const char *Leg, BenchReport &Report) {
-  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
-  formats::Format Csf = formats::standardFormatOrDie("csf");
-  ScopedVariant Env(V);
-  codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
-  const jit::JitConversion &Fwd = jitConversion("coo3", "csf", Opts);
-  double Phases[jit::kNumPhases] = {};
-  TimeStats S = timeJitWithPhases(Fwd, In, Phases);
-  emitRow(Leg, V.Label, Nnz, S, Phases, Report);
-  return S.MedianSeconds;
-}
-
-/// Times two variants of the same conversion in interleaved pairs: every
-/// rep runs variant A then variant B back-to-back on the same input, and
-/// the returned speedup is the MEDIAN OF THE PER-REP RATIOS time(A)/
-/// time(B). On a shared dev container, load drift between two separately
-/// timed variants easily exceeds the effect under measurement; pairing
-/// puts both sides of every ratio under near-identical machine state, so
-/// the ratio median converges where sequential medians see-saw. Emits the
-/// same per-variant rows (median/min/phases over the paired reps).
-double runPairedRows(const Variant &VA, const Variant &VB,
-                     const std::vector<int64_t> &Dims,
-                     const tensor::SparseTensor &In, int64_t Nnz,
-                     const char *Leg, BenchReport &Report) {
-  const jit::JitConversion *Convs[2];
-  for (int V = 0; V < 2; ++V) {
-    ScopedVariant Env(V == 0 ? VA : VB);
-    formats::Format Coo3 = formats::standardFormatOrDie("coo3");
-    formats::Format Csf = formats::standardFormatOrDie("csf");
-    codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
-    Convs[V] = &jitConversion("coo3", "csf", Opts);
-  }
-  jit::CTensor A;
-  jit::marshalInput(In, &A);
-  int Reps = benchReps();
-  std::vector<double> Times[2];
-  std::vector<double> Before[2];
-  for (int V = 0; V < 2; ++V) {
-    Before[V].assign(static_cast<size_t>(jit::kNumPhases), 0);
-    if (const double *P = Convs[V]->phaseSeconds())
-      Before[V].assign(P, P + jit::kNumPhases);
-  }
-  for (int Rep = 0; Rep < Reps; ++Rep)
-    for (int V = 0; V < 2; ++V) {
-      auto Begin = std::chrono::steady_clock::now();
-      jit::CTensor B;
-      Convs[V]->runRaw(&A, &B);
-      jit::freeOutput(&B);
-      Times[V].push_back(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - Begin)
-                             .count());
-    }
-  std::vector<double> Ratios;
-  for (int Rep = 0; Rep < Reps; ++Rep)
-    if (Times[1][static_cast<size_t>(Rep)] > 0)
-      Ratios.push_back(Times[0][static_cast<size_t>(Rep)] /
-                       Times[1][static_cast<size_t>(Rep)]);
-  std::sort(Ratios.begin(), Ratios.end());
-  double Speedup = Ratios.empty() ? 0 : Ratios[Ratios.size() / 2];
-  for (int V = 0; V < 2; ++V) {
-    std::vector<double> Sorted = Times[V];
-    std::sort(Sorted.begin(), Sorted.end());
-    TimeStats S{Sorted.front(), Sorted[Sorted.size() / 2]};
-    double Phases[jit::kNumPhases] = {};
-    if (const double *P = Convs[V]->phaseSeconds())
-      for (int I = 0; I < jit::kNumPhases; ++I)
-        Phases[I] = (P[I] - Before[V][static_cast<size_t>(I)]) /
-                    static_cast<double>(Reps);
-    emitRow(Leg, (V == 0 ? VA : VB).Label, Nnz, S, Phases, Report);
-  }
-  return Speedup;
 }
 
 } // namespace
@@ -267,93 +139,25 @@ int main() {
                 strfmt("%d", Plan.SharedSortAnchor));
   }
 
-  // Every knob is pinned in every variant, so an ambient
-  // CONVGEN_RANK_STRATEGY / CONVGEN_NO_SHARED_SORT / CONVGEN_SORT_STRATEGY
-  // in the caller's environment cannot relabel a row. The huge-dims leg
-  // pins auto sort: a 2^31 extent cannot pack into 64 bits, so auto is the
-  // merge sort there by construction.
-  const Variant Variants[] = {
-      {"shared",
-       {{"CONVGEN_NO_SHARED_SORT", "0"},
-        {"CONVGEN_RANK_STRATEGY", "sorted"},
-        {"CONVGEN_SORT_STRATEGY", "auto"}}},
-      {"perlevel",
-       {{"CONVGEN_NO_SHARED_SORT", "1"},
-        {"CONVGEN_RANK_STRATEGY", "sorted"},
-        {"CONVGEN_SORT_STRATEGY", "auto"}}},
-      {"hashed",
-       {{"CONVGEN_NO_SHARED_SORT", "0"},
-        {"CONVGEN_RANK_STRATEGY", "hashed"},
-        {"CONVGEN_SORT_STRATEGY", "auto"}}},
-  };
-
+  // The huge-dims leg shares one full-arity sort; a 2^31 extent cannot
+  // pack into 64 bits, so that sort is the merge sort by construction.
+  // The packed leg's extents fit, so the same plan lowers it to radix.
   std::printf("%-26s %12s %12s %14s\n", "case", "median_ms", "min_ms",
               "ns_per_nnz");
   const int64_t FullNnz = scaled(1000000);
-  double SharedVsPerLevel = 0;
   for (int64_t Nnz : {FullNnz / 4, FullNnz / 2, FullNnz}) {
     tensor::Triplets T =
         tensor::genHyperSparse3(Dims[0], Dims[1], Dims[2], Nnz, 401);
     tensor::SparseTensor In = tensor::buildFromTriplets(Coo3, T);
-    double MedianByVariant[3] = {0, 0, 0};
-    for (size_t V = 0; V < 3; ++V)
-      MedianByVariant[V] = runVariantRow(Variants[V], Dims, In, T.nnz(),
-                                         "coo3_to_csf", Report);
-    double Speedup = MedianByVariant[0] > 0
-                         ? MedianByVariant[1] / MedianByVariant[0]
-                         : 0;
-    double HashedRatio = MedianByVariant[0] > 0
-                             ? MedianByVariant[2] / MedianByVariant[0]
-                             : 0;
-    std::printf("  %-24s %.2fx vs per-level, hashed/shared %.2fx\n",
-                "shared-sort speedup:", Speedup, HashedRatio);
-    Report.add(strfmt("{\"label\": \"coo3_to_csf.%lldk.speedups\", "
-                      "\"nnz\": %lld, "
-                      "\"shared_vs_perlevel_speedup\": %.3f, "
-                      "\"hashed_over_shared_ratio\": %.3f}",
-                      static_cast<long long>(T.nnz() / 1000),
-                      static_cast<long long>(T.nnz()), Speedup,
-                      HashedRatio));
-    if (Nnz == FullNnz)
-      SharedVsPerLevel = Speedup;
+    runRow("shared", Dims, In, T.nnz(), "coo3_to_csf", Report);
   }
-  Report.meta("shared_vs_perlevel_speedup_full",
-              strfmt("%.3f", SharedVsPerLevel));
-
-  // Radix-vs-merge leg at the packable dims: identical plan except for the
-  // SortTuples lowering, so the phase breakdown localizes the difference
-  // to the sort slot.
-  const Variant SortVariants[] = {
-      {"merge",
-       {{"CONVGEN_NO_SHARED_SORT", "0"},
-        {"CONVGEN_RANK_STRATEGY", "sorted"},
-        {"CONVGEN_SORT_STRATEGY", "merge"}}},
-      {"radix",
-       {{"CONVGEN_NO_SHARED_SORT", "0"},
-        {"CONVGEN_RANK_STRATEGY", "sorted"},
-        {"CONVGEN_SORT_STRATEGY", "radix"}}},
-  };
-  std::printf("\npacked-key sort strategy at (2^24, 2^20, 2^20):\n");
-  double RadixVsMerge = 0;
+  std::printf("\npacked-key sort at (2^24, 2^20, 2^20):\n");
   for (int64_t Nnz : {FullNnz / 4, FullNnz / 2, FullNnz}) {
     tensor::Triplets T = tensor::genHyperSparse3(
         PackedDims[0], PackedDims[1], PackedDims[2], Nnz, 401);
     tensor::SparseTensor In = tensor::buildFromTriplets(Coo3, T);
-    double Speedup =
-        runPairedRows(SortVariants[0], SortVariants[1], PackedDims, In,
-                      T.nnz(), "coo3_to_csf_packed", Report);
-    std::printf("  %-24s %.2fx (median of paired per-rep ratios)\n",
-                "radix-vs-merge speedup:", Speedup);
-    Report.add(strfmt("{\"label\": \"coo3_to_csf_packed.%lldk.speedups\", "
-                      "\"nnz\": %lld, "
-                      "\"radix_vs_merge_speedup\": %.3f, "
-                      "\"method\": \"median_of_paired_rep_ratios\"}",
-                      static_cast<long long>(T.nnz() / 1000),
-                      static_cast<long long>(T.nnz()), Speedup));
-    if (Nnz == FullNnz)
-      RadixVsMerge = Speedup;
+    runRow("radix", PackedDims, In, T.nnz(), "coo3_to_csf_packed", Report);
   }
-  Report.meta("radix_vs_merge_speedup_full", strfmt("%.3f", RadixVsMerge));
 
   // Round-trip leg: csf back to coo3 at the full point (needs no sorted
   // levels — the coo3 target has no dense ranking structures — so it also

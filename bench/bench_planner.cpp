@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Planner ablation: for each format pair, time every candidate the path
-/// planner enumerates (direct default, forced-strategy variants, two-hop
-/// chains), feed the measurements into the outcome store, and compare the
-/// planner's warmed-up choice against the forced-direct default. This is
+/// planner enumerates (the direct default, "direct+sorted" and the
+/// "via-coo" chain), feed the measurements into the outcome store, and
+/// compare the planner's warmed-up choice against the forced-direct
+/// default. This is
 /// the measured-outcome auto-tuning loop run end to end: the "planner-
 /// chosen" row is whatever decide() picks after it has seen real timings.
 ///

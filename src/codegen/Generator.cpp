@@ -466,7 +466,6 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
   Plan.Dedup.assign(N, false);
   Plan.Ranked.assign(N, false);
   Plan.Sorted.assign(N, false);
-  Plan.Hashed.assign(N, false);
 
   auto isEdge = [&](size_t K) {
     return Dst.Levels[K].Kind == LevelKind::Compressed ||
@@ -664,29 +663,6 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
     Plan.Ranked[K] = false;
   }
 
-  // List-construction variant per sorted level: the hashed-presence
-  // pre-dedup when forced by CONVGEN_RANK_STRATEGY=hashed, or — in auto —
-  // when the level's grouping tuple is narrower than the tensor order:
-  // projection onto the narrower tuple is where duplicates arise at all
-  // (certain once nnz exceeds the grouping space; on fully hyper-sparse
-  // data the pre-dedup finds none and costs one O(nnz) hash pass, which
-  // the saved comparison depth of the wider-tuple sort does not always
-  // repay — width is a heuristic, not a proof, and the knob overrides it).
-  // Precedence: an explicit environment knob always wins (pinning tests
-  // and operators override everything), then the planner-forced field,
-  // then the auto heuristic.
-  RankStrategy Strategy = rankStrategyKnob();
-  if (Strategy == RankStrategy::Auto)
-    Strategy = Opts.ForceRank;
-  for (size_t K = 0; K < N; ++K) {
-    if (!Plan.Sorted[K])
-      continue;
-    int Width = Dst.Levels[K].Dim + 1;
-    Plan.Hashed[K] =
-        Strategy == RankStrategy::Hashed ||
-        (Strategy == RankStrategy::Auto && Width < Dst.order());
-  }
-
   // Shared full-arity sort: when several levels are sorted, their grouping
   // tuples (dims 0..Dim each) nest by construction whenever the arities
   // strictly increase with level depth — every shallower tuple is then a
@@ -704,31 +680,18 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
     for (size_t I = 0; I + 1 < SortedLevels.size(); ++I)
       Nested = Nested && Dst.Levels[SortedLevels[I]].Dim <
                              Dst.Levels[SortedLevels[I + 1]].Dim;
-    if (knobs().NoSharedSort || Opts.ForceNoSharedSort)
-      Nested = false;
-    if (Nested) {
+    if (Nested)
       Plan.SharedSortAnchor = static_cast<int>(SortedLevels.back()) + 1;
-      // Only the anchor constructs a list under sharing (everyone else
-      // prefix-compacts the anchor's buffer), so only its hashed bit is
-      // live — clear the rest to keep the reported plan truthful.
-      for (size_t K : SortedLevels)
-        if (static_cast<int>(K) + 1 != Plan.SharedSortAnchor)
-          Plan.Hashed[K] = false;
-    }
   }
 
   // Packed-key sort lowering: when every destination extent is known and
   // the full-order coordinate tuple packs into one 64-bit key (sum of
   // per-dim ceil(log2(extent)) widths <= 64), every grouping prefix fits
   // too, so all sorted levels can radix-sort packed keys instead of
-  // merge-sorting tuples. Packability is a property of the extents; the
-  // CONVGEN_SORT_STRATEGY knob only vetoes it (merge) or requests it
-  // (radix/auto) — it cannot make unpackable keys fit. The sorted output
-  // is the identical pure function of the input either way.
-  SortStrategy SortKnob = sortStrategyKnob();
-  if (SortKnob == SortStrategy::Auto)
-    SortKnob = Opts.ForceSort;
-  if (Plan.anySorted() && SortKnob != SortStrategy::Merge) {
+  // merge-sorting tuples. Packability is a property of the extents alone;
+  // the sorted output is the identical pure function of the input either
+  // way.
+  if (Plan.anySorted()) {
     std::vector<int64_t> Widths;
     int64_t TotalBits = 0;
     bool Fits = !Ext.empty();
@@ -919,11 +882,11 @@ Conversion Generator::run() {
   Shape.Remap = Dst.Remap;
   Shape.Bounds = remap::analyzeBounds(Dst.Remap, SrcDims);
 
-  // Level formats with the plan's dedup/ranked/sorted/hashed decisions.
+  // Level formats with the plan's dedup/ranked/sorted decisions.
   for (size_t K = 0; K < Dst.Levels.size(); ++K)
     Levels.push_back(levels::LevelFormat::create(
         Dst.Levels[K], static_cast<int>(K) + 1, Plan.Dedup[K],
-        Plan.Ranked[K], Plan.Sorted[K], Plan.Hashed[K], Dst.order()));
+        Plan.Ranked[K], Plan.Sorted[K], Dst.order()));
 
   // Compile the attribute queries the levels declare.
   std::vector<std::pair<int, query::Query>> LevelQueries;
@@ -1168,10 +1131,6 @@ int64_t codegen::rankDenseMaxBytes() {
   // a setenv.
   return knobs().RankDenseMaxBytes;
 }
-
-RankStrategy codegen::rankStrategyKnob() { return knobs().Rank; }
-
-SortStrategy codegen::sortStrategyKnob() { return knobs().Sort; }
 
 AssemblyPlan codegen::planAssembly(const formats::Format &Source,
                                    const formats::Format &Target,

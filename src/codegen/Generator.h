@@ -54,39 +54,16 @@ struct Options {
   /// tensors keep sharing one cached plan per pair.
   std::vector<int64_t> DimsHint;
 
-  //===--- Planner-forced strategy assignments -------------------------===//
-  // The conversion path planner (src/planner/) expresses its candidate
-  // strategy assignments through these fields. Precedence per decision:
-  // a non-Auto environment knob always wins (explicit pinning overrides
-  // the planner — existing knob tests keep passing), then the forced
-  // field, then the auto heuristic. All forced fields participate in plan
-  // keys and JIT compile flags, so a planner decision can never alias a
-  // differently-generated cached object.
-
-  /// Force the sorted-ranking list-construction variant (plain sorted or
-  /// hashed pre-dedup) when CONVGEN_RANK_STRATEGY is auto/unset.
-  RankStrategy ForceRank = RankStrategy::Auto;
-  /// Force the sort lowering (merge or packed radix) when
-  /// CONVGEN_SORT_STRATEGY is auto/unset. Radix still requires packable
-  /// extents, exactly like the env knob.
-  SortStrategy ForceSort = SortStrategy::Auto;
-  /// Disable the shared full-arity sort, like CONVGEN_NO_SHARED_SORT=1.
-  bool ForceNoSharedSort = false;
   /// Put every eligible compressed level on the O(nnz) sorted-ranking
-  /// strategy even under the dense-footprint budget (the planner's
-  /// "sort-first" direct variant). planAssembly() reports Unsupported with
-  /// a planner-specific diagnostic when a level fails the strategy's
-  /// preconditions instead of silently keeping dense ranking.
+  /// strategy even under the dense-footprint budget (the conversion path
+  /// planner's "direct+sorted" candidate). planAssembly() reports
+  /// Unsupported with a planner-specific diagnostic when a level fails the
+  /// strategy's preconditions instead of silently keeping dense ranking.
+  /// Participates in plan keys and JIT compile flags, so a forced plan can
+  /// never alias the default plan's cached object. Forced plans are
+  /// excluded from the warm-start manifest (its compact option encoding
+  /// carries only the paper-ablation bits).
   bool ForceSortedRanking = false;
-
-  /// True when any planner-forced field deviates from its default. Forced
-  /// plans are excluded from the warm-start manifest (its compact option
-  /// encoding carries only the paper-ablation bits).
-  bool anyForced() const {
-    return ForceRank != RankStrategy::Auto ||
-           ForceSort != SortStrategy::Auto || ForceNoSharedSort ||
-           ForceSortedRanking;
-  }
 };
 
 /// Per-level assembly strategy decisions plus the support verdict for a
@@ -102,28 +79,19 @@ struct AssemblyPlan {
   /// search positions instead of dense rank arrays / query buffers, chosen
   /// when the dense footprint would exceed rankDenseMaxBytes().
   std::vector<bool> Sorted;
-  /// Sorted level builds its list through the hashed-presence variant
-  /// (open-addressing dedup before the sort, so the sort touches only
-  /// distinct tuples). Selected by CONVGEN_RANK_STRATEGY=hashed, or — as
-  /// a width heuristic — automatically when the level's grouping tuple is
-  /// narrower than the tensor order, where projection creates duplicates
-  /// (certain once nnz exceeds the grouping space, though hyper-sparse
-  /// data may still dedup nothing). Always a subset of Sorted; results
-  /// are bit-identical to the plain sorted variant.
-  std::vector<bool> Hashed;
   /// Nonzero: all sorted levels group by nested prefixes of one coordinate
   /// tuple, and this (1-based) level — the deepest, full-arity one —
   /// anchors a single shared collect+sort+unique that every other sorted
-  /// level derives its list from by prefix compaction. 0 when levels sort
-  /// independently (fewer than two sorted levels, non-nested grouping
-  /// tuples, or CONVGEN_NO_SHARED_SORT=1).
+  /// level derives its list from by prefix compaction. 0 when a single
+  /// level sorts (it builds its own list), or when grouping tuples do not
+  /// nest (a level order formats::checkFormat rejects).
   int SharedSortAnchor = 0;
   /// Sorted levels lower their tuple sorts through the packed-key radix
   /// sort: every destination extent is known, the full-order coordinate
   /// tuple packs into one uint64_t (sum of per-dim ceil(log2(extent))
-  /// widths <= 64), and sortStrategyKnob() allows it (auto = radix
-  /// whenever the keys fit). The sorted output is the identical pure
-  /// function of the input either way, so results never depend on the bit.
+  /// widths <= 64). Otherwise they merge-sort. The sorted output is the
+  /// identical pure function of the input either way, so results never
+  /// depend on the bit.
   bool PackedSort = false;
   /// PackedSort only: the per-destination-dim bit widths (dimension
   /// order); empty otherwise.
@@ -140,12 +108,6 @@ struct AssemblyPlan {
         return true;
     return false;
   }
-  bool anyHashed() const {
-    for (bool H : Hashed)
-      if (H)
-        return true;
-    return false;
-  }
 };
 
 /// Computes the assembly plan for a pair, optionally specialized to the
@@ -157,8 +119,8 @@ AssemblyPlan planAssembly(const formats::Format &Source,
                           const std::vector<int64_t> &Dims = {});
 
 /// Options-aware variant: reads the dims hint *and* the planner-forced
-/// strategy fields from \p Opts. The three-field overload is equivalent to
-/// default options with DimsHint = Dims.
+/// ForceSortedRanking field from \p Opts. The three-field overload is
+/// equivalent to default options with DimsHint = Dims.
 AssemblyPlan planAssembly(const formats::Format &Source,
                           const formats::Format &Target,
                           const Options &Opts);
@@ -169,19 +131,6 @@ AssemblyPlan planAssembly(const formats::Format &Source,
 /// CONVGEN_RANK_DENSE_MAX_BYTES snapshot (knobs(); tests vary it through
 /// ScopedEnv, which reloads the snapshot); defaults to 64 MiB.
 int64_t rankDenseMaxBytes();
-
-/// The CONVGEN_RANK_STRATEGY knob ("auto" | "sorted" | "hashed"; anything
-/// else, including unset, reads as auto), from the knobs() snapshot. The
-/// knob participates in plan keys and JIT compile flags so flipping it
-/// (and reloading) can never hit a stale cached plan or shared object.
-RankStrategy rankStrategyKnob();
-
-/// The CONVGEN_SORT_STRATEGY knob ("auto" | "merge" | "radix"; anything
-/// else, including unset, reads as auto), from the knobs() snapshot.
-/// Participates in plan keys (via the re-derived PackedSort bit) and JIT
-/// compile flags so flipping it (and reloading) can never hit a stale
-/// cached plan or shared object.
-SortStrategy sortStrategyKnob();
 
 /// Returns \p Opts with DimsHint populated iff these dims change the
 /// pair's assembly plan (a sorted level or a size-grounds rejection);

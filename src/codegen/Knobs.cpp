@@ -34,28 +34,8 @@ int64_t parseInt(const char *Name, int64_t Default, bool RequirePositive) {
   return static_cast<int64_t>(V);
 }
 
-bool envTruthy(const char *Name) {
-  const char *Env = std::getenv(Name);
-  return Env && *Env && std::string(Env) != "0";
-}
-
 const StrategyKnobs *parseFromEnv() {
   auto *K = new StrategyKnobs();
-  if (const char *Env = std::getenv("CONVGEN_RANK_STRATEGY")) {
-    std::string V = Env;
-    if (V == "sorted")
-      K->Rank = RankStrategy::Sorted;
-    else if (V == "hashed")
-      K->Rank = RankStrategy::Hashed;
-  }
-  if (const char *Env = std::getenv("CONVGEN_SORT_STRATEGY")) {
-    std::string V = Env;
-    if (V == "merge")
-      K->Sort = SortStrategy::Merge;
-    else if (V == "radix")
-      K->Sort = SortStrategy::Radix;
-  }
-  K->NoSharedSort = envTruthy("CONVGEN_NO_SHARED_SORT");
   K->RankDenseMaxBytes = parseInt("CONVGEN_RANK_DENSE_MAX_BYTES",
                                   K->RankDenseMaxBytes, true);
   if (const char *Env = std::getenv("CONVGEN_PLANNER")) {

@@ -14,11 +14,14 @@
 /// snapshot for tests that scope the environment (tests/ScopedEnv.h calls
 /// it automatically).
 ///
-/// Scope: only the *strategy* knobs that feed planning decisions live
-/// here. Operational settings (cache directories, fault injection,
-/// deadlines, preload mode) keep their per-use getenv reads — they are
-/// read from single-threaded setup paths or are themselves snapshotted at
-/// construction.
+/// Scope: only the knobs that feed planning decisions live here — the
+/// dense-ranking byte budget and the path planner's settings. There is no
+/// per-strategy override: which list-construction and sort lowering a
+/// level uses follows from the formats and the input extents alone
+/// (codegen::planAssembly). Operational settings (cache directories, fault
+/// injection, deadlines, preload mode) keep their per-use getenv reads —
+/// they are read from single-threaded setup paths or are themselves
+/// snapshotted at construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,33 +33,10 @@
 namespace convgen {
 namespace codegen {
 
-/// How sorted-ranking levels build their unique tuple lists. Auto applies
-/// the width heuristic (hash-dedup before sorting whenever the level's
-/// grouping tuple is narrower than the tensor order, i.e. duplicates are
-/// guaranteed); Sorted forces the plain sort+unique; Hashed forces the
-/// hash-dedup pre-pass everywhere.
-enum class RankStrategy : uint8_t { Auto, Sorted, Hashed };
-
-/// How sorted-ranking levels lower their tuple sorts. Auto packs the
-/// coordinates into one 64-bit key and radix-sorts whenever the dims hint
-/// proves they fit (ceil(log2(extent)) bits per dim, total <= 64); Merge
-/// forces the comparison merge sort everywhere; Radix asks for the packed
-/// sort but still falls back to merge when the keys do not fit or no hint
-/// exists — packability is a property of the extents, not a preference.
-enum class SortStrategy : uint8_t { Auto, Merge, Radix };
-
-/// The strategy-knob snapshot. Field defaults are the unset-environment
-/// values; parsing rules per field are in the accessors' docs below and in
+/// The planning-knob snapshot. Field defaults are the unset-environment
+/// values; parsing rules per field are in the field docs below and in
 /// README's knob table.
 struct StrategyKnobs {
-  /// CONVGEN_RANK_STRATEGY: "sorted" | "hashed"; anything else (including
-  /// unset) is Auto.
-  RankStrategy Rank = RankStrategy::Auto;
-  /// CONVGEN_SORT_STRATEGY: "merge" | "radix"; anything else is Auto.
-  SortStrategy Sort = SortStrategy::Auto;
-  /// CONVGEN_NO_SHARED_SORT: any nonempty value other than "0" disables
-  /// the shared full-arity sort.
-  bool NoSharedSort = false;
   /// CONVGEN_RANK_DENSE_MAX_BYTES: byte budget for dense per-level ranking
   /// structures; non-positive or unparsable values keep the default.
   int64_t RankDenseMaxBytes = int64_t(64) << 20;

@@ -333,24 +333,22 @@ std::string convert::planKey(const formats::Format &Source,
              Opts.CounterReuse ? 1 : 0, Opts.ForceUnseqEdges ? 1 : 0,
              Opts.MaterializeRemap ? 1 : 0);
   // A dims hint changes the generated code only through the assembly
-  // strategy it selects (which levels go sorted/hashed/ranked/dedup and
-  // whether they share one full-arity sort), so the key carries those bits
-  // rather than the raw dims: every huge-dims tensor that lands on the
-  // same strategy shares one plan and one JIT object. The bits are
-  // re-derived from the *current* environment on every lookup, so flipping
-  // CONVGEN_RANK_STRATEGY / CONVGEN_SORT_STRATEGY / CONVGEN_NO_SHARED_SORT
-  // / CONVGEN_RANK_DENSE_MAX_BYTES can never hit a stale cached plan.
+  // strategy it selects (which levels go sorted/ranked/dedup, whether they
+  // share one full-arity sort, and the packed-sort widths), so the key
+  // carries those bits rather than the raw dims: every huge-dims tensor
+  // that lands on the same strategy shares one plan and one JIT object.
+  // The bits are re-derived on every lookup, so flipping
+  // CONVGEN_RANK_DENSE_MAX_BYTES can never hit a stale cached plan.
   // optionsForDims() keeps the hint empty whenever the dims do not affect
   // the plan, so ordinary tensors share the default entry per pair.
-  // Planner-forced options always carry their strategy bits (and a forced
-  // marker below): a planner decision can never alias the default plan's
-  // cached object even at hint-free dims.
-  if (!Opts.DimsHint.empty() || Opts.anyForced()) {
+  // Planner-forced sorted ranking always carries its strategy bits (and a
+  // one-bit forced marker below): a planner decision can never alias the
+  // default plan's cached object even at hint-free dims.
+  if (!Opts.DimsHint.empty() || Opts.ForceSortedRanking) {
     codegen::AssemblyPlan Plan = codegen::planAssembly(Source, Target, Opts);
     Key += " [s";
     for (size_t K = 0; K < Plan.Sorted.size(); ++K)
-      Key += Plan.Sorted[K] ? (Plan.Hashed[K] ? 'h' : '1')
-                            : (Plan.Ranked[K] ? 'r' : '0');
+      Key += Plan.Sorted[K] ? '1' : (Plan.Ranked[K] ? 'r' : '0');
     if (Plan.SharedSortAnchor > 0)
       Key += ":g" + std::to_string(Plan.SharedSortAnchor);
     // The packed-sort bit alone is not enough: the per-dim bit widths are
@@ -368,11 +366,8 @@ std::string convert::planKey(const formats::Format &Source,
         Key += ":" + std::to_string(D);
     }
     Key += "]";
-    if (Opts.anyForced())
-      Key += strfmt(" [f:r%ds%dg%dS%d]", static_cast<int>(Opts.ForceRank),
-                    static_cast<int>(Opts.ForceSort),
-                    Opts.ForceNoSharedSort ? 1 : 0,
-                    Opts.ForceSortedRanking ? 1 : 0);
+    if (Opts.ForceSortedRanking)
+      Key += " [f:S1]";
   }
   return Key;
 }
@@ -699,7 +694,7 @@ Status PlanCache::exportManifest(const std::string &Path) {
     // Planner-forced plans cannot round-trip through the manifest's
     // compact option encoding (q/c/u/m bits only); a fresh process
     // re-plans and recompiles them on demand instead.
-    if (Rec.Opts.anyForced())
+    if (Rec.Opts.ForceSortedRanking)
       continue;
     std::optional<formats::Format> Src =
         formats::standardFormat(Rec.SrcName);

@@ -51,7 +51,7 @@ static bool stmtUsesSortedRanking(const Stmt &S) {
   if (!S)
     return false;
   if (S->Kind == StmtKind::SortTuples || S->Kind == StmtKind::UniqueTuples ||
-      S->Kind == StmtKind::UniquePrefix || S->Kind == StmtKind::HashDistinct)
+      S->Kind == StmtKind::UniquePrefix)
     return true;
   if (exprUsesSortedRanking(S->A) || exprUsesSortedRanking(S->B))
     return true;
@@ -303,45 +303,6 @@ static int64_t cvg_unique_prefix(const int32_t *src, int64_t n,
   free(offs);
   return total;
 }
-/* Gathers the distinct tuples of src into dst (first-seen order) through
- * an open-addressing table of 2n power-of-two slots holding dst indices.
- * O(n) memory, serial insertion: the win over sorting is algorithmic
- * (distinct log distinct instead of n log n comparison work), not
- * thread-level. */
-static int64_t cvg_hash_distinct(const int32_t *src, int64_t n,
-                                 int64_t arity, int32_t *dst) {
-  if (n == 0)
-    return 0;
-  int64_t cap = 1;
-  while (cap < 2 * n)
-    cap <<= 1;
-  int64_t *table = (int64_t *)malloc((size_t)cap * sizeof(int64_t));
-  for (int64_t i = 0; i < cap; i++)
-    table[i] = -1;
-  int64_t u = 0;
-  for (int64_t i = 0; i < n; i++) {
-    const int32_t *t = src + i * arity;
-    uint64_t h = 1469598103934665603ull;
-    for (int64_t k = 0; k < arity; k++) {
-      h ^= (uint32_t)t[k];
-      h *= 1099511628211ull;
-    }
-    for (int64_t slot = (int64_t)(h & (uint64_t)(cap - 1));;
-         slot = (slot + 1) & (cap - 1)) {
-      int64_t o = table[slot];
-      if (o < 0) {
-        table[slot] = u;
-        memcpy(dst + (u++) * arity, t, (size_t)arity * sizeof(int32_t));
-        break;
-      }
-      if (cvg_tuple_cmp(dst + o * arity, t, arity) == 0)
-        break;
-    }
-  }
-  free(table);
-  return u;
-}
-
 )";
   // Packed-key LSD radix sort: each arity-component tuple packs into one
   // uint64_t key (component 0 most significant, widths chosen by the
@@ -369,7 +330,6 @@ static int64_t cvg_hash_distinct(const int32_t *src, int64_t n,
     Out += R"(static int64_t cvg_radix_sort_packed(int32_t *restrict buf, int64_t n,
                                      int64_t arity,
                                      const int64_t *restrict widths,
-                                     int dedup,
                                      int32_t *restrict rank_out) {
   if (n <= 0)
     return 0;
@@ -503,7 +463,7 @@ static int64_t cvg_hash_distinct(const int32_t *src, int64_t n,
     n = u;
     free(idx);
     free(iaux);
-  } else if (dedup) {
+  } else {
     int64_t u = 1;
     for (int64_t i = 1; i < n; i++)
       if (keys[i] != keys[u - 1])

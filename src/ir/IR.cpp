@@ -455,35 +455,28 @@ Stmt ir::sortTuples(const std::string &Buffer, Expr Count, int64_t Arity) {
   return S;
 }
 
-Stmt ir::sortTuplesPacked(const std::string &Buffer, Expr Count,
-                          int64_t Arity, std::vector<int64_t> PackWidths) {
-  // Hard errors even in release builds: a bad width vector would silently
-  // mis-sort (keys aliasing or truncating coordinates).
-  if (static_cast<int64_t>(PackWidths.size()) != Arity)
-    fatalError("sortTuplesPacked requires one bit width per component");
-  int64_t TotalBits = 0;
-  for (int64_t W : PackWidths) {
-    if (W < 0 || W > 32)
-      fatalError("sortTuplesPacked widths are int32 coordinate widths");
-    TotalBits += W;
-  }
-  if (TotalBits > 64)
-    fatalError("sortTuplesPacked requires the tuple to fit 64 bits");
-  Stmt S = sortTuples(Buffer, std::move(Count), Arity);
-  const_cast<StmtNode &>(*S).PackWidths = std::move(PackWidths);
-  return S;
-}
-
 Stmt ir::sortUniqueTuplesPacked(const std::string &Buffer, Expr Count,
                                 int64_t Arity,
                                 std::vector<int64_t> PackWidths,
                                 const std::string &CountVar,
                                 const std::string &RankBuffer) {
+  // Hard errors even in release builds: a bad width vector would silently
+  // mis-sort (keys aliasing or truncating coordinates).
   if (CountVar.empty())
     fatalError("sortUniqueTuplesPacked requires a result name");
-  Stmt S =
-      sortTuplesPacked(Buffer, std::move(Count), Arity, std::move(PackWidths));
+  if (static_cast<int64_t>(PackWidths.size()) != Arity)
+    fatalError("sortUniqueTuplesPacked requires one bit width per component");
+  int64_t TotalBits = 0;
+  for (int64_t W : PackWidths) {
+    if (W < 0 || W > 32)
+      fatalError("sortUniqueTuplesPacked widths are int32 coordinate widths");
+    TotalBits += W;
+  }
+  if (TotalBits > 64)
+    fatalError("sortUniqueTuplesPacked requires the tuple to fit 64 bits");
+  Stmt S = sortTuples(Buffer, std::move(Count), Arity);
   StmtNode &N = const_cast<StmtNode &>(*S);
+  N.PackWidths = std::move(PackWidths);
   N.Slot = CountVar;
   N.Buffer2 = RankBuffer;
   return S;
@@ -518,21 +511,6 @@ Stmt ir::uniquePrefix(const std::string &Src, Expr Count, int64_t SrcArity,
   N.A = std::move(Count);
   N.Arity = SrcArity;
   N.Arity2 = DstArity;
-  return S;
-}
-
-Stmt ir::hashDistinct(const std::string &Src, Expr Count, int64_t Arity,
-                      const std::string &Dst, const std::string &CountVar) {
-  CONVGEN_ASSERT(Count != nullptr, "hashDistinct requires a tuple count");
-  CONVGEN_ASSERT(Arity >= 1, "hashDistinct requires a positive arity");
-  CONVGEN_ASSERT(!CountVar.empty(), "hashDistinct requires a result name");
-  Stmt S = makeStmt(StmtKind::HashDistinct);
-  StmtNode &N = const_cast<StmtNode &>(*S);
-  N.Name = Src;
-  N.Buffer2 = Dst;
-  N.Slot = CountVar;
-  N.A = std::move(Count);
-  N.Arity = Arity;
   return S;
 }
 
@@ -739,6 +717,74 @@ static void printScanC(const Stmt &S, const std::string &Pad,
   Out += Pad + "}\n";
 }
 
+static const char *reduceOpName(ReduceOp Op) {
+  return Op == ReduceOp::Add   ? "+"
+         : Op == ReduceOp::Or  ? "|"
+         : Op == ReduceOp::Max ? "max"
+                               : "min";
+}
+
+static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
+                          bool CMode);
+
+/// Emits the C lowering of a parallel For with reductions. OpenMP's
+/// array-section reduction clause places every thread's private copy on
+/// that thread's stack, which overflows the default 8 MB stack once a
+/// histogram spans a few million rows. Instead each thread accumulates
+/// into a heap copy initialized to the identity, and merges it into the
+/// shared buffer under a critical section after the loop's implicit
+/// barrier. Thread 0 could accumulate into the shared buffer directly, but
+/// the compiler cannot tell that buffer apart from the source arrays
+/// inside the outlined region, so every histogram store would force the
+/// loop bounds (pos-array loads) to be re-read; a fresh calloc/malloc
+/// result provably aliases nothing. Only exact integer reductions are
+/// emitted, so any merge order gives the bit-identical serial result.
+static void printReductionLoopC(const Stmt &S, int Indent,
+                                const std::string &Privates,
+                                std::string &Out) {
+  std::string Pad(static_cast<size_t>(Indent) * 2, ' ');
+  std::string In1 = Pad + "  ", In2 = Pad + "    ";
+  Out += Pad + "{\n";
+  for (const ParReduction &R : S->Reductions)
+    Out += In1 + cElemType(R.Elem) + " *cvg_sh_" + R.Buffer + " = " +
+           R.Buffer + ";\n";
+  Out += In1 + "#pragma omp parallel\n" + In1 + "{\n";
+  for (const ParReduction &R : S->Reductions) {
+    CONVGEN_ASSERT(R.Elem != ScalarKind::Float,
+                   "parallel reductions must be exact (integer) ops");
+    std::string Ty = cElemType(R.Elem), Len = printExpr(R.Length);
+    bool Int = R.Elem == ScalarKind::Int;
+    const char *Identity = R.Op == ReduceOp::Max ? (Int ? "INT32_MIN" : "0")
+                           : R.Op == ReduceOp::Min
+                               ? (Int ? "INT32_MAX" : "UINT8_MAX")
+                               : nullptr;
+    if (!Identity) {
+      Out += In2 + Ty + " *" + R.Buffer + " = (" + Ty + " *)calloc(" + Len +
+             ", sizeof(" + Ty + "));\n";
+      continue;
+    }
+    Out += In2 + Ty + " *" + R.Buffer + " = (" + Ty + " *)malloc((" + Len +
+           ") * sizeof(" + Ty + "));\n";
+    Out += In2 + "for (int64_t cvg_r = 0; cvg_r < " + Len + "; cvg_r++)\n" +
+           In2 + "  " + R.Buffer + "[cvg_r] = " + Identity + ";\n";
+  }
+  Out += In2 + "#pragma omp for" + Privates + "\n";
+  Out += In2 + "for (int64_t " + S->Name + " = " + printExpr(S->A) + "; " +
+         S->Name + " < " + printExpr(S->B) + "; " + S->Name + "++) {\n";
+  printStmtInto(S->Body, Indent + 3, Out, true);
+  Out += In2 + "}\n";
+  for (const ParReduction &R : S->Reductions) {
+    Out += In2 + "#pragma omp critical\n";
+    Out += In2 + "for (int64_t cvg_r = 0; cvg_r < " + printExpr(R.Length) +
+           "; cvg_r++) {\n";
+    printStmtInto(store("cvg_sh_" + R.Buffer, var("cvg_r"),
+                        load(R.Buffer, var("cvg_r")), R.Op),
+                  Indent + 3, Out, true);
+    Out += In2 + "}\n" + In2 + "free(" + R.Buffer + ");\n";
+  }
+  Out += In1 + "}\n" + Pad + "}\n";
+}
+
 static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
                           bool CMode) {
   CONVGEN_ASSERT(S != nullptr, "cannot print a null statement");
@@ -778,23 +824,21 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
     }
     convgen_unreachable("unknown reduce op");
   }
-  case StmtKind::For:
+  case StmtKind::For: {
     // Parallel loops carry an OpenMP annotation. Compilers ignore the
-    // pragma without -fopenmp, so the emitted C stays valid serial code;
-    // reduction clauses give each thread a private histogram copy that the
-    // runtime merges exactly (integer ops only).
+    // pragma without -fopenmp, so the emitted C stays valid serial code.
+    std::string Privates =
+        S->Privates.empty() ? "" : " private(" + join(S->Privates, ", ") + ")";
+    if (S->Parallel && CMode && !S->Reductions.empty()) {
+      printReductionLoopC(S, Indent, Privates, Out);
+      return;
+    }
     if (S->Parallel) {
-      Out += Pad + "#pragma omp parallel for";
-      if (!S->Privates.empty())
-        Out += " private(" + join(S->Privates, ", ") + ")";
-      for (const ParReduction &R : S->Reductions) {
-        const char *Op = R.Op == ReduceOp::Add   ? "+"
-                         : R.Op == ReduceOp::Or  ? "|"
-                         : R.Op == ReduceOp::Max ? "max"
-                                                 : "min";
-        Out += std::string(" reduction(") + Op + ":" + R.Buffer + "[0:" +
-               printExpr(R.Length) + "])";
-      }
+      // The readable view keeps the compact reduction-clause notation.
+      Out += Pad + "#pragma omp parallel for" + Privates;
+      for (const ParReduction &R : S->Reductions)
+        Out += std::string(" reduction(") + reduceOpName(R.Op) + ":" +
+               R.Buffer + "[0:" + printExpr(R.Length) + "])";
       Out += "\n";
     }
     Out += Pad + "for (int64_t " + S->Name + " = " + printExpr(S->A) + "; " +
@@ -802,6 +846,7 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
     printStmtInto(S->Body, Indent + 1, Out, CMode);
     Out += Pad + "}\n";
     return;
+  }
   case StmtKind::While:
     Out += Pad + "while (" + printExpr(S->A) + ") {\n";
     printStmtInto(S->Body, Indent + 1, Out, CMode);
@@ -893,24 +938,16 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
           Widths += ",";
         Widths += std::to_string(W);
       }
-      // A non-empty Slot is the fused form: dedup the sorted packed keys
-      // and declare the unique count (the dedup argument toggles the
-      // compaction; the return value is n when it is off). A non-empty
-      // Buffer2 additionally scatters per-slot ranks into that buffer.
+      // Packed sorts always dedup the sorted keys and declare the unique
+      // count in Slot; a non-empty Buffer2 additionally scatters per-slot
+      // ranks into that buffer.
       if (CMode) {
-        std::string Decl =
-            S->Slot.empty() ? "" : strfmt("int64_t %s = ", S->Slot.c_str());
-        Out += Pad + strfmt("%scvg_radix_sort_packed(%s, %s, %lld, "
-                            "(const int64_t[]){%s}, %d, %s);\n",
-                            Decl.c_str(), S->Name.c_str(),
+        Out += Pad + strfmt("int64_t %s = cvg_radix_sort_packed(%s, %s, %lld, "
+                            "(const int64_t[]){%s}, %s);\n",
+                            S->Slot.c_str(), S->Name.c_str(),
                             printExpr(S->A).c_str(),
                             static_cast<long long>(S->Arity), Widths.c_str(),
-                            S->Slot.empty() ? 0 : 1,
                             S->Buffer2.empty() ? "NULL" : S->Buffer2.c_str());
-      } else if (S->Slot.empty()) {
-        Out += Pad + strfmt("sort_tuples_packed(%s, %s, %lld, bits=[%s]);\n",
-                            S->Name.c_str(), printExpr(S->A).c_str(),
-                            static_cast<long long>(S->Arity), Widths.c_str());
       } else {
         std::string Rank =
             S->Buffer2.empty() ? "" : strfmt(", rank=%s", S->Buffer2.c_str());
@@ -955,14 +992,6 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
                         static_cast<long long>(S->Arity),
                         S->Buffer2.c_str(),
                         static_cast<long long>(S->Arity2));
-    return;
-  case StmtKind::HashDistinct:
-    Out += Pad + strfmt("int64_t %s = %s(%s, %s, %lld, %s);\n",
-                        S->Slot.c_str(),
-                        CMode ? "cvg_hash_distinct" : "hash_distinct",
-                        S->Name.c_str(), printExpr(S->A).c_str(),
-                        static_cast<long long>(S->Arity),
-                        S->Buffer2.c_str());
     return;
   case StmtKind::PhaseMark:
     if (!CMode) {

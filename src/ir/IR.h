@@ -157,8 +157,8 @@ Expr lowerBound(const std::string &Buffer, Expr Count, std::vector<Expr> Keys);
 
 /// lowerBound with the packed-key compare: \p PackWidths gives the bit
 /// width of each tuple component (one per key, each in [0, 32], total at
-/// most 64 — the same planner-proven fit as sortTuplesPacked), so the C
-/// lowering packs the key tuple and each probed tuple into single
+/// most 64 — the same planner-proven fit as sortUniqueTuplesPacked), so
+/// the C lowering packs the key tuple and each probed tuple into single
 /// uint64_t values and compares those. Unsigned packed order equals
 /// lexicographic tuple order whenever every stored coordinate fits its
 /// width, so the result is identical to lowerBound — the interpreter
@@ -189,7 +189,6 @@ enum class StmtKind : uint8_t {
   SortTuples,   ///< Lexicographic in-place tuple sort (see sortTuples()).
   UniqueTuples, ///< Adjacent-duplicate compaction (see uniqueTuples()).
   UniquePrefix, ///< Prefix compaction of a sorted list (see uniquePrefix()).
-  HashDistinct, ///< Hash-table tuple dedup (see hashDistinct()).
 };
 
 /// Reduction applied by a Store: Buffer[I] op= V.
@@ -219,7 +218,7 @@ struct StmtNode {
   std::vector<Stmt> Stmts; ///< Block members.
   std::string Name;        ///< Variable or buffer name; comment text.
   std::string Slot;        ///< Yield output slot; count-variable name for
-                           ///< UniqueTuples/UniquePrefix/HashDistinct.
+                           ///< UniqueTuples/UniquePrefix.
   ScalarKind Type = ScalarKind::Int;
   Expr A, B;
   Stmt Body, Else;
@@ -234,7 +233,7 @@ struct StmtNode {
   /// tuple order). The factory asserts the widths sum to <= 64. Empty
   /// selects the comparison merge sort.
   std::vector<int64_t> PackWidths;
-  /// UniquePrefix/HashDistinct only: the destination buffer.
+  /// UniquePrefix only: the destination buffer.
   std::string Buffer2;
   /// UniquePrefix only: ints per destination tuple (the prefix length).
   int64_t Arity2 = 0;
@@ -297,25 +296,22 @@ Stmt scan(const std::string &Buffer, Expr Length,
 /// assembly (huge-dimension hyper-sparse tensors).
 Stmt sortTuples(const std::string &Buffer, Expr Count, int64_t Arity);
 
-/// sortTuples with the packed-key radix lowering: \p PackWidths gives the
-/// bit width of each tuple component (one per component, summing to at most
-/// 64), and every stored coordinate must satisfy 0 <= c < 2^width. The C
-/// emitter lowers to cvg_radix_sort_packed — pack each tuple into one
-/// uint64_t key (component 0 most significant), LSD radix sort with 8-bit
-/// digits (per-partition histograms + a serial digit-offset scan), unpack.
-/// The sorted sequence is the same pure function of the input multiset as
-/// the merge lowering (packed-key order == lexicographic tuple order), so
-/// the serial interpreter stays the bit-exact oracle by construction and
-/// any thread count produces identical buffers. Callers fall back to
-/// sortTuples when extents are unknown or the widths do not fit.
-/// sortTuplesPacked fused with the adjacent-duplicate compaction of
-/// uniqueTuples: sorts, drops duplicate tuples, and declares \p CountVar
-/// (int64) with the unique count — exactly the result of sortTuplesPacked
-/// followed by uniqueTuples, but the C lowering deduplicates the packed
-/// uint64 keys BEFORE unpacking (one compare per adjacent pair instead of
-/// a tuple-compare compaction pass over the unpacked buffer). Equal
-/// packed keys and equal tuples are the same predicate under the width
-/// contract, so the fusion is semantics-preserving by construction.
+/// sortTuples + uniqueTuples with the packed-key radix lowering: sorts,
+/// drops duplicate tuples, and declares \p CountVar (int64) with the
+/// unique count. \p PackWidths gives the bit width of each tuple component
+/// (one per component, summing to at most 64), and every stored coordinate
+/// must satisfy 0 <= c < 2^width. The C emitter lowers to
+/// cvg_radix_sort_packed — pack each tuple into one uint64_t key
+/// (component 0 most significant), LSD radix sort (per-partition
+/// histograms + a serial digit-offset scan), deduplicate the packed keys
+/// BEFORE unpacking (one compare per adjacent pair instead of a
+/// tuple-compare compaction pass over the unpacked buffer), unpack. The
+/// result is the same pure function of the input multiset as the merge
+/// lowering (packed-key order == lexicographic tuple order, and equal keys
+/// are equal tuples under the width contract), so the serial interpreter
+/// stays the bit-exact oracle by construction and any thread count
+/// produces identical buffers. Callers fall back to sortTuples +
+/// uniqueTuples when extents are unknown or the widths do not fit.
 ///
 /// A non-empty \p RankBuffer names a pre-allocated int32 buffer of
 /// \p Count slots that the sort additionally fills with each slot's rank:
@@ -328,9 +324,6 @@ Stmt sortUniqueTuplesPacked(const std::string &Buffer, Expr Count,
                             int64_t Arity, std::vector<int64_t> PackWidths,
                             const std::string &CountVar,
                             const std::string &RankBuffer = "");
-
-Stmt sortTuplesPacked(const std::string &Buffer, Expr Count, int64_t Arity,
-                      std::vector<int64_t> PackWidths);
 
 /// Compacts adjacent duplicate tuples of the (sorted) \p Buffer in place
 /// and declares the int64 variable \p CountVar holding the number of
@@ -352,18 +345,6 @@ Stmt uniqueTuples(const std::string &Buffer, Expr Count, int64_t Arity,
 Stmt uniquePrefix(const std::string &Src, Expr Count, int64_t SrcArity,
                   const std::string &Dst, int64_t DstArity,
                   const std::string &CountVar);
-
-/// Gathers the distinct tuples of \p Src (first-seen order, \p Count tuples
-/// of \p Arity ints) into \p Dst via an open-addressing hash table sized
-/// O(Count), and declares the int64 variable \p CountVar with the distinct
-/// count. Dst must have capacity for Count tuples. The output order is the
-/// first-seen order in both backends (serial insertion), so interpreter and
-/// C agree exactly; callers that need a canonical order sort Dst afterwards
-/// — the hashed-presence ranking variant runs hashDistinct + sortTuples,
-/// paying O(distinct log distinct) comparison work instead of
-/// O(nnz log nnz) when duplicates dominate.
-Stmt hashDistinct(const std::string &Src, Expr Count, int64_t Arity,
-                  const std::string &Dst, const std::string &CountVar);
 
 /// Phase-boundary probe for the per-phase timing breakdown: the C emitter
 /// accumulates wall-clock seconds since the previous mark into slot

@@ -548,54 +548,6 @@ void ExecState::exec(const Stmt &S) {
         Value::makeInt(static_cast<int64_t>(Kept.size()) / Rp);
     return;
   }
-  case StmtKind::HashDistinct: {
-    // First-seen-order dedup; matches the C helper's serial insertion
-    // exactly (callers sort afterwards, so only the multiset must agree —
-    // but agreeing on the order too keeps intermediate dumps comparable).
-    RuntimeBuffer &Src = buffer(S->Name);
-    if (Src.Elem != ScalarKind::Int)
-      fail("hash_distinct over a non-integer buffer '" + S->Name + "'");
-    int64_t N = eval(S->A).asInt();
-    int64_t R = S->Arity;
-    if (N < 0 || N * R > Src.size())
-      fail(strfmt("hash_distinct range %lld tuples of arity %lld out of "
-                  "bounds for buffer %s (size %lld)",
-                  static_cast<long long>(N), static_cast<long long>(R),
-                  S->Name.c_str(), static_cast<long long>(Src.size())));
-    RuntimeBuffer &Dst = buffer(S->Buffer2);
-    if (Dst.Elem != ScalarKind::Int)
-      fail("hash_distinct into a non-integer buffer '" + S->Buffer2 + "'");
-    auto TupleHash = [R](const int32_t *T) {
-      uint64_t H = 1469598103934665603ull;
-      for (int64_t I = 0; I < R; ++I) {
-        H ^= static_cast<uint32_t>(T[I]);
-        H *= 1099511628211ull;
-      }
-      return H;
-    };
-    std::unordered_map<uint64_t, std::vector<int64_t>> Table;
-    int64_t U = 0;
-    for (int64_t I = 0; I < N; ++I) {
-      const int32_t *T = &Src.Ints[static_cast<size_t>(I * R)];
-      std::vector<int64_t> &Slots = Table[TupleHash(T)];
-      bool Seen = false;
-      for (int64_t Prev : Slots)
-        Seen = Seen || std::equal(T, T + R, &Dst.Ints[static_cast<size_t>(
-                                                Prev * R)]);
-      if (Seen)
-        continue;
-      if ((U + 1) * R > Dst.size())
-        fail(strfmt("hash_distinct writes tuple %lld past buffer %s "
-                    "(size %lld)",
-                    static_cast<long long>(U), S->Buffer2.c_str(),
-                    static_cast<long long>(Dst.size())));
-      std::copy(T, T + R, Dst.Ints.begin() + U * R);
-      Slots.push_back(U);
-      ++U;
-    }
-    Env[S->Slot] = Value::makeInt(U);
-    return;
-  }
   case StmtKind::YieldBuffer: {
     RuntimeBuffer &Buf = buffer(S->Name);
     int64_t Len = eval(S->A).asInt();

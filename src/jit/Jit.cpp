@@ -261,19 +261,26 @@ bool jit::jitOpenMPAvailable() {
   auto It = Cache.find(Cc);
   if (It != Cache.end())
     return It->second;
-  // Probe with the most demanding construct generated code uses: an
-  // array-section reduction (OpenMP 4.5). A compiler that accepts plain
-  // -fopenmp but not this (e.g. old gcc) must be treated as
-  // OpenMP-unavailable or every parallel conversion would fail to build.
+  // Probe with the constructs generated code uses (a parallel region
+  // around a worksharing loop, a critical section, omp.h). A compiler that
+  // accepts -fopenmp but not these must be treated as OpenMP-unavailable
+  // or every parallel conversion would fail to build.
   bool Ok = false;
   std::string Dir = makeScratchDir("omp");
   if (!Dir.empty()) {
     std::string Probe = Dir + "/probe.c";
     std::string Out = Dir + "/probe.so";
     if (std::FILE *File = std::fopen(Probe.c_str(), "w")) {
-      std::fputs("void convgen_probe(int *hist, long n, long m) {\n"
-                 "#pragma omp parallel for reduction(+:hist[0:n])\n"
-                 "  for (long i = 0; i < m; i++) hist[i % n] += 1;\n"
+      std::fputs("#include <omp.h>\n"
+                 "void convgen_probe(int *hist, long n) {\n"
+                 "#pragma omp parallel\n"
+                 "  {\n"
+                 "    int t = omp_get_thread_num();\n"
+                 "#pragma omp for\n"
+                 "    for (long i = 0; i < n; i++) hist[i] = t;\n"
+                 "#pragma omp critical\n"
+                 "    hist[0] += 1;\n"
+                 "  }\n"
                  "}\n",
                  File);
       std::fclose(File);
@@ -306,37 +313,6 @@ std::string jit::jitEffectiveFlags(const std::string &ExtraFlags) {
       Flags += Env;
     }
   }
-  // The ranking-strategy knobs change the generated C (hashed presence,
-  // shared-sort structure). The plan key already re-derives their strategy
-  // bits per lookup, but the effective flag string is the other half of
-  // every cache key (in-memory JIT map and on-disk object names), so bake
-  // the knobs in as benign -D defines: a knob flip can never dlopen a
-  // stale shared object, even for exotic callers that bypass planKey.
-  // Values are normalized through rankStrategyKnob() — an explicit "auto"
-  // (or a typo, which reads as auto) must land on the same flag string as
-  // unset, or identical code would recompile into a second cached object.
-  switch (codegen::rankStrategyKnob()) {
-  case codegen::RankStrategy::Auto:
-    break;
-  case codegen::RankStrategy::Sorted:
-    Flags += " -DCONVGEN_RANK_STRATEGY_SORTED=1";
-    break;
-  case codegen::RankStrategy::Hashed:
-    Flags += " -DCONVGEN_RANK_STRATEGY_HASHED=1";
-    break;
-  }
-  if (codegen::knobs().NoSharedSort)
-    Flags += " -DCONVGEN_NO_SHARED_SORT=1";
-  switch (codegen::sortStrategyKnob()) {
-  case codegen::SortStrategy::Auto:
-    break;
-  case codegen::SortStrategy::Merge:
-    Flags += " -DCONVGEN_SORT_STRATEGY_MERGE=1";
-    break;
-  case codegen::SortStrategy::Radix:
-    Flags += " -DCONVGEN_SORT_STRATEGY_RADIX=1";
-    break;
-  }
   if (!ExtraFlags.empty())
     Flags += " " + ExtraFlags;
   return Flags;
@@ -345,31 +321,9 @@ std::string jit::jitEffectiveFlags(const std::string &ExtraFlags) {
 std::string jit::jitEffectiveFlags(const std::string &ExtraFlags,
                                    const codegen::Options &Opts) {
   std::string Flags = jitEffectiveFlags(ExtraFlags);
-  // Planner-forced strategies change the generated C exactly like their
-  // env-knob counterparts; baking them in as defines keeps the flag string
-  // the other half of every cache key honest (see the knob defines above).
-  switch (Opts.ForceRank) {
-  case codegen::RankStrategy::Auto:
-    break;
-  case codegen::RankStrategy::Sorted:
-    Flags += " -DCONVGEN_PLANNER_FORCE_RANK_SORTED=1";
-    break;
-  case codegen::RankStrategy::Hashed:
-    Flags += " -DCONVGEN_PLANNER_FORCE_RANK_HASHED=1";
-    break;
-  }
-  switch (Opts.ForceSort) {
-  case codegen::SortStrategy::Auto:
-    break;
-  case codegen::SortStrategy::Merge:
-    Flags += " -DCONVGEN_PLANNER_FORCE_SORT_MERGE=1";
-    break;
-  case codegen::SortStrategy::Radix:
-    Flags += " -DCONVGEN_PLANNER_FORCE_SORT_RADIX=1";
-    break;
-  }
-  if (Opts.ForceNoSharedSort)
-    Flags += " -DCONVGEN_PLANNER_NO_SHARED_SORT=1";
+  // The planner-forced sorted ranking changes the generated C; baking it
+  // in as a benign define keeps the flag string (the other half of every
+  // cache key) honest even for callers that bypass planKey.
   if (Opts.ForceSortedRanking)
     Flags += " -DCONVGEN_PLANNER_FORCE_SORTED_RANKING=1";
   return Flags;

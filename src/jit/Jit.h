@@ -103,11 +103,11 @@ bool jitOpenMPAvailable();
 /// extra flags (exposed so the plan cache can key shared objects on it).
 std::string jitEffectiveFlags(const std::string &ExtraFlags);
 
-/// Options-aware variant: additionally bakes any planner-forced strategy
-/// fields of \p Opts in as benign -D defines, so a planner-forced object
-/// can never alias the default-strategy object on disk or in memory even
-/// when the environment knobs agree. Identical to the env-only overload
-/// when nothing is forced.
+/// Options-aware variant: additionally bakes the planner-forced
+/// ForceSortedRanking field of \p Opts in as a benign -D define, so a
+/// planner-forced object can never alias the default-strategy object on
+/// disk or in memory. Identical to the one-argument overload when nothing
+/// is forced.
 std::string jitEffectiveFlags(const std::string &ExtraFlags,
                               const codegen::Options &Opts);
 

@@ -94,15 +94,13 @@ public:
 class CompressedLevel : public LevelFormat {
 public:
   CompressedLevel(const LevelSpec &Spec, int K, bool Dedup, bool Ranked,
-                  bool Sorted, bool Hashed, int Order)
+                  bool Sorted, int Order)
       : LevelFormat(Spec, K), Dedup(Dedup), Ranked(Ranked), Sorted(Sorted),
-        Hashed(Hashed), Order(Order) {
+        Order(Order) {
     CONVGEN_ASSERT(!Ranked || Dedup, "ranked insertion is a dedup variant");
     CONVGEN_ASSERT(!(Ranked && Sorted), "ranked and sorted are exclusive");
     CONVGEN_ASSERT(!Sorted || Spec.Unique,
                    "sorted ranking requires a unique compressed level");
-    CONVGEN_ASSERT(!Hashed || Sorted,
-                   "hashed presence is a sorted-ranking variant");
   }
 
   /// Cursor-based insertion is parallel-safe exactly when the generator
@@ -270,35 +268,20 @@ public:
   /// Builds this level's sorted unique tuple list from the source in
   /// O(nnz) memory: collect the grouping tuple (dims 0..Dim) of every
   /// stored nonzero into an append buffer (one slot per stored position,
-  /// so the pass parallelizes with disjoint writes), then either
-  /// sort + unique (plain sorted ranking), or — under the hashed-presence
-  /// variant — dedup through an open-addressing hash table first and sort
-  /// only the distinct tuples, which wins when duplicates dominate the
-  /// collected multiset. Both orders of operations produce the identical
-  /// sorted unique list, so downstream pos/crd/position code never knows
-  /// the difference.
+  /// so the pass parallelizes with disjoint writes), then sort + unique —
+  /// fused into one packed radix pass when the planner derived component
+  /// widths for every grouping dim (any prefix of a 64-bit-packable full
+  /// tuple fits), a merge sort plus compaction otherwise.
   void emitListBuild(AsmCtx &Ctx, ir::BlockBuilder &Out) const {
     int64_t R = Spec.Dim + 1;
     ir::Expr RImm = ir::intImm(R);
     std::string Srt = Ctx.srtName(K);
     std::string U = Ctx.uniqueVar(K);
-    // Packed radix lowering when the planner derived component widths for
-    // every grouping dim (any prefix of a 64-bit-packable full tuple fits).
-    auto sortCall = [&](const std::string &Buf, ir::Expr Count) {
-      if (static_cast<int64_t>(Ctx.PackWidths.size()) >= R)
-        return ir::sortTuplesPacked(
-            Buf, std::move(Count), R,
-            std::vector<int64_t>(Ctx.PackWidths.begin(),
-                                 Ctx.PackWidths.begin() + R));
-      return ir::sortTuples(Buf, std::move(Count), R);
-    };
-    std::string Collect =
-        Hashed ? "B" + std::to_string(K) + "_tup" : Srt;
     Out.add(ir::comment(
-        strfmt("level %d sorted ranking: collect%s and sort the grouping "
+        strfmt("level %d sorted ranking: collect and sort the grouping "
                "tuples (O(nnz) workspace)",
-               K, Hashed ? ", hash-dedup," : "")));
-    Out.add(ir::alloc(Collect, ir::ScalarKind::Int,
+               K)));
+    Out.add(ir::alloc(Srt, ir::ScalarKind::Int,
                       ir::mul(Ctx.StoredSize, RImm), false));
     Out.add(Ctx.SourceSweep(
         Spec.Dim,
@@ -307,20 +290,14 @@ public:
           ir::BlockBuilder B;
           B.add(ir::decl(Base, ir::mul(SrcPos, RImm)));
           for (int D = 0; D <= Spec.Dim; ++D)
-            B.add(ir::store(Collect, ir::add(ir::var(Base), ir::intImm(D)),
+            B.add(ir::store(Srt, ir::add(ir::var(Base), ir::intImm(D)),
                             Coords[static_cast<size_t>(D)]));
           return B.build();
         }));
     // Sub-phase clocks (slots 4/5 of <fn>_phase_seconds): sort-vs-assembly
     // time stays visible in the bench trajectory without re-instrumenting.
     Out.add(ir::phaseMark(4, "tuple collect"));
-    if (Hashed) {
-      Out.add(ir::alloc(Srt, ir::ScalarKind::Int,
-                        ir::mul(Ctx.StoredSize, RImm), false));
-      Out.add(ir::hashDistinct(Collect, Ctx.StoredSize, R, Srt, U));
-      Out.add(ir::freeBuffer(Collect));
-      Out.add(sortCall(Srt, ir::var(U)));
-    } else if (static_cast<int64_t>(Ctx.PackWidths.size()) >= R) {
+    if (static_cast<int64_t>(Ctx.PackWidths.size()) >= R) {
       // Fused form: dedup runs on the sorted packed keys before they are
       // unpacked, skipping a tuple-compare pass over 3x the bytes. When
       // this list covers the full coordinate order, the sort also carries
@@ -340,7 +317,7 @@ public:
                                Ctx.PackWidths.begin() + R),
           U, Rank));
     } else {
-      Out.add(sortCall(Srt, Ctx.StoredSize));
+      Out.add(ir::sortTuples(Srt, Ctx.StoredSize, R));
       Out.add(ir::uniqueTuples(Srt, Ctx.StoredSize, R, U));
     }
     Out.add(ir::phaseMark(5, "list sort"));
@@ -681,7 +658,6 @@ private:
   bool Dedup;
   bool Ranked;
   bool Sorted;
-  bool Hashed;
   int Order;
 };
 
@@ -970,8 +946,7 @@ public:
 
 std::unique_ptr<LevelFormat> LevelFormat::create(const LevelSpec &Spec, int K,
                                                  bool Dedup, bool Ranked,
-                                                 bool Sorted, bool Hashed,
-                                                 int Order) {
+                                                 bool Sorted, int Order) {
   CONVGEN_ASSERT(!Sorted || Spec.Kind == LevelKind::Compressed,
                  "sorted ranking applies to compressed levels only");
   switch (Spec.Kind) {
@@ -979,7 +954,7 @@ std::unique_ptr<LevelFormat> LevelFormat::create(const LevelSpec &Spec, int K,
     return std::make_unique<DenseLevel>(Spec, K);
   case LevelKind::Compressed:
     return std::make_unique<CompressedLevel>(Spec, K, Dedup, Ranked, Sorted,
-                                             Hashed, Order);
+                                             Order);
   case LevelKind::Singleton:
     return std::make_unique<SingletonLevel>(Spec, K);
   case LevelKind::Squeezed:

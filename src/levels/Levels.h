@@ -152,8 +152,8 @@ struct AsmCtx {
   /// PackedSort): bit width per destination dimension, in dimension order.
   /// Non-empty only when every extent is known and the full-order tuple
   /// packs into 64 bits, so any grouping prefix fits too; sorted levels
-  /// then lower their sorts through ir::sortTuplesPacked. Empty keeps the
-  /// comparison merge sort.
+  /// then lower their sorts through ir::sortUniqueTuplesPacked. Empty
+  /// keeps the comparison merge sort.
   std::vector<int64_t> PackWidths;
 
   /// 1-based levels whose parent position, inside the sorted pos build,
@@ -171,7 +171,7 @@ struct AsmCtx {
   /// list, filled by the fused packed sort carrying the source slot as a
   /// payload. Coordinate insertion then resolves the deepest position
   /// with one load per nonzero instead of a binary search over the list.
-  /// Empty when unavailable (unpacked, hashed, or partial-arity list).
+  /// Empty when unavailable (unpacked or partial-arity list).
   std::string RankBuffer;
   int RankLevel = 0;
 
@@ -247,17 +247,9 @@ public:
   /// full-arity buffer by prefix compaction instead of collecting and
   /// sorting again.
   ///
-  /// \p Hashed (sorted levels only) selects the hashed-presence variant of
-  /// list construction: the collected tuples are deduplicated through an
-  /// open-addressing hash table before the sort, so the sort touches only
-  /// distinct tuples — O(distinct log distinct) instead of O(nnz log nnz)
-  /// comparison work when duplicates dominate. Positions, pos, and crd are
-  /// built from the identical sorted unique list, so results are
-  /// bit-identical to the plain sorted variant.
   static std::unique_ptr<LevelFormat> create(const formats::LevelSpec &Spec,
                                              int K, bool Dedup, bool Ranked,
-                                             bool Sorted, bool Hashed,
-                                             int Order);
+                                             bool Sorted, int Order);
 
   virtual ~LevelFormat();
 
@@ -284,9 +276,8 @@ public:
 
   /// Shared-sort hook, called by the generator on the anchor level before
   /// any per-level emitInit: builds the full-arity sorted unique tuple
-  /// list (collect sweep, optional hash dedup, sort, unique) that every
-  /// sorted level's emitInit then reads. Only the sorted compressed level
-  /// implements it.
+  /// list (collect sweep, sort, unique) that every sorted level's emitInit
+  /// then reads. Only the sorted compressed level implements it.
   virtual void emitSharedListBuild(AsmCtx &Ctx, ir::BlockBuilder &Out) const {
     (void)Ctx;
     (void)Out;

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 
 using namespace convgen;
 using namespace convgen::planner;
@@ -48,25 +47,6 @@ bool holdsDuplicateTuples(const formats::Format &F) {
         !L.Unique)
       return true;
   return false;
-}
-
-/// The strategy-relevant bits of a plan, for deduplicating candidates
-/// whose forced options collapse to the same generated code. Two options
-/// structs with equal signatures produce bit-identical routines modulo the
-/// plan key, so enumerating both would waste a compile and an outcome
-/// slot.
-std::string planSignature(const codegen::AssemblyPlan &P) {
-  std::string S;
-  for (bool B : P.Sorted)
-    S += B ? 's' : '.';
-  S += '/';
-  for (bool B : P.Hashed)
-    S += B ? 'h' : '.';
-  S += '/';
-  for (bool B : P.Ranked)
-    S += B ? 'r' : '.';
-  S += strfmt("/g%d/%c", P.SharedSortAnchor, P.PackedSort ? 'p' : 'm');
-  return S;
 }
 
 } // namespace
@@ -104,11 +84,6 @@ double planner::analyticPlanCost(const codegen::AssemblyPlan &Plan,
   bool SharedCharged = false;
   for (size_t K = 0; K < Order; ++K) {
     if (K < Plan.Sorted.size() && Plan.Sorted[K]) {
-      double SortN = N;
-      if (K < Plan.Hashed.size() && Plan.Hashed[K]) {
-        Cost += 1.5 * N; // open-addressing pre-dedup pass
-        SortN = 0.5 * N; // the sort then touches only distinct tuples
-      }
       // Under a shared full-arity sort only the anchor level pays for the
       // sort; the others compact prefixes off the shared sorted list.
       bool ChargeSort = Plan.SharedSortAnchor == 0 || !SharedCharged;
@@ -117,9 +92,9 @@ double planner::analyticPlanCost(const codegen::AssemblyPlan &Plan,
           double Bits = 0;
           for (int64_t W : Plan.PackWidths)
             Bits += static_cast<double>(W);
-          Cost += std::max(1.0, std::ceil(Bits / 11.0)) * SortN;
+          Cost += std::max(1.0, std::ceil(Bits / 11.0)) * N;
         } else {
-          Cost += 1.5 * SortN * LogN; // comparison merge sort
+          Cost += 1.5 * N * LogN; // comparison merge sort
         }
         SharedCharged = Plan.SharedSortAnchor != 0;
       } else {
@@ -200,7 +175,7 @@ Decision planner::decide(const formats::Format &Src, const formats::Format &Dst,
                    static_cast<long long>(K.PlannerMinNnz));
     return D;
   }
-  if (BaseOpts.anyForced()) {
+  if (BaseOpts.ForceSortedRanking) {
     D.Why = "caller already forced strategy assignments";
     return D;
   }
@@ -213,9 +188,6 @@ Decision planner::decide(const formats::Format &Src, const formats::Format &Dst,
   }
   D.Engaged = true;
 
-  std::set<std::string> Signatures;
-  Signatures.insert(planSignature(Default));
-
   Candidate Def;
   Def.Kind = Candidate::Path::Direct;
   Def.Label = "direct";
@@ -223,50 +195,28 @@ Decision planner::decide(const formats::Format &Src, const formats::Format &Dst,
   Def.AnalyticCost = analyticPlanCost(Default, Stats);
   D.Considered.push_back(std::move(Def));
 
-  // Direct strategy variants. Each starts from the caller's options
-  // (ablation toggles inherited), forces one decision, and survives only
-  // when the forced plan is supported AND differs from every plan already
-  // enumerated — a pinned environment knob or an inapplicable strategy
-  // collapses the variant into the default, and enumerating it twice would
-  // waste a compile and split its outcome history.
-  auto tryDirectVariant = [&](const std::string &Label,
-                              codegen::Options Forced) {
-    Forced = codegen::optionsForDims(Src, Dst, Forced, Stats.Dims);
-    std::string Why;
-    if (!codegen::conversionSupported(Src, Dst, Forced, &Why))
-      return;
-    codegen::AssemblyPlan P = codegen::planAssembly(Src, Dst, Forced);
-    if (!Signatures.insert(planSignature(P)).second)
-      return;
-    Candidate C;
-    C.Kind = Candidate::Path::Direct;
-    C.Label = Label;
-    C.Hops.push_back(Hop{Src, Dst, Forced});
-    C.AnalyticCost = analyticPlanCost(P, Stats);
-    D.Considered.push_back(std::move(C));
-  };
+  // The sort-first direct variant: every eligible compressed level on the
+  // O(nnz) sorted-ranking strategy even under the dense budget. Starts
+  // from the caller's options (ablation toggles inherited) and survives
+  // only when the forced plan is supported AND sorts a different set of
+  // levels than the default (the rest of a plan follows from that set and
+  // the extents) — where every level is already sorted it collapses into
+  // the default, and enumerating it twice would waste a compile and split
+  // its outcome history.
   {
-    codegen::Options O = BaseOpts;
-    O.ForceSortedRanking = true;
-    tryDirectVariant("direct+sorted", O);
-  }
-  if (codegen::rankStrategyKnob() == codegen::RankStrategy::Auto) {
-    codegen::Options O = BaseOpts;
-    O.ForceRank = codegen::RankStrategy::Sorted;
-    tryDirectVariant("rank=sorted", O);
-    O.ForceRank = codegen::RankStrategy::Hashed;
-    tryDirectVariant("rank=hashed", O);
-  }
-  if (codegen::sortStrategyKnob() == codegen::SortStrategy::Auto &&
-      Default.PackedSort) {
-    codegen::Options O = BaseOpts;
-    O.ForceSort = codegen::SortStrategy::Merge;
-    tryDirectVariant("sort=merge", O);
-  }
-  if (Default.SharedSortAnchor > 0 && !K.NoSharedSort) {
-    codegen::Options O = BaseOpts;
-    O.ForceNoSharedSort = true;
-    tryDirectVariant("nosharedsort", O);
+    codegen::Options Forced = BaseOpts;
+    Forced.ForceSortedRanking = true;
+    Forced = codegen::optionsForDims(Src, Dst, Forced, Stats.Dims);
+    codegen::AssemblyPlan P = codegen::planAssembly(Src, Dst, Forced);
+    if (codegen::conversionSupported(Src, Dst, Forced) &&
+        P.Sorted != Default.Sorted) {
+      Candidate C;
+      C.Kind = Candidate::Path::Direct;
+      C.Label = "direct+sorted";
+      C.Hops.push_back(Hop{Src, Dst, Forced});
+      C.AnalyticCost = analyticPlanCost(P, Stats);
+      D.Considered.push_back(std::move(C));
+    }
   }
 
   // The two-hop path through COO: worth considering when the direct

@@ -5,25 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The conversion path planner: one decision layer for every strategy knob.
+/// The conversion path planner: the one decision layer above the direct
+/// conversion's default plan.
 ///
 /// Given a (source, target) pair and the input tensor's statistics (nnz,
 /// dimension sizes), the planner enumerates candidate execution paths —
-/// the direct conversion under each meaningfully distinct strategy
-/// assignment (sorted vs hashed ranking, merge vs packed-radix sort,
-/// shared sort on/off, sorted-ranking forced below the dense budget) plus
-/// legal two-hop chains through COO — estimates the cost of each from a
-/// simple analytic model, and picks the plan the conversion runners
-/// execute. The scattered per-knob heuristics (the rank-strategy width
-/// rule, the sort-strategy packability rule, the 64 MiB dense-budget flip)
-/// stay where they are as the *defaults*; the planner reasons about
-/// deviations from them through codegen::Options' planner-forced fields.
-///
-/// Environment knobs always win: a pinned CONVGEN_RANK_STRATEGY /
-/// CONVGEN_SORT_STRATEGY / CONVGEN_NO_SHARED_SORT suppresses the
-/// corresponding candidates (codegen would ignore the forced field
-/// anyway), so explicit pinning behaves exactly as before the planner
-/// existed.
+/// the direct conversion under its default plan ("direct"), the direct
+/// conversion with sorted ranking forced below the dense budget
+/// ("direct+sorted"), and the legal two-hop chain through COO
+/// ("via-coo") — estimates the cost of each from a simple analytic model,
+/// and picks the plan the conversion runners execute. Everything else
+/// about a plan (shared sort, packed radix vs merge sort, the 64 MiB
+/// dense-budget flip) is derived by codegen::planAssembly from the formats
+/// and the input extents; there is no per-strategy override.
 ///
 /// Auto-tuning: every planner-executed conversion records its measured
 /// wall-clock into the PlanCache's outcome store, keyed by (pair,
@@ -84,8 +78,7 @@ struct Candidate {
   enum class Path { Direct, TwoHop };
   Path Kind = Path::Direct;
   /// Stable strategy label, also the last component of OutcomeKey:
-  /// "direct", "direct+sorted", "rank=sorted", "rank=hashed",
-  /// "sort=merge", "nosharedsort", "via-coo".
+  /// "direct", "direct+sorted" or "via-coo".
   std::string Label;
   /// One hop for Direct, two for TwoHop (source -> mid, mid -> target).
   std::vector<Hop> Hops;

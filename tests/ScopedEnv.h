@@ -7,8 +7,7 @@
 /// \file
 /// Shared RAII environment override for the test suite: sets a variable
 /// for the scope and restores the previous value (or unsets) on exit. The
-/// strategy knobs (CONVGEN_RANK_DENSE_MAX_BYTES, CONVGEN_RANK_STRATEGY,
-/// CONVGEN_SORT_STRATEGY, CONVGEN_NO_SHARED_SORT, CONVGEN_PLANNER*) are
+/// planning knobs (CONVGEN_RANK_DENSE_MAX_BYTES, CONVGEN_PLANNER*) are
 /// snapshotted once into a thread-safe config object rather than re-read
 /// per call — getenv racing setenv is undefined behavior under threads —
 /// so the constructor and destructor reload the snapshot explicitly.

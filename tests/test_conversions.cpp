@@ -8,11 +8,19 @@
 #include "codegen/Generator.h"
 #include "convert/Converter.h"
 #include "formats/Standard.h"
+#include "jit/Jit.h"
+#include "service/ConversionService.h"
 #include "tensor/Corpus.h"
 #include "tensor/Generators.h"
 #include "tensor/Oracle.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 using namespace convgen;
 
@@ -360,4 +368,76 @@ TEST(GeneratedCode, QueriesExposedForInspection) {
   // Optimized to a single prefix sweep over the pos array.
   EXPECT_EQ(query::printCin(Conv.Queries[0].second),
             "forall(src:1) q1_max_crd[] max= nnz(B, level 2)\n");
+}
+
+//===----------------------------------------------------------------------===//
+// Tall extents through the JIT service at the default 8 MB thread stack
+//===----------------------------------------------------------------------===//
+
+TEST(ConversionJit, TallExtentsConvertAtTheDefaultStack) {
+  // At 2^22 rows or columns a per-row histogram (int32) is 16 MB and DIA's
+  // diagonal-presence set (uint8, rows + cols - 1 entries) is 8 MB. OpenMP
+  // array-section reductions would place one private copy per thread on
+  // the thread's stack and crash the process, even at one thread; the
+  // generated routines must keep those copies on the heap. A thousand
+  // nonzeros keep the planner disengaged, so the direct routine runs.
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  const int64_t Big = int64_t(1) << 22;
+  struct Case {
+    const char *Src;
+    const char *Dst;
+    int64_t Rows, Cols;
+    bool OneDiagonal;
+  };
+  const Case Cases[] = {
+      {"coo", "csr", Big, 64, false},
+      {"csr", "csc", 64, Big, false},
+      {"csc", "csr", Big, 64, false},
+      {"csr", "dia", Big, Big, true},
+  };
+  convert::ConversionService Service;
+  for (int Threads : {1, 4}) {
+    setenv("OMP_NUM_THREADS", std::to_string(Threads).c_str(), 1);
+#ifdef _OPENMP
+    omp_set_num_threads(Threads);
+#endif
+    for (const Case &C : Cases) {
+      SCOPED_TRACE(std::string(C.Src) + " -> " + C.Dst + " at " +
+                   std::to_string(Threads) + " threads");
+      tensor::Triplets T;
+      T.NumRows = C.Rows;
+      T.NumCols = C.Cols;
+      for (int64_t E = 0; E < 1000; ++E) {
+        // Rows spread over the whole extent; one diagonal for DIA.
+        int64_t Row = (E * 4099) % C.Rows;
+        int64_t Col = C.OneDiagonal ? Row : (E * 7919) % C.Cols;
+        T.Entries.push_back(
+            tensor::Entry(Row, Col, static_cast<double>(E + 1)));
+      }
+      formats::Format Src = formats::standardFormatOrDie(C.Src);
+      formats::Format Dst = formats::standardFormatOrDie(C.Dst);
+      tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
+      convert::ConversionRequest Req;
+      Req.Source = Src;
+      Req.Target = Dst;
+      Req.Input = &In;
+      StatusOr<tensor::SparseTensor> Out = Service.convert(Req);
+      ASSERT_TRUE(Out.ok()) << Out.status().toString();
+      tensor::SparseTensor Want = tensor::buildFromTriplets(Dst, T);
+      ASSERT_EQ(Want.Levels.size(), Out->Levels.size());
+      for (size_t K = 0; K < Want.Levels.size(); ++K) {
+        EXPECT_EQ(Want.Levels[K].Pos, Out->Levels[K].Pos) << "level " << K;
+        EXPECT_EQ(Want.Levels[K].Crd, Out->Levels[K].Crd) << "level " << K;
+        EXPECT_EQ(Want.Levels[K].Perm, Out->Levels[K].Perm) << "level " << K;
+        EXPECT_EQ(Want.Levels[K].SizeParam, Out->Levels[K].SizeParam)
+            << "level " << K;
+      }
+      EXPECT_EQ(Want.Vals, Out->Vals);
+    }
+  }
+  unsetenv("OMP_NUM_THREADS");
+#ifdef _OPENMP
+  omp_set_num_threads(omp_get_num_procs());
+#endif
 }

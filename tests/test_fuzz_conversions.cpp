@@ -1,11 +1,11 @@
 //===----------------------------------------------------------------------===//
 // Randomized differential fuzz harness for the conversion pipeline. The
-// strategy space is now four-way per level (sequenced / ranked-dense /
-// sorted / hashed, with an optional shared full-arity sort across sorted
-// levels), so hand-enumerated tests cannot cover the combinations; this
-// harness drives random (source, target, dims, nonzero pattern,
-// CONVGEN_RANK_DENSE_MAX_BYTES, CONVGEN_RANK_STRATEGY,
-// CONVGEN_NO_SHARED_SORT) tuples and bit-compares
+// strategy space is three-way per level (sequenced / ranked-dense /
+// sorted, with a shared full-arity sort across nested sorted levels and a
+// packed radix or merge sort lowering chosen from the extents), so
+// hand-enumerated tests cannot cover the combinations; this harness drives
+// random (source, target, dims, nonzero pattern,
+// CONVGEN_RANK_DENSE_MAX_BYTES) tuples and bit-compares
 //
 //   * the interpreter-backed Converter against the hand-written triplet
 //     oracle (structural validity + exact triplet equality), and
@@ -155,48 +155,25 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
       Dims[1] = Dims[0];
   }
 
-  // Random ranking-knob profile. Tiny budgets push ordinary-size levels
-  // onto the sorted/hashed strategies, so the O(nnz) machinery (and the
-  // shared sort) gets differential coverage on small tensors too, where
-  // the oracle is cheap. The profile set is deliberately small: each
-  // distinct (pair, strategy-bits) combination costs one JIT compile.
+  // Random budget profile. Tiny budgets push ordinary-size levels onto
+  // the sorted strategy, so the O(nnz) machinery (the shared sort, and the
+  // packed radix sort wherever the extents pack into 64 bits) gets
+  // differential coverage on small tensors too, where the oracle is cheap.
+  // The profile set is deliberately small: each distinct (pair,
+  // strategy-bits) combination costs one JIT compile.
   std::vector<std::unique_ptr<ScopedEnv>> Knobs;
-  switch (Concurrent ? 0 : Pick(4)) {
+  switch (Concurrent ? 0 : Pick(3)) {
   case 0:
     break; // Library defaults.
   case 1:
     Knobs.push_back(std::make_unique<ScopedEnv>(
         "CONVGEN_RANK_DENSE_MAX_BYTES", std::to_string(1 << Pick(8))));
     break;
-  case 2:
-    Knobs.push_back(std::make_unique<ScopedEnv>(
-        "CONVGEN_RANK_DENSE_MAX_BYTES", "1"));
-    Knobs.push_back(
-        std::make_unique<ScopedEnv>("CONVGEN_RANK_STRATEGY", "hashed"));
-    break;
   default:
     Knobs.push_back(std::make_unique<ScopedEnv>(
         "CONVGEN_RANK_DENSE_MAX_BYTES", "1"));
-    Knobs.push_back(
-        std::make_unique<ScopedEnv>("CONVGEN_RANK_STRATEGY", "sorted"));
-    Knobs.push_back(
-        std::make_unique<ScopedEnv>("CONVGEN_NO_SHARED_SORT", "1"));
     break;
   }
-
-  // Sort-strategy randomization, orthogonal to the rank profile: huge
-  // order-3 dims with a narrow second mode pack into 64 bits, so "radix"
-  // (and auto under the tiny-budget profiles) exercises the packed sort
-  // differentially against the interpreter's comparison sort; "merge"
-  // pins the comparison path even where keys fit.
-  const char *SortStrategy = "ambient";
-  if (!Concurrent) {
-    static const char *Strategies[] = {"auto", "merge", "radix"};
-    SortStrategy = Strategies[Pick(3)];
-    Knobs.push_back(
-        std::make_unique<ScopedEnv>("CONVGEN_SORT_STRATEGY", SortStrategy));
-  }
-  SCOPED_TRACE(strfmt("CONVGEN_SORT_STRATEGY=%s", SortStrategy));
 
   if (FuzzFaults && !Concurrent) {
     static const char *Sites[] = {"compile",    "dlopen",      "dlsym",
@@ -362,13 +339,11 @@ TEST(FuzzConversions, ConcurrentCaseStreamThroughTheSharedCache) {
 }
 
 //===----------------------------------------------------------------------===//
-// Forced-hashed full-corpus pass: every corpus tensor through every pair
-// whose plan takes the O(nnz) ranking path, with the hashed variant forced
-// (acceptance criterion: this sweep is green).
+// Sorted-ranking full-corpus pass: every corpus tensor through every pair
+// whose plan takes the O(nnz) ranking path at a one-byte dense budget.
 //===----------------------------------------------------------------------===//
 
-TEST(FuzzCorpus, ForcedHashedFullCorpusMatchesTheOracle) {
-  ScopedEnv Strategy("CONVGEN_RANK_STRATEGY", "hashed");
+TEST(FuzzCorpus, SortedRankingFullCorpusMatchesTheOracle) {
   ScopedEnv Budget("CONVGEN_RANK_DENSE_MAX_BYTES", "1");
   int Ran = 0;
   auto sweep = [&](const std::vector<const char *> &Names,
@@ -386,8 +361,7 @@ TEST(FuzzCorpus, ForcedHashedFullCorpusMatchesTheOracle) {
             continue;
           codegen::AssemblyPlan Plan = codegen::planAssembly(Src, Dst, Dims);
           if (!Plan.anySorted())
-            continue; // The knob only affects the O(nnz) ranking path.
-          EXPECT_TRUE(Plan.anyHashed() || !Plan.anySorted());
+            continue; // Only the O(nnz) ranking path is under test.
           tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
           convert::Converter Conv(Src, Dst);
           tensor::SparseTensor Out = Conv.run(In);
@@ -404,7 +378,7 @@ TEST(FuzzCorpus, ForcedHashedFullCorpusMatchesTheOracle) {
   sweep({"coo", "csr", "csc", "ell"}, tensor::testMatrices());
   sweep({"coo3", "csf", "csf_102", "csf_021"}, tensor::testTensors3());
   sweep({"coo3", "csf", "csf_102", "csf_021"}, tensor::testTensorsHuge3());
-  std::printf("[  fuzz    ] forced-hashed corpus: %d conversions\n", Ran);
+  std::printf("[  fuzz    ] sorted-ranking corpus: %d conversions\n", Ran);
   EXPECT_GT(Ran, 0);
 }
 

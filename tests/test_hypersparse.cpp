@@ -100,15 +100,12 @@ TEST(SortedRankingPlan, HugeDimsSwitchEveryCsfLevelAtTheDefaultBudget) {
   EXPECT_FALSE(Plan.Ranked[0]);
   EXPECT_FALSE(Plan.Ranked[1]);
   // The three grouping tuples nest (i) < (i,j) < (i,j,k): one shared sort,
-  // anchored at the deepest (full-arity) level. In auto strategy the
-  // anchor sorts the full-arity tuples directly — coo3 stores each
-  // coordinate once, so hash-dedup before the sort would buy nothing.
+  // anchored at the deepest (full-arity) level.
   EXPECT_EQ(Plan.SharedSortAnchor, 3);
-  EXPECT_FALSE(Plan.anyHashed());
 }
 
 //===----------------------------------------------------------------------===//
-// Strategy pinning: shared sort, forced hashed, non-nested per-level
+// Shared sort vs non-nested per-level sorts
 //===----------------------------------------------------------------------===//
 
 TEST(SortedRankingPlan, SharedSortEmitsExactlyOneSortCall) {
@@ -136,24 +133,6 @@ TEST(SortedRankingPlan, SharedSortEmitsExactlyOneSortCall) {
   // variable f<k>).
   EXPECT_NE(Code.find("max scan of"), std::string::npos) << Code;
   EXPECT_EQ(Code.find("_pos[f"), std::string::npos) << Code;
-}
-
-TEST(SortedRankingPlan, ForcedHashedSelectsHashDistinct) {
-  ScopedEnv Strategy("CONVGEN_RANK_STRATEGY", "hashed");
-  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
-  formats::Format Csf = formats::standardFormatOrDie("csf");
-  codegen::AssemblyPlan Plan = codegen::planAssembly(Coo3, Csf, hugeDims());
-  ASSERT_TRUE(Plan.Unsupported.empty()) << Plan.Unsupported;
-  EXPECT_EQ(Plan.SharedSortAnchor, 3);
-  EXPECT_TRUE(Plan.Hashed[2]); // The anchor builds the one shared list.
-  codegen::Options Opts;
-  Opts.DimsHint = hugeDims();
-  codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
-  std::string Code = Conv.cSource();
-  EXPECT_NE(Code.find("cvg_hash_distinct(B"), std::string::npos) << Code;
-  // The sort then touches only the distinct tuples the table kept.
-  EXPECT_NE(Code.find("cvg_sort_tuples(B3_srt, uB3, 3)"), std::string::npos)
-      << Code;
 }
 
 TEST(SortedRankingPlan, NonNestedGroupingKeepsPerLevelSorts) {
@@ -203,30 +182,6 @@ TEST(SortedRankingPlan, SingleSortedLevelNeedsNoSharing) {
   // No prefix derivation anywhere (the prelude always defines the helper;
   // only call sites reference a B<k>_srt buffer).
   EXPECT_EQ(Conv.cSource().find("cvg_unique_prefix(B"), std::string::npos);
-  // Forcing merge restores the comparison sort at the same dims.
-  ScopedEnv Merge("CONVGEN_SORT_STRATEGY", "merge");
-  codegen::Conversion MConv = codegen::generateConversion(Coo, Csr, Opts);
-  EXPECT_NE(MConv.cSource().find("cvg_sort_tuples(B2_srt"),
-            std::string::npos);
-  EXPECT_EQ(MConv.cSource().find("cvg_radix_sort_packed("),
-            std::string::npos);
-}
-
-TEST(SortedRankingPlan, NoSharedSortKnobForcesPerLevelSorts) {
-  ScopedEnv Disable("CONVGEN_NO_SHARED_SORT", "1");
-  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
-  formats::Format Csf = formats::standardFormatOrDie("csf");
-  codegen::AssemblyPlan Plan = codegen::planAssembly(Coo3, Csf, hugeDims());
-  EXPECT_EQ(Plan.SharedSortAnchor, 0);
-  codegen::Options Opts;
-  Opts.DimsHint = hugeDims();
-  codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
-  std::string Code = Conv.cSource();
-  size_t Sorts = 0;
-  for (size_t At = Code.find("cvg_sort_tuples(B"); At != std::string::npos;
-       At = Code.find("cvg_sort_tuples(B", At + 1))
-    ++Sorts;
-  EXPECT_EQ(Sorts, 3u) << Code;
 }
 
 TEST(SortedRankingPlan, NoDimsHintKeepsTheDenseDefaultPlan) {
@@ -250,10 +205,10 @@ TEST(SortedRankingPlan, OptionsForDimsSetsTheHintOnlyWhenThePlanChanges) {
 }
 
 //===----------------------------------------------------------------------===//
-// Packed-key radix sort: plan bits, strategy knob, generated-code census
+// Packed-key radix sort: plan bits, plan key, generated-code census
 //===----------------------------------------------------------------------===//
 
-TEST(PackedSortPlan, PackedBitTracksKeyWidthAndKnob) {
+TEST(PackedSortPlan, PackedBitTracksKeyWidth) {
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
   // 24 + 20 + 20 = 64 bits: fits exactly.
@@ -262,19 +217,10 @@ TEST(PackedSortPlan, PackedBitTracksKeyWidthAndKnob) {
   EXPECT_TRUE(Fits.anySorted());
   EXPECT_TRUE(Fits.PackedSort);
   EXPECT_EQ(Fits.PackWidths, (std::vector<int64_t>{24, 20, 20}));
-  // 31 + 20 + 20 = 71 bits: the tuple cannot pack, whatever the knob says.
+  // 31 + 20 + 20 = 71 bits: the tuple cannot pack, so the sort merges.
   codegen::AssemblyPlan Wide = codegen::planAssembly(Coo3, Csf, hugeDims());
   EXPECT_FALSE(Wide.PackedSort);
   EXPECT_TRUE(Wide.PackWidths.empty());
-  {
-    ScopedEnv Radix("CONVGEN_SORT_STRATEGY", "radix");
-    EXPECT_FALSE(codegen::planAssembly(Coo3, Csf, hugeDims()).PackedSort);
-  }
-  // merge vetoes packing even where the keys fit.
-  {
-    ScopedEnv Merge("CONVGEN_SORT_STRATEGY", "merge");
-    EXPECT_FALSE(codegen::planAssembly(Coo3, Csf, packedDims()).PackedSort);
-  }
   // No dims hint: extents unknown, nothing to pack.
   EXPECT_FALSE(codegen::planAssembly(Coo3, Csf).PackedSort);
 }
@@ -284,14 +230,16 @@ TEST(PackedSortPlan, PlanKeyCarriesThePackedBitAndWidths) {
   formats::Format Csf = formats::standardFormatOrDie("csf");
   codegen::Options Opts;
   Opts.DimsHint = packedDims();
-  std::string Auto = convert::planKey(Coo3, Csf, Opts);
-  EXPECT_NE(Auto.find(":p.24.20.20"), std::string::npos) << Auto;
-  // Flipping the knob must change the key — a merge-forced lookup can
-  // never hit the radix plan, and dims with different widths never alias.
-  ScopedEnv Merge("CONVGEN_SORT_STRATEGY", "merge");
-  std::string Forced = convert::planKey(Coo3, Csf, Opts);
-  EXPECT_EQ(Forced.find(":p"), std::string::npos) << Forced;
-  EXPECT_NE(Auto, Forced);
+  std::string Packed = convert::planKey(Coo3, Csf, Opts);
+  EXPECT_NE(Packed.find(":p.24.20.20"), std::string::npos) << Packed;
+  // Dims with different widths never alias (the widths are baked into the
+  // emitted pack/unpack code), and unpackable dims carry no packed bit.
+  Opts.DimsHint = {int64_t(1) << 23, int64_t(1) << 20, int64_t(1) << 20};
+  std::string Narrower = convert::planKey(Coo3, Csf, Opts);
+  EXPECT_NE(Narrower.find(":p.23.20.20"), std::string::npos) << Narrower;
+  Opts.DimsHint = hugeDims();
+  std::string Wide = convert::planKey(Coo3, Csf, Opts);
+  EXPECT_EQ(Wide.find(":p"), std::string::npos) << Wide;
 }
 
 TEST(PackedSortCodegen, SharedSortLowersToOnePackedRadixCall) {
@@ -360,7 +308,6 @@ TEST(PackedSortCodegen, SortedChainPosBuildEmitsZeroSearches) {
 TEST(PackedSortJit, RadixPathBitIdenticalAtOneAndFourThreads) {
   if (!jit::jitAvailable())
     GTEST_SKIP() << "no system C compiler";
-  ScopedEnv Radix("CONVGEN_SORT_STRATEGY", "radix");
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
   std::vector<int64_t> Dims = packedDims();
@@ -397,11 +344,11 @@ TEST(PackedSortJit, RadixPathBitIdenticalAtOneAndFourThreads) {
 #endif
 }
 
-TEST(PackedSortConversions, RadixAndMergeAgreeOnTheHugeCorpusAllPairs) {
-  // Differential: the same conversions, radix-forced vs merge-forced, must
-  // produce identical tensors (the sorted output is a pure function of the
-  // input multiset either way). packedDims tensors exercise the packed
-  // path through the interpreter-vs-oracle equality as well.
+TEST(PackedSortConversions, PackedDimsMatchTheOracleAllPairs) {
+  // packedDims tensors take the packed radix sort on every pair whose plan
+  // sorts; the interpreter result must equal the oracle. The merge sort is
+  // pinned the same way by HugeCorpusMatchesTheOracleAllPairs (71-bit
+  // tuples never pack).
   const char *Names[] = {"coo3", "csf", "csf_102", "csf_021"};
   std::vector<int64_t> Dims = packedDims();
   tensor::Triplets T =
@@ -411,30 +358,11 @@ TEST(PackedSortConversions, RadixAndMergeAgreeOnTheHugeCorpusAllPairs) {
       formats::Format Src = formats::standardFormatOrDie(SrcName);
       formats::Format Dst = formats::standardFormatOrDie(DstName);
       tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
-      tensor::SparseTensor FromRadix, FromMerge;
-      {
-        ScopedEnv Force("CONVGEN_SORT_STRATEGY", "radix");
-        convert::Converter Conv(Src, Dst);
-        FromRadix = Conv.run(In);
-        FromRadix.validate();
-      }
-      {
-        ScopedEnv Force("CONVGEN_SORT_STRATEGY", "merge");
-        convert::Converter Conv(Src, Dst);
-        FromMerge = Conv.run(In);
-        FromMerge.validate();
-      }
-      ASSERT_EQ(FromRadix.Levels.size(), FromMerge.Levels.size());
-      for (size_t K = 0; K < FromRadix.Levels.size(); ++K) {
-        EXPECT_EQ(FromRadix.Levels[K].Pos, FromMerge.Levels[K].Pos)
-            << SrcName << " -> " << DstName << " level " << K;
-        EXPECT_EQ(FromRadix.Levels[K].Crd, FromMerge.Levels[K].Crd)
-            << SrcName << " -> " << DstName << " level " << K;
-      }
-      EXPECT_EQ(FromRadix.Vals, FromMerge.Vals)
-          << SrcName << " -> " << DstName;
+      convert::Converter Conv(Src, Dst);
+      tensor::SparseTensor Out = Conv.run(In);
+      Out.validate();
       tensor::SparseTensor Want = tensor::buildFromTriplets(Dst, T);
-      EXPECT_TRUE(tensor::equal(tensor::toTriplets(FromRadix),
+      EXPECT_TRUE(tensor::equal(tensor::toTriplets(Out),
                                 tensor::toTriplets(Want)))
           << SrcName << " -> " << DstName;
     }

@@ -569,16 +569,16 @@ TEST(IrInterpDeath, SortTuplesRangeOutOfBoundsAborts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Packed-key radix sort: sortTuplesPacked
+// Packed-key radix sort: sortUniqueTuplesPacked
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Sorts \p Data as \p N tuples through the packed lowering and returns
-/// the buffer. The interpreter executes packed sorts through the same
-/// lexicographic index sort as the unpacked form — identical semantics by
-/// construction — so this exercises the factory + the oracle the emitted
-/// radix code is pinned against elsewhere.
+/// Sorts and deduplicates \p Data as \p N tuples through the packed
+/// lowering and returns the unique tuples. The interpreter executes packed
+/// sorts through the same lexicographic index sort as the unpacked form —
+/// identical semantics by construction — so this exercises the factory +
+/// the oracle the emitted radix code is pinned against elsewhere.
 std::vector<int32_t> runPackedSort(std::vector<int32_t> Data, int64_t N,
                                    int64_t Arity,
                                    std::vector<int64_t> Widths) {
@@ -586,8 +586,9 @@ std::vector<int32_t> runPackedSort(std::vector<int32_t> Data, int64_t N,
   B.add(alloc("buf", ScalarKind::Int, intImm(N * Arity), false));
   B.add(forRange("i", intImm(0), intImm(N * Arity),
                  store("buf", var("i"), load("in", var("i")))));
-  B.add(sortTuplesPacked("buf", intImm(N), Arity, std::move(Widths)));
-  B.add(yieldBuffer("B1_crd", "buf", intImm(N * Arity)));
+  B.add(sortUniqueTuplesPacked("buf", intImm(N), Arity, std::move(Widths),
+                               "u"));
+  B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(Arity))));
   Function F{"dopacked", {{"in", ScalarKind::Int, true}}, B.build()};
   Interpreter Interp;
   Interp.bindIntBuffer("in", std::move(Data));
@@ -598,7 +599,7 @@ std::vector<int32_t> runPackedSort(std::vector<int32_t> Data, int64_t N,
 
 TEST(IrPackedSort, InterpreterSortsLexicographically) {
   EXPECT_EQ(runPackedSort({2, 1, 0, 5, 2, 1, 0, 3, 2, 0}, 5, 2, {2, 3}),
-            (std::vector<int32_t>{0, 3, 0, 5, 2, 0, 2, 1, 2, 1}));
+            (std::vector<int32_t>{0, 3, 0, 5, 2, 0, 2, 1}));
 }
 
 TEST(IrPackedSort, EmptyAndSingletonAreNoOps) {
@@ -616,8 +617,8 @@ TEST(IrPackedSort, MaxWidthKeysRoundTrip) {
 }
 
 TEST(IrPackedSort, DuplicateHeavyInputMatchesTheUnpackedSort) {
-  // 64 tuples drawn from an 8-value space: heavy duplication. The packed
-  // sort must agree with the plain comparison sort on the whole multiset.
+  // 64 tuples drawn from a 16-value space: heavy duplication. The packed
+  // sort + dedup must agree with the plain comparison sort + compaction.
   std::vector<int32_t> Data;
   uint32_t S = 12345;
   for (int I = 0; I < 128; ++I) {
@@ -630,7 +631,8 @@ TEST(IrPackedSort, DuplicateHeavyInputMatchesTheUnpackedSort) {
   B.add(forRange("i", intImm(0), intImm(128),
                  store("buf", var("i"), load("in", var("i")))));
   B.add(sortTuples("buf", intImm(64), 2));
-  B.add(yieldBuffer("B1_crd", "buf", intImm(128)));
+  B.add(uniqueTuples("buf", intImm(64), 2, "u"));
+  B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(2))));
   Function F{"doplain", {{"in", ScalarKind::Int, true}}, B.build()};
   Interpreter Interp;
   Interp.bindIntBuffer("in", Data);
@@ -638,8 +640,8 @@ TEST(IrPackedSort, DuplicateHeavyInputMatchesTheUnpackedSort) {
 }
 
 TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
-  // sortUniqueTuplesPacked == sortTuplesPacked + uniqueTuples: same
-  // compacted prefix, same unique count.
+  // sortUniqueTuplesPacked == sortTuples + uniqueTuples: same compacted
+  // prefix, same unique count.
   std::vector<int32_t> Data;
   uint32_t S = 999;
   for (int I = 0; I < 96; ++I) {
@@ -656,7 +658,7 @@ TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
       B.add(sortUniqueTuplesPacked("buf", intImm(48), 2, {2, 2}, "u", "rnk"));
       B.add(yieldBuffer("B2_crd", "rnk", intImm(48)));
     } else {
-      B.add(sortTuplesPacked("buf", intImm(48), 2, {2, 2}));
+      B.add(sortTuples("buf", intImm(48), 2));
       B.add(uniqueTuples("buf", intImm(48), 2, "u"));
     }
     B.add(yieldScalar("unique", var("u")));
@@ -685,21 +687,14 @@ TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
 }
 
 TEST(IrPackedSort, PrintingInBothViews) {
-  Stmt Sort = sortTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20});
-  EXPECT_EQ(printStmt(Sort),
-            "sort_tuples_packed(B3_srt, n, 3, bits=[24,20,20]);\n");
-  EXPECT_EQ(printStmtAsC(Sort),
-            "cvg_radix_sort_packed(B3_srt, n, 3, "
-            "(const int64_t[]){24,20,20}, 0, NULL);\n");
-  // The fused sort+dedup form declares the unique count and sets the
-  // dedup flag in C.
+  // The fused sort+dedup declares the unique count.
   Stmt Fused = sortUniqueTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20}, "u3");
   EXPECT_EQ(printStmt(Fused),
             "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
             "bits=[24,20,20]);\n");
   EXPECT_EQ(printStmtAsC(Fused),
             "int64_t u3 = cvg_radix_sort_packed(B3_srt, n, 3, "
-            "(const int64_t[]){24,20,20}, 1, NULL);\n");
+            "(const int64_t[]){24,20,20}, NULL);\n");
   // With a rank buffer the payload variant is named in both views.
   Stmt Ranked = sortUniqueTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20},
                                        "u3", "B3_rank");
@@ -708,13 +703,13 @@ TEST(IrPackedSort, PrintingInBothViews) {
             "bits=[24,20,20], rank=B3_rank);\n");
   EXPECT_EQ(printStmtAsC(Ranked),
             "int64_t u3 = cvg_radix_sort_packed(B3_srt, n, 3, "
-            "(const int64_t[]){24,20,20}, 1, B3_rank);\n");
+            "(const int64_t[]){24,20,20}, B3_rank);\n");
 }
 
 TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
   BlockBuilder With;
   With.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  With.add(sortTuplesPacked("b", intImm(2), 2, {8, 8}));
+  With.add(sortUniqueTuplesPacked("b", intImm(2), 2, {8, 8}, "u"));
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
   EXPECT_NE(emitC(FWith).find("static int64_t cvg_radix_sort_packed"),
             std::string::npos);
@@ -731,11 +726,11 @@ TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
 }
 
 TEST(IrPackedSortDeath, MismatchedWidthsAbort) {
-  EXPECT_DEATH(sortTuplesPacked("b", intImm(2), 3, {8, 8}),
+  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 3, {8, 8}, "u"),
                "one bit width per component");
-  EXPECT_DEATH(sortTuplesPacked("b", intImm(2), 2, {40, 40}),
+  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 2, {40, 40}, "u"),
                "int32 coordinate widths");
-  EXPECT_DEATH(sortTuplesPacked("b", intImm(2), 3, {32, 32, 32}),
+  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 3, {32, 32, 32}, "u"),
                "fit 64 bits");
 }
 
@@ -820,7 +815,7 @@ TEST(IrPackedSearchDeath, MismatchedWidthsAbort) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shared-sort constructs: uniquePrefix / hashDistinct
+// Shared-sort construct: uniquePrefix
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -867,53 +862,12 @@ TEST(IrSharedSort, UniquePrefixSingleComponentAndFullArity) {
   EXPECT_TRUE(None.empty());
 }
 
-TEST(IrSharedSort, HashDistinctKeepsFirstSeenOrder) {
-  BlockBuilder B;
-  B.add(alloc("dst", ScalarKind::Int, intImm(10), false));
-  B.add(hashDistinct("src", intImm(5), 2, "dst", "u"));
-  B.add(yieldBuffer("B1_crd", "dst", mul(var("u"), intImm(2))));
-  B.add(yieldScalar("B1_param", var("u")));
-  Function F{"dohash", {{"src", ScalarKind::Int, true}}, B.build()};
-  Interpreter Interp;
-  // (2,1) (0,5) (2,1) (0,3) (0,5): three distinct pairs, first-seen order.
-  Interp.bindIntBuffer("src", {2, 1, 0, 5, 2, 1, 0, 3, 0, 5});
-  RunResult R = Interp.run(F);
-  EXPECT_EQ(R.Scalars["B1_param"], 3);
-  EXPECT_EQ(R.Buffers["B1_crd"].Ints,
-            (std::vector<int32_t>{2, 1, 0, 5, 0, 3}));
-}
-
-TEST(IrSharedSort, HashDistinctThenSortMatchesSortUnique) {
-  // The hashed-presence pipeline (dedup, then sort the distinct tuples)
-  // lands on the identical buffer as sort + unique — the property that
-  // makes the variants interchangeable bit-for-bit.
-  std::vector<int32_t> Data = {5, 0, 1, 1, 5, 0, 1, 1, 0, 9, 5, 0};
-  int64_t N = 6, Arity = 2;
-  BlockBuilder B;
-  B.add(alloc("dst", ScalarKind::Int, intImm(N * Arity), false));
-  B.add(hashDistinct("src", intImm(N), Arity, "dst", "u"));
-  B.add(sortTuples("dst", var("u"), Arity));
-  B.add(yieldBuffer("B1_crd", "dst", mul(var("u"), intImm(Arity))));
-  Function F{"dohashsort", {{"src", ScalarKind::Int, true}}, B.build()};
-  Interpreter Interp;
-  Interp.bindIntBuffer("src", Data);
-  std::vector<int32_t> Hashed = Interp.run(F).Buffers["B1_crd"].Ints;
-  auto [Sorted, U] = runSortUnique(Data, N, Arity);
-  EXPECT_EQ(static_cast<int64_t>(Hashed.size()), U * Arity);
-  EXPECT_EQ(Hashed, Sorted);
-}
-
 TEST(IrSharedSort, PrintingInBothViews) {
   Stmt P = uniquePrefix("B3_srt", var("uB3"), 3, "B1_srt", 1, "uB1");
   EXPECT_EQ(printStmt(P),
             "int64_t uB1 = unique_prefix(B3_srt, uB3, 3, B1_srt, 1);\n");
   EXPECT_EQ(printStmtAsC(P),
             "int64_t uB1 = cvg_unique_prefix(B3_srt, uB3, 3, B1_srt, 1);\n");
-  Stmt H = hashDistinct("B3_tup", var("n"), 3, "B3_srt", "uB3");
-  EXPECT_EQ(printStmt(H),
-            "int64_t uB3 = hash_distinct(B3_tup, n, 3, B3_srt);\n");
-  EXPECT_EQ(printStmtAsC(H),
-            "int64_t uB3 = cvg_hash_distinct(B3_tup, n, 3, B3_srt);\n");
 }
 
 TEST(IrSharedSort, PreludeHelpersAreEmittedOnlyWhenUsed) {
@@ -924,7 +878,6 @@ TEST(IrSharedSort, PreludeHelpersAreEmittedOnlyWhenUsed) {
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
   std::string C = emitC(FWith);
   EXPECT_NE(C.find("static int64_t cvg_unique_prefix"), std::string::npos);
-  EXPECT_NE(C.find("static int64_t cvg_hash_distinct"), std::string::npos);
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
   Function FWithout{"f", {{"dim0", ScalarKind::Int, false}}, Without.build()};

@@ -23,29 +23,29 @@ using namespace convgen::levels;
 
 TEST(Levels, DeclaredQueriesMatchFigures7And11) {
   formats::Format Csr = formats::makeCSR();
-  auto Compressed = LevelFormat::create(Csr.Levels[1], 2, false, false, false, false, 2);
+  auto Compressed = LevelFormat::create(Csr.Levels[1], 2, false, false, false, 2);
   auto Queries = Compressed->queries();
   ASSERT_EQ(Queries.size(), 1u);
   EXPECT_EQ(query::printQuery(Queries[0]),
             "select [d0] -> count(d1) as nir");
 
   formats::Format Dia = formats::makeDIA();
-  auto Squeezed = LevelFormat::create(Dia.Levels[0], 1, false, false, false, false, 3);
+  auto Squeezed = LevelFormat::create(Dia.Levels[0], 1, false, false, false, 3);
   EXPECT_EQ(query::printQuery(Squeezed->queries()[0]),
             "select [d0] -> id() as nz");
 
   formats::Format Ell = formats::makeELL();
-  auto Sliced = LevelFormat::create(Ell.Levels[0], 1, false, false, false, false, 3);
+  auto Sliced = LevelFormat::create(Ell.Levels[0], 1, false, false, false, 3);
   EXPECT_EQ(query::printQuery(Sliced->queries()[0]),
             "select [] -> max(d0) as max_crd");
 
   formats::Format Sky = formats::makeSKY();
-  auto Skyline = LevelFormat::create(Sky.Levels[1], 2, false, false, false, false, 2);
+  auto Skyline = LevelFormat::create(Sky.Levels[1], 2, false, false, false, 2);
   EXPECT_EQ(query::printQuery(Skyline->queries()[0]),
             "select [d0] -> min(d1) as w");
 
   formats::Format Coo = formats::makeCOO();
-  auto Root = LevelFormat::create(Coo.Levels[0], 1, false, false, false, false, 2);
+  auto Root = LevelFormat::create(Coo.Levels[0], 1, false, false, false, 2);
   EXPECT_EQ(query::printQuery(Root->queries()[0]),
             "select [] -> count(d0,d1) as nir");
 }
@@ -53,16 +53,16 @@ TEST(Levels, DeclaredQueriesMatchFigures7And11) {
 TEST(Levels, EdgeInsertionFlags) {
   formats::Format Csr = formats::makeCSR();
   EXPECT_FALSE(
-      LevelFormat::create(Csr.Levels[0], 1, false, false, false, false, 2)->needsEdgeInsertion());
+      LevelFormat::create(Csr.Levels[0], 1, false, false, false, 2)->needsEdgeInsertion());
   EXPECT_TRUE(
-      LevelFormat::create(Csr.Levels[1], 2, false, false, false, false, 2)->needsEdgeInsertion());
+      LevelFormat::create(Csr.Levels[1], 2, false, false, false, 2)->needsEdgeInsertion());
   formats::Format Sky = formats::makeSKY();
   EXPECT_TRUE(
-      LevelFormat::create(Sky.Levels[1], 2, false, false, false, false, 2)->needsEdgeInsertion());
+      LevelFormat::create(Sky.Levels[1], 2, false, false, false, 2)->needsEdgeInsertion());
   formats::Format Dia = formats::makeDIA();
   for (int K = 0; K < 3; ++K)
     EXPECT_FALSE(LevelFormat::create(Dia.Levels[static_cast<size_t>(K)],
-                                     K + 1, false, false, false, false, 3)
+                                     K + 1, false, false, false, 3)
                      ->needsEdgeInsertion())
         << K;
 }

@@ -28,11 +28,14 @@ using namespace convgen;
 
 namespace {
 
+/// Parallel loops in emitted C: each opens exactly one parallel region,
+/// either "#pragma omp parallel for" or — for reduction sweeps — a
+/// "#pragma omp parallel" region around a worksharing loop.
 size_t countPragmas(const std::string &Code) {
   size_t Count = 0;
-  for (size_t At = Code.find("#pragma omp parallel for");
+  for (size_t At = Code.find("#pragma omp parallel");
        At != std::string::npos;
-       At = Code.find("#pragma omp parallel for", At + 1))
+       At = Code.find("#pragma omp parallel", At + 1))
     ++Count;
   return Count;
 }
@@ -47,8 +50,23 @@ TEST(ParallelAnnotation, CooToCsrCountingSweepUsesAHistogramReduction) {
   codegen::Conversion Conv = codegen::generateConversion(
       formats::makeCOO(), formats::makeCSR());
   std::string Code = Conv.cSource();
-  // The counting sweep reduces into per-thread histograms.
-  EXPECT_NE(Code.find("#pragma omp parallel for reduction(+:q2_nir[0:dim0])"),
+  // The counting sweep reduces into per-thread histograms (the readable
+  // view's notation)...
+  EXPECT_NE(Conv.pretty().find(
+                "#pragma omp parallel for reduction(+:q2_nir[0:dim0])"),
+            std::string::npos)
+      << Conv.pretty();
+  // ...lowered without OpenMP array-section reductions, whose private
+  // copies live on the thread stack and overflow it at a few million
+  // rows: each thread accumulates into a zeroed heap copy, merged into
+  // the shared histogram after the loop.
+  EXPECT_EQ(Code.find("reduction("), std::string::npos) << Code;
+  EXPECT_NE(Code.find("int32_t *cvg_sh_q2_nir = q2_nir;"), std::string::npos)
+      << Code;
+  EXPECT_NE(Code.find("q2_nir = (int32_t *)calloc(dim0, sizeof(int32_t));"),
+            std::string::npos)
+      << Code;
+  EXPECT_NE(Code.find("cvg_sh_q2_nir[cvg_r] += q2_nir[cvg_r];"),
             std::string::npos)
       << Code;
   // A coo source gives no structural ordering guarantee (its crd arrays
@@ -143,7 +161,11 @@ TEST(ParallelAnnotation, CsrToEllInsertionPrivatizesTheScalarCounter) {
   std::string Code = Conv.cSource();
   // Analysis sweep: max-reduction over the pos-array widths. Insertion:
   // per-row loop with the reused scalar counter privatized.
-  EXPECT_NE(Code.find("reduction(max:q1_max_crd[0:1])"), std::string::npos)
+  EXPECT_NE(Conv.pretty().find("reduction(max:q1_max_crd[0:1])"),
+            std::string::npos)
+      << Conv.pretty();
+  // Each thread starts its private maximum at the identity.
+  EXPECT_NE(Code.find("q1_max_crd[cvg_r] = INT32_MIN;"), std::string::npos)
       << Code;
   EXPECT_NE(Code.find("#pragma omp parallel for private(cnt0)"),
             std::string::npos)
@@ -157,25 +179,27 @@ TEST(ParallelAnnotation, CooToDiaParallelizesBothSweepAndInsertion) {
   std::string Code = Conv.cSource();
   // The id-query sweep reduces bit sets; insertion touches only pure
   // (squeezed/dense/offset) levels, so the flat nonzero loop parallelizes.
-  EXPECT_NE(Code.find("reduction(|:q1_nz[0:"), std::string::npos) << Code;
+  EXPECT_NE(Conv.pretty().find("reduction(|:q1_nz[0:"), std::string::npos)
+      << Conv.pretty();
   EXPECT_EQ(countPragmas(Code), 2u) << Code;
 }
 
 TEST(ParallelAnnotation, QuadraticWorkspaceReductionsStaySerial) {
   // Canonical (unoptimized) count queries materialize an O(rows * cols)
-  // dedup workspace. An OpenMP array-section reduction would give every
-  // thread a stack-allocated private copy of it — a guaranteed overflow on
-  // real sizes — so the sweep over a multi-extent workspace must not be
-  // annotated. The one-dimensional result histogram keeps its reduction.
+  // dedup workspace. A per-thread private copy of it would cost every
+  // thread rows * cols bytes, so the sweep over a multi-extent workspace
+  // must not be annotated. The one-dimensional result histogram keeps its
+  // reduction.
   codegen::Options NoOpt;
   NoOpt.OptimizeQueries = false;
   codegen::Conversion Conv = codegen::generateConversion(
       formats::makeCSR(), formats::makeCSC(), NoOpt);
-  std::string Code = Conv.cSource();
-  EXPECT_NE(Code.find("q2_nir_w"), std::string::npos) << Code;
-  EXPECT_EQ(Code.find("reduction(|:q2_nir_w"), std::string::npos) << Code;
-  EXPECT_NE(Code.find("reduction(+:q2_nir[0:dim1])"), std::string::npos)
-      << Code;
+  std::string View = Conv.pretty();
+  EXPECT_NE(View.find("q2_nir_w"), std::string::npos) << View;
+  EXPECT_EQ(View.find("reduction(|:q2_nir_w"), std::string::npos) << View;
+  EXPECT_NE(View.find("reduction(+:q2_nir[0:dim1])"), std::string::npos)
+      << View;
+  EXPECT_EQ(Conv.cSource().find("cvg_sh_q2_nir_w"), std::string::npos);
 }
 
 TEST(ParallelAnnotation, CscToEllKeepsTheCounterArrayLoopSerial) {

@@ -156,61 +156,45 @@ TEST(PlanCacheJit, DisablingTheDiskCacheStaysInMemory) {
   EXPECT_EQ(PlanCache::diskCacheDir(), "");
 }
 
-TEST(PlanCacheKeys, RankStrategyKnobChangesKeyAndJitFlags) {
-  // A CONVGEN_RANK_STRATEGY flip changes the generated code (hashed
-  // presence vs plain sort), so both halves of every cache key must move
-  // with it: the plan key's strategy bits (re-derived from the environment
-  // per lookup) and the effective JIT flag string (part of the in-memory
-  // JIT key and the on-disk object name). Otherwise a knob flip could
-  // dlopen a stale shared object compiled under the other strategy.
+TEST(PlanCacheKeys, ForcedSortedRankingIsOneKeyBitAndOneDefine) {
+  // Strategy is derived from the formats and the extents, so the only
+  // strategy input outside the dims is the planner's forced sorted
+  // ranking: one marker in the plan key and one define in the effective
+  // JIT flags (the other half of every cache key). The environment adds
+  // no strategy defines of its own.
+  ScopedEnv NoExtra("CONVGEN_JIT_FLAGS", "");
+  std::string Base = "-O3 -march=native -std=c11 -shared -fPIC";
+  if (jit::jitOpenMPAvailable())
+    Base += " -fopenmp";
+  EXPECT_EQ(jit::jitEffectiveFlags(""), Base);
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
   codegen::Options Opts;
-  Opts.DimsHint = {int64_t(1) << 31, int64_t(1) << 20, int64_t(1) << 20};
+  EXPECT_EQ(jit::jitEffectiveFlags("", Opts), Base);
   std::string DefaultKey = convert::planKey(Coo3, Csf, Opts);
-  std::string DefaultFlags = jit::jitEffectiveFlags("");
-  {
-    ScopedEnv Strategy("CONVGEN_RANK_STRATEGY", "hashed");
-    EXPECT_NE(convert::planKey(Coo3, Csf, Opts), DefaultKey);
-    std::string Flags = jit::jitEffectiveFlags("");
-    EXPECT_NE(Flags, DefaultFlags);
-    EXPECT_NE(Flags.find("-DCONVGEN_RANK_STRATEGY_HASHED=1"),
-              std::string::npos)
-        << Flags;
-  }
-  {
-    ScopedEnv NoShare("CONVGEN_NO_SHARED_SORT", "1");
-    EXPECT_NE(convert::planKey(Coo3, Csf, Opts), DefaultKey);
-    EXPECT_NE(jit::jitEffectiveFlags("").find("-DCONVGEN_NO_SHARED_SORT=1"),
-              std::string::npos);
-  }
-  // Back to default: keys and flags are restored, so the original cache
-  // entries are found again (no permanent split).
-  EXPECT_EQ(convert::planKey(Coo3, Csf, Opts), DefaultKey);
-  EXPECT_EQ(jit::jitEffectiveFlags(""), DefaultFlags);
-  // Without a dims hint no level is sorted and the knob is inert: small
-  // tensors keep sharing one cached plan per pair.
-  codegen::Options NoHint;
-  std::string SmallKey = convert::planKey(Coo3, Csf, NoHint);
-  ScopedEnv Strategy("CONVGEN_RANK_STRATEGY", "hashed");
-  EXPECT_EQ(convert::planKey(Coo3, Csf, NoHint), SmallKey);
+  Opts.ForceSortedRanking = true;
+  std::string ForcedKey = convert::planKey(Coo3, Csf, Opts);
+  EXPECT_NE(ForcedKey, DefaultKey);
+  EXPECT_NE(ForcedKey.find(" [f:S1]"), std::string::npos) << ForcedKey;
+  EXPECT_NE(ForcedKey.find(" [s111:g3]"), std::string::npos) << ForcedKey;
+  EXPECT_EQ(jit::jitEffectiveFlags("", Opts),
+            Base + " -DCONVGEN_PLANNER_FORCE_SORTED_RANKING=1");
 }
 
-TEST(PlanCacheJit, KnobFlipCompilesAFreshObjectNotAStaleOne) {
+TEST(PlanCacheJit, ForcedSortedRankingCompilesAFreshObjectNotAStaleOne) {
   if (!jit::jitAvailable())
     GTEST_SKIP() << "no system C compiler";
   PlanCache &Cache = PlanCache::instance();
   Cache.clearMemory();
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
-  codegen::Options Opts = codegen::optionsForDims(
-      Coo3, Csf, {}, {int64_t(1) << 31, int64_t(1) << 20, int64_t(1) << 20});
+  codegen::Options Opts;
   auto Default = Cache.jit(Coo3, Csf, Opts);
-  EXPECT_EQ(Default->conversion().cSource().find("cvg_hash_distinct(B"),
+  EXPECT_EQ(Default->conversion().cSource().find("sorted ranking"),
             std::string::npos);
-  ScopedEnv Strategy("CONVGEN_RANK_STRATEGY", "hashed");
-  auto Hashed = Cache.jit(Coo3, Csf, Opts);
-  EXPECT_NE(Hashed.get(), Default.get());
-  EXPECT_NE(Hashed->conversion().cSource().find("cvg_hash_distinct(B"),
+  Opts.ForceSortedRanking = true;
+  auto Sorted = Cache.jit(Coo3, Csf, Opts);
+  EXPECT_NE(Sorted.get(), Default.get());
+  EXPECT_NE(Sorted->conversion().cSource().find("sorted ranking"),
             std::string::npos);
 }

@@ -1,6 +1,6 @@
 //===----------------------------------------------------------------------===//
 // Unit tests for the conversion path planner (src/planner/): analytic
-// cost-model monotonicity, engagement rules and knob overrides, the
+// cost-model monotonicity, engagement rules and the candidate set, the
 // measured-outcome auto-tuning flip, chain legality (the
 // information-preservation and order-requirement predicates), and a
 // randomized bit-compare of every enumerated candidate against the
@@ -113,8 +113,8 @@ TEST(PlannerCostModel, MonotoneInNnzForEveryPlanShape) {
   std::vector<int64_t> Dims2 = {2000, 2000};
 
   // One plan per strategy family: dense-ranked default, forced
-  // sorted-ranking (packed radix at these extents), forced merge sort,
-  // shared sort off.
+  // sorted-ranking (packed radix at these extents), and sorted ranking
+  // with a merge sort (71-bit tuples never pack).
   std::vector<std::pair<std::string, codegen::AssemblyPlan>> Plans;
   Plans.push_back({"coo3->csf default",
                    codegen::planAssembly(Coo3, Csf, Dims3)});
@@ -124,14 +124,13 @@ TEST(PlannerCostModel, MonotoneInNnzForEveryPlanShape) {
     O.ForceSortedRanking = true;
     Plans.push_back({"coo3->csf forced-sorted",
                      codegen::planAssembly(Coo3, Csf, O)});
-    O.ForceSort = codegen::SortStrategy::Merge;
-    Plans.push_back({"coo3->csf forced-sorted merge",
-                     codegen::planAssembly(Coo3, Csf, O)});
-    O.ForceSort = codegen::SortStrategy::Auto;
-    O.ForceNoSharedSort = true;
-    Plans.push_back({"coo3->csf forced-sorted nosharedsort",
-                     codegen::planAssembly(Coo3, Csf, O)});
   }
+  Plans.push_back(
+      {"coo3->csf huge-extent merge",
+       codegen::planAssembly(Coo3, Csf,
+                             std::vector<int64_t>{int64_t(1) << 31,
+                                                  int64_t(1) << 20,
+                                                  int64_t(1) << 20})});
   Plans.push_back({"csr->csc default",
                    codegen::planAssembly(Csr, Csc, Dims2)});
 
@@ -156,7 +155,7 @@ TEST(PlannerCostModel, UnsupportedPlanCostsInfinity) {
 }
 
 //===--------------------------------------------------------------------===//
-// Engagement rules and knob overrides
+// Engagement rules and the candidate set
 //===--------------------------------------------------------------------===//
 
 TEST(PlannerEngagement, DisabledByKnob) {
@@ -194,34 +193,45 @@ TEST(PlannerEngagement, CallerForcedStrategiesDisengage) {
   EXPECT_FALSE(D.Engaged);
 }
 
-TEST(PlannerEngagement, PinnedRankKnobSuppressesRankCandidates) {
+TEST(PlannerEngagement, DecideEnumeratesOnlyTheThreeStrategyPaths) {
+  // Strategy is derived from the formats and the extents; the planner's
+  // only choices are the default direct plan, the direct plan with sorted
+  // ranking forced below the dense budget, and the chain through COO.
   ScopedEnv On("CONVGEN_PLANNER", "on");
   ScopedEnv MinNnz("CONVGEN_PLANNER_MIN_NNZ", "1");
-  formats::Format Coo3 = formats::makeCOO(3);
-  formats::Format Csf = formats::makeCSF(3);
-  // Huge extents push the default plan onto sorted ranking, where the
-  // rank-strategy candidates would normally appear.
-  planner::InputStats S = statsFor(100000, {int64_t(1) << 31, 1 << 20, 64});
-  {
-    planner::Decision D =
-        planner::decide(Coo3, Csf, codegen::Options(), S);
-    ASSERT_TRUE(D.Engaged) << D.Why;
-    bool SawRankVariant = false;
-    for (const planner::Candidate &C : D.Considered)
-      if (C.Label == "rank=sorted" || C.Label == "rank=hashed")
-        SawRankVariant = true;
-    EXPECT_TRUE(SawRankVariant)
-        << "expected rank-strategy candidates on a sorted-ranking plan";
+  struct Case {
+    const char *Src;
+    const char *Dst;
+    std::vector<int64_t> Dims;
+  };
+  const Case Cases[] = {
+      {"csr", "csc", {100, 100}},
+      {"coo", "csr", {int64_t(1) << 31, int64_t(1) << 31}},
+      {"csc", "csr", {4096, 4096}},
+      {"coo3", "csf", {3000, 3000, 64}},
+      {"coo3", "csf", {int64_t(1) << 31, int64_t(1) << 20, int64_t(1) << 20}},
+      {"csf_102", "csf", {64, 64, 64}},
+  };
+  const std::set<std::string> Allowed = {"direct", "direct+sorted",
+                                         "via-coo"};
+  std::set<std::string> Seen;
+  for (const Case &C : Cases) {
+    planner::Decision D = planner::decide(
+        formats::standardFormatOrDie(C.Src),
+        formats::standardFormatOrDie(C.Dst), codegen::Options(),
+        statsFor(100000, C.Dims));
+    ASSERT_TRUE(D.Engaged) << C.Src << " -> " << C.Dst << ": " << D.Why;
+    std::set<std::string> Labels;
+    for (const planner::Candidate &Cand : D.Considered) {
+      EXPECT_EQ(Allowed.count(Cand.Label), 1u)
+          << C.Src << " -> " << C.Dst << " enumerated " << Cand.Label;
+      EXPECT_TRUE(Labels.insert(Cand.Label).second)
+          << C.Src << " -> " << C.Dst << " enumerated " << Cand.Label
+          << " twice";
+    }
+    Seen.insert(Labels.begin(), Labels.end());
   }
-  {
-    ScopedEnv Pin("CONVGEN_RANK_STRATEGY", "sorted");
-    planner::Decision D =
-        planner::decide(Coo3, Csf, codegen::Options(), S);
-    ASSERT_TRUE(D.Engaged) << D.Why;
-    for (const planner::Candidate &C : D.Considered)
-      EXPECT_TRUE(C.Label != "rank=sorted" && C.Label != "rank=hashed")
-          << "pinned CONVGEN_RANK_STRATEGY must suppress " << C.Label;
-  }
+  EXPECT_EQ(Seen, Allowed);
 }
 
 TEST(PlannerEngagement, DefaultCandidateAlwaysEnumerated) {
