@@ -3,6 +3,11 @@
 // evaluates (plus the optimized attribute queries in concrete index
 // notation), reproducing the Figure 6 listings. Pass format names to see
 // any other pair, e.g.:  inspect_codegen csr bcsr
+//
+// The listing is the readable view: OpenMP reductions appear as compact
+// reduction(...) clauses. `inspect_codegen --c <src> <dst>` prints instead
+// the C99 the JIT actually compiles (prelude, per-thread reduction copies,
+// partition-bound locals, timing probes).
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Generator.h"
@@ -10,10 +15,11 @@
 #include "query/Cin.h"
 
 #include <cstdio>
+#include <string>
 
 using namespace convgen;
 
-static void show(const char *Src, const char *Dst) {
+static void show(const char *Src, const char *Dst, bool AsC = false) {
   formats::Format From = formats::standardFormatOrDie(Src);
   formats::Format To = formats::standardFormatOrDie(Dst);
   std::string Why;
@@ -22,6 +28,10 @@ static void show(const char *Src, const char *Dst) {
     return;
   }
   codegen::Conversion Conv = codegen::generateConversion(From, To);
+  if (AsC) {
+    std::fputs(Conv.cSource().c_str(), stdout);
+    return;
+  }
   std::printf("==== %s -> %s\n", Src, Dst);
   std::printf("target spec: %s\n", To.summary().c_str());
   for (const auto &[Name, Stmt] : Conv.Queries)
@@ -31,6 +41,10 @@ static void show(const char *Src, const char *Dst) {
 }
 
 int main(int Argc, char **Argv) {
+  if (Argc == 4 && std::string(Argv[1]) == "--c") {
+    show(Argv[2], Argv[3], /*AsC=*/true);
+    return 0;
+  }
   if (Argc == 3) {
     show(Argv[1], Argv[2]);
     return 0;

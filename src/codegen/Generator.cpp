@@ -45,18 +45,6 @@ bool prefixCoversAllIVars(const remap::RemapStmt &Remap, int UpTo) {
   return true;
 }
 
-/// Index variables a remap dimension expression depends on.
-void collectDimIVars(const remap::Expr &E, std::set<std::string> &Out) {
-  if (!E)
-    return;
-  if (E->Kind == remap::ExprKind::IVar)
-    Out.insert(E->Name);
-  for (const std::string &V : E->CounterIndices)
-    Out.insert(V);
-  collectDimIVars(E->A, Out);
-  collectDimIVars(E->B, Out);
-}
-
 /// One counter of the target remapping and how it is realized.
 struct CounterPlan {
   std::vector<std::string> IVars;
@@ -150,11 +138,12 @@ struct Generator {
   /// Scalar (privatizable) counter variable names, for Parallel clauses.
   std::vector<std::string> scalarCounterVars() const;
 
-  /// Rewrites the outermost loop of a source nest into a partition loop
-  /// over BlockVar with contiguous sub-ranges, so two passes that must
-  /// agree on the work partition (counting and insertion) split the
-  /// iteration space identically.
-  ir::Stmt blockifyOuterLoop(const ir::Stmt &Nest) const;
+  /// Rewrites the outermost loop of a source nest into a loop over
+  /// partitions BlockVar in [0, \p Parts) of PartCount contiguous
+  /// sub-ranges, so two passes that must agree on the work partition
+  /// (counting and insertion) split the iteration space identically. Each
+  /// partition's bounds are evaluated once into locals before its loop.
+  ir::Stmt blockifyOuterLoop(const ir::Stmt &Nest, ir::Expr Parts) const;
 
   /// Emits the Blocked-strategy insertion: per-partition cursor counting,
   /// the partition-offset conversion, and the blocked insertion pass.
@@ -362,17 +351,25 @@ std::vector<std::string> Generator::scalarCounterVars() const {
   return Out;
 }
 
-ir::Stmt Generator::blockifyOuterLoop(const ir::Stmt &Nest) const {
+ir::Stmt Generator::blockifyOuterLoop(const ir::Stmt &Nest,
+                                      ir::Expr Parts) const {
   CONVGEN_ASSERT(Nest && Nest->Kind == ir::StmtKind::For,
                  "blocked insertion requires a loop-rooted source nest");
   ir::Expr Lo = Nest->A, Hi = Nest->B, P = Ctx.PartCount;
   ir::Expr Len = ir::sub(Hi, Lo);
   ir::Expr BVar = ir::var(Ctx.BlockVar);
-  ir::Expr BLo = ir::add(Lo, ir::div(ir::mul(Len, BVar), P));
-  ir::Expr BHi = ir::add(
-      Lo, ir::div(ir::mul(Len, ir::add(BVar, ir::intImm(1))), P));
-  ir::Stmt Inner = ir::forRange(Nest->Name, BLo, BHi, Nest->Body);
-  return ir::forRange(Ctx.BlockVar, ir::intImm(0), P, Inner);
+  // Locals, not loop conditions: inside the outlined parallel body the C
+  // compiler cannot prove the cursor/crd stores leave the source's pos
+  // array alone, and would redo the 64-bit divide on every iteration.
+  std::string BLo = Ctx.BlockVar + "_lo", BHi = Ctx.BlockVar + "_hi";
+  ir::BlockBuilder Part;
+  Part.add(ir::decl(BLo, ir::add(Lo, ir::div(ir::mul(Len, BVar), P))));
+  Part.add(ir::decl(
+      BHi,
+      ir::add(Lo, ir::div(ir::mul(Len, ir::add(BVar, ir::intImm(1))), P))));
+  Part.add(ir::forRange(Nest->Name, ir::var(BLo), ir::var(BHi), Nest->Body));
+  return ir::forRange(Ctx.BlockVar, ir::intImm(0), std::move(Parts),
+                      Part.build());
 }
 
 void Generator::emitBlockedInsertion(
@@ -394,7 +391,10 @@ void Generator::emitBlockedInsertion(
   Ctx.PartCount = ir::var("cvg_P");
   Ctx.BlockVar = "cb";
 
-  // Pass 1: each partition tallies its nonzeros per parent position.
+  // Pass 1: each partition but the last tallies its nonzeros per parent
+  // position. The scan below needs only the tallies of partitions before
+  // each one, so the last partition's are never read; at one partition the
+  // pass runs no iterations and assembly is SPARSKIT's count/scan/scatter.
   Fn.add(ir::comment("per-partition cursor counts"));
   Fn.add(ir::alloc(Cur, ir::ScalarKind::Int, ir::mul(Ctx.PartCount, PS),
                    true));
@@ -414,11 +414,15 @@ void Generator::emitBlockedInsertion(
     return Body.build();
   };
   Fn.add(ir::markLoopParallel(
-      blockifyOuterLoop(SrcIt.build(CountBody, Resets)), Privates));
+      blockifyOuterLoop(SrcIt.build(CountBody, Resets),
+                        ir::sub(Ctx.PartCount, ir::intImm(1))),
+      Privates));
 
   // Pass 2: exclusive scan over partitions per parent, seeded from the
   // (final, never consumed) pos array: cur[b][q] becomes the first
-  // destination position partition b writes under parent q.
+  // destination position partition b writes under parent q. The uncounted
+  // last partition's row still holds calloc's zeros, so the scan reads it
+  // harmlessly and only ever consumes the tallies of partitions 0..P-2.
   Fn.add(ir::comment("partition counts -> starting cursors"));
   std::string Q = "cq", B = "cbo", T = "ct", Acc = "cacc";
   ir::Expr Cell = ir::add(ir::mul(ir::var(B), PS), ir::var(Q));
@@ -436,7 +440,8 @@ void Generator::emitBlockedInsertion(
   // Pass 3: blocked insertion; emitPos consumes this partition's cursors.
   Fn.add(ir::comment("blocked coordinate insertion"));
   Fn.add(ir::markLoopParallel(
-      blockifyOuterLoop(SrcIt.build(InsertionBody, Resets)), Privates));
+      blockifyOuterLoop(SrcIt.build(InsertionBody, Resets), Ctx.PartCount),
+      Privates));
   Fn.add(ir::freeBuffer(Cur));
 }
 
@@ -480,7 +485,7 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
   auto seqPrefixOk = [&](size_t K, int *LevelsUsed) -> bool {
     std::set<std::string> Needed;
     for (size_t D = 0; D < K; ++D)
-      collectDimIVars(remap::inlineLets(Dst.Remap.DstDims[D]), Needed);
+      remap::collectIVars(remap::inlineLets(Dst.Remap.DstDims[D]), Needed);
     *LevelsUsed = 0;
     if (Needed.empty())
       return true;
@@ -663,26 +668,16 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
     Plan.Ranked[K] = false;
   }
 
-  // Shared full-arity sort: when several levels are sorted, their grouping
-  // tuples (dims 0..Dim each) nest by construction whenever the arities
-  // strictly increase with level depth — every shallower tuple is then a
-  // prefix of the deepest level's. One collect+sort+unique at the deepest
-  // arity serves them all: ancestor lists are prefix compactions of the
-  // anchor's (Chou et al.'s attribute queries are projections of one
-  // deepest-level sorted tuple list). Non-nested grouping keeps the
-  // per-level sorts.
-  {
-    std::vector<size_t> SortedLevels;
-    for (size_t K = 0; K < N; ++K)
-      if (Plan.Sorted[K])
-        SortedLevels.push_back(K);
-    bool Nested = SortedLevels.size() >= 2;
-    for (size_t I = 0; I + 1 < SortedLevels.size(); ++I)
-      Nested = Nested && Dst.Levels[SortedLevels[I]].Dim <
-                             Dst.Levels[SortedLevels[I + 1]].Dim;
-    if (Nested)
-      Plan.SharedSortAnchor = static_cast<int>(SortedLevels.back()) + 1;
-  }
+  // Shared full-arity sort: level K of a validated format stores dimension
+  // K, so every sorted level's grouping tuple (dims 0..K) is a prefix of
+  // the deepest sorted level's. One collect+sort+unique at that arity
+  // serves them all: ancestor lists are prefix compactions of the anchor's
+  // (Chou et al.'s attribute queries are projections of one deepest-level
+  // sorted tuple list). The anchor is 1-based: the deepest sorted level.
+  if (std::count(Plan.Sorted.begin(), Plan.Sorted.end(), true) >= 2)
+    Plan.SharedSortAnchor = static_cast<int>(
+        Plan.Sorted.rend() -
+        std::find(Plan.Sorted.rbegin(), Plan.Sorted.rend(), true));
 
   // Packed-key sort lowering: when every destination extent is known and
   // the full-order coordinate tuple packs into one 64-bit key (sum of
@@ -942,14 +937,12 @@ Conversion Generator::run() {
     return P;
   };
   Ctx.PackWidths = Plan.PackWidths;
-  // A sorted level whose parent is itself sorted and groups exactly one
-  // dim fewer can derive parent positions by prefix ranking (flag + scan
+  // A sorted level whose parent is itself sorted (and so groups exactly one
+  // dim fewer) can derive parent positions by prefix ranking (flag + scan
   // over its own sorted list) instead of per-block-end binary searches.
   Ctx.PrefixRankParent.assign(Levels.size() + 1, false);
   for (size_t K = 2; K <= Levels.size(); ++K)
-    Ctx.PrefixRankParent[K] =
-        Plan.Sorted[K - 1] && Plan.Sorted[K - 2] &&
-        Dst.Levels[K - 1].Dim == Dst.Levels[K - 2].Dim + 1;
+    Ctx.PrefixRankParent[K] = Plan.Sorted[K - 1] && Plan.Sorted[K - 2];
 
   // Insertion strategy for cursor-based compressed levels: decided before
   // any emission because emitPos/emitFinalize specialize on it.
@@ -1009,8 +1002,6 @@ Conversion Generator::run() {
   // (shallowest first) can derive its own list from the shared buffer.
   if (Plan.SharedSortAnchor > 0) {
     Ctx.SharedSortAnchor = Plan.SharedSortAnchor;
-    Ctx.SharedSortArity =
-        Dst.Levels[static_cast<size_t>(Plan.SharedSortAnchor - 1)].Dim + 1;
     Fn.add(ir::comment(strfmt(
         "shared sorted ranking: one full-arity sort feeds levels' prefix "
         "lists (anchor level %d)",
@@ -1143,6 +1134,16 @@ AssemblyPlan codegen::planAssembly(const formats::Format &Source,
 AssemblyPlan codegen::planAssembly(const formats::Format &Source,
                                    const formats::Format &Target,
                                    const Options &Opts) {
+  // The strategy decisions below assume validated formats (level K stores
+  // dimension K); anything else is unsupported, not planned around.
+  for (const formats::Format *F : {&Source, &Target}) {
+    Status S = formats::checkFormat(*F);
+    if (!S.ok()) {
+      AssemblyPlan Plan;
+      Plan.Unsupported = S.message();
+      return Plan;
+    }
+  }
   levels::SourceIterator SrcIt(Source);
   return planAssemblyImpl(Source, Target, SrcIt, Opts);
 }

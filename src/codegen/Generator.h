@@ -79,12 +79,12 @@ struct AssemblyPlan {
   /// search positions instead of dense rank arrays / query buffers, chosen
   /// when the dense footprint would exceed rankDenseMaxBytes().
   std::vector<bool> Sorted;
-  /// Nonzero: all sorted levels group by nested prefixes of one coordinate
-  /// tuple, and this (1-based) level — the deepest, full-arity one —
-  /// anchors a single shared collect+sort+unique that every other sorted
-  /// level derives its list from by prefix compaction. 0 when a single
-  /// level sorts (it builds its own list), or when grouping tuples do not
-  /// nest (a level order formats::checkFormat rejects).
+  /// Nonzero when two or more levels sort: this (1-based) level — the
+  /// deepest, full-arity one — anchors a single shared collect+sort+unique
+  /// that every other sorted level derives its list from by prefix
+  /// compaction (validated formats store dimension K at level K, so the
+  /// grouping tuples nest). 0 when at most one level sorts (it builds its
+  /// own list).
   int SharedSortAnchor = 0;
   /// Sorted levels lower their tuple sorts through the packed-key radix
   /// sort: every destination extent is known, the full-order coordinate
@@ -113,7 +113,8 @@ struct AssemblyPlan {
 /// Computes the assembly plan for a pair, optionally specialized to the
 /// input tensor's dimension sizes (\p Dims empty or of the wrong arity
 /// means "unknown extents": every dense-footprint check passes and the
-/// extent-independent default plan results).
+/// extent-independent default plan results). A format that fails
+/// formats::checkFormat comes back Unsupported with its diagnostic.
 AssemblyPlan planAssembly(const formats::Format &Source,
                           const formats::Format &Target,
                           const std::vector<int64_t> &Dims = {});

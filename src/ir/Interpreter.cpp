@@ -54,8 +54,8 @@ struct Value {
 class ExecState {
 public:
   ExecState(std::map<std::string, int64_t> Scalars,
-            std::map<std::string, RuntimeBuffer> Buffers)
-      : Buffers(std::move(Buffers)) {
+            std::map<std::string, RuntimeBuffer> Buffers, int64_t NumParts)
+      : NumParts(NumParts), Buffers(std::move(Buffers)) {
     for (const auto &[Name, V] : Scalars)
       Env[Name] = Value::makeInt(V);
   }
@@ -97,6 +97,7 @@ private:
   void storeElem(const std::string &Name, int64_t Index, Value V,
                  ReduceOp Reduce);
 
+  int64_t NumParts;
   std::unordered_map<std::string, Value> Env;
   std::map<std::string, RuntimeBuffer> Buffers;
   RunResult Result;
@@ -122,8 +123,9 @@ Value ExecState::eval(const Expr &E) {
   case ExprKind::NumParts:
     // The reference semantics partition nothing: one block, serial order.
     // Generated code must produce identical results for any value >= 1,
-    // which the thread-invariance tests check against the JIT.
-    return Value::makeInt(1);
+    // which the thread-invariance tests check against the JIT and the
+    // partition-count tests check here (Interpreter::setNumParts).
+    return Value::makeInt(NumParts);
   case ExprKind::LowerBound: {
     RuntimeBuffer &Buf = buffer(E->Name);
     if (Buf.Elem != ScalarKind::Int)
@@ -601,7 +603,7 @@ void Interpreter::bindFloatBuffer(const std::string &Name,
 }
 
 RunResult Interpreter::run(const Function &F) {
-  ExecState State(BoundScalars, BoundBuffers);
+  ExecState State(BoundScalars, BoundBuffers, NumParts);
   State.exec(F.Body);
   return State.takeResult();
 }

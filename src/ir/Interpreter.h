@@ -59,6 +59,11 @@ public:
   void bindIntBuffer(const std::string &Name, std::vector<int32_t> Data);
   void bindFloatBuffer(const std::string &Name, std::vector<double> Data);
 
+  /// Value numParts() evaluates to (default 1, the reference semantics).
+  /// Blocked passes must produce identical results for any count >= 1;
+  /// tests run other counts to check that without OpenMP.
+  void setNumParts(int64_t Parts) { NumParts = Parts; }
+
   /// Runs \p F against the bound inputs. Aborts with a diagnostic on any
   /// out-of-bounds access, use of an undefined variable, or type mismatch;
   /// the interpreter never silently mis-executes.
@@ -67,6 +72,7 @@ public:
 private:
   std::map<std::string, int64_t> BoundScalars;
   std::map<std::string, RuntimeBuffer> BoundBuffers;
+  int64_t NumParts = 1;
 };
 
 } // namespace ir

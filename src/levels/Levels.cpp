@@ -374,7 +374,7 @@ public:
           false));
       Out.add(ir::uniquePrefix(Ctx.srtName(Ctx.SharedSortAnchor),
                                ir::var(Ctx.uniqueVar(Ctx.SharedSortAnchor)),
-                               Ctx.SharedSortArity, Srt, R, U));
+                               Ctx.SharedSortAnchor, Srt, R, U));
       Out.add(ir::phaseMark(5, "list sort"));
     } else {
       emitListBuild(Ctx, Out);

@@ -138,15 +138,13 @@ struct AsmCtx {
   /// enforces for sorted levels.
   std::function<ir::Expr(int, const std::vector<ir::Expr> &)> ParentPos;
 
-  /// Shared full-arity sort (set by the generator when the plan's sorted
-  /// levels group by nested prefixes of one coordinate tuple): the 1-based
-  /// anchor level whose sorted unique tuple list every other sorted level
-  /// derives its own list from by prefix compaction, instead of running a
-  /// redundant collect+sort over the same nonzeros. 0 when each sorted
-  /// level builds independently.
+  /// Shared full-arity sort (set by the generator when two or more levels
+  /// sort): the 1-based anchor level whose sorted unique tuple list every
+  /// other sorted level derives its own list from by prefix compaction,
+  /// instead of running a redundant collect+sort over the same nonzeros.
+  /// Level K groups dims 0..K-1, so the anchor's tuples have arity
+  /// SharedSortAnchor. 0 when each sorted level builds independently.
   int SharedSortAnchor = 0;
-  /// Arity of the anchor's tuples (anchor grouping dims 0..Arity-1).
-  int64_t SharedSortArity = 0;
 
   /// Packed-key radix sort (set by the generator when the plan records
   /// PackedSort): bit width per destination dimension, in dimension order.

@@ -50,6 +50,43 @@ std::string SourceIterator::coordVarName(int K) const {
   return "c" + std::to_string(K - 1);
 }
 
+namespace {
+
+/// True if \p E (an inlined inverse-mapping expression) reads only
+/// constants and stored-dimension variables \p IsBound accepts.
+bool onlyReads(const remap::Expr &E,
+               const std::function<bool(const std::string &)> &IsBound) {
+  switch (E->Kind) {
+  case remap::ExprKind::Const:
+    return true;
+  case remap::ExprKind::IVar:
+    return IsBound(E->Name);
+  case remap::ExprKind::Binary:
+    return onlyReads(E->A, IsBound) && onlyReads(E->B, IsBound);
+  default:
+    return false;
+  }
+}
+
+/// Lowers the inverse mapping over the stored-dimension coordinates bound
+/// in \p Stored: canonical ivar name -> coordinate expression, for every
+/// ivar whose inverse expression those coordinates determine.
+std::map<std::string, ir::Expr>
+recoverCanonical(const formats::Format &Fmt,
+                 const std::map<std::string, ir::Expr> &Stored) {
+  remap::LowerEnv LEnv;
+  LEnv.IVars = Stored;
+  std::map<std::string, ir::Expr> Out;
+  for (size_t T = 0; T < Fmt.Inverse.DstDims.size(); ++T) {
+    remap::Expr E = remap::inlineLets(Fmt.Inverse.DstDims[T]);
+    if (onlyReads(E, [&](const std::string &V) { return Stored.count(V); }))
+      Out[Fmt.Remap.SrcVars[T]] = remap::lowerExpr(E, LEnv);
+  }
+  return Out;
+}
+
+} // namespace
+
 std::vector<std::string>
 SourceIterator::ivarsAvailableAtPrefix(int Levels) const {
   // An ivar is available if its inverse expression only references stored
@@ -57,24 +94,10 @@ SourceIterator::ivarsAvailableAtPrefix(int Levels) const {
   std::set<std::string> Available(Fmt.Inverse.SrcVars.begin(),
                                   Fmt.Inverse.SrcVars.begin() + Levels);
   std::vector<std::string> Out;
-  for (size_t T = 0; T < Fmt.Inverse.DstDims.size(); ++T) {
-    remap::Expr E = remap::inlineLets(Fmt.Inverse.DstDims[T]);
-    std::function<bool(const remap::Expr &)> AllIn =
-        [&](const remap::Expr &Node) -> bool {
-      switch (Node->Kind) {
-      case remap::ExprKind::Const:
-        return true;
-      case remap::ExprKind::IVar:
-        return Available.count(Node->Name) != 0;
-      case remap::ExprKind::Binary:
-        return AllIn(Node->A) && AllIn(Node->B);
-      default:
-        return false;
-      }
-    };
-    if (AllIn(E))
+  for (size_t T = 0; T < Fmt.Inverse.DstDims.size(); ++T)
+    if (onlyReads(remap::inlineLets(Fmt.Inverse.DstDims[T]),
+                  [&](const std::string &V) { return Available.count(V); }))
       Out.push_back(Fmt.Remap.SrcVars[T]);
-  }
   return Out;
 }
 
@@ -169,29 +192,10 @@ struct NestBuilder {
 
 ir::Stmt NestBuilder::finish(IterEnv Env) {
   // Recover canonical coordinates from the stored dimensions.
-  remap::LowerEnv LEnv;
+  std::map<std::string, ir::Expr> Stored;
   for (size_t D = 0; D < Env.DstCoords.size(); ++D)
-    LEnv.IVars[Fmt.Inverse.SrcVars[D]] = Env.DstCoords[D];
-  for (size_t T = 0; T < Fmt.Inverse.DstDims.size(); ++T) {
-    const remap::DimExpr &Dim = Fmt.Inverse.DstDims[T];
-    bool Usable = true;
-    remap::Expr Inlined = remap::inlineLets(Dim);
-    std::function<void(const remap::Expr &)> Check =
-        [&](const remap::Expr &Node) {
-          if (Node->Kind == remap::ExprKind::IVar &&
-              !LEnv.IVars.count(Node->Name))
-            Usable = false;
-          if (Node->Kind == remap::ExprKind::Counter)
-            Usable = false;
-          if (Node->A)
-            Check(Node->A);
-          if (Node->B)
-            Check(Node->B);
-        };
-    Check(Inlined);
-    if (Usable)
-      Env.Canonical[Fmt.Remap.SrcVars[T]] = remap::lowerExpr(Inlined, LEnv);
-  }
+    Stored[Fmt.Inverse.SrcVars[D]] = Env.DstCoords[D];
+  Env.Canonical = recoverCanonical(Fmt, Stored);
 
   ir::Stmt Inner = Body(Env);
   if (GuardZeros && MaxLevels == static_cast<int>(Fmt.Levels.size()))
@@ -328,6 +332,50 @@ ir::Stmt SourceIterator::build(
   IterEnv Root;
   Root.LastPos = ir::intImm(0);
   return NB.emitLevel(1, Root);
+}
+
+ir::Stmt SourceIterator::buildFlat(
+    const std::set<std::string> &BodyIVars,
+    const std::function<ir::Stmt(const IterEnv &)> &Body) const {
+  int L = static_cast<int>(Fmt.Levels.size());
+  if (L < 2 || Fmt.PaddedVals ||
+      Fmt.Levels[static_cast<size_t>(L - 1)].Kind != LevelKind::Compressed)
+    return nullptr;
+  // Over dense and compressed parents, level K's positions cover one
+  // contiguous range [Lo, Hi) in parent order, so the innermost level's
+  // children of every parent together are [pos[Lo], pos[Hi]).
+  ir::Expr Lo = ir::intImm(0), Hi = ir::intImm(1);
+  for (int K = 1; K <= L; ++K) {
+    switch (Fmt.Levels[static_cast<size_t>(K - 1)].Kind) {
+    case LevelKind::Dense: {
+      ir::Expr Extent = dimExtentAt(K);
+      if (!Extent)
+        return nullptr;
+      Lo = ir::mul(Lo, Extent);
+      Hi = ir::mul(Hi, Extent);
+      break;
+    }
+    case LevelKind::Compressed:
+      Lo = ir::load(posName(K), Lo);
+      Hi = ir::load(posName(K), Hi);
+      break;
+    default:
+      return nullptr;
+    }
+  }
+  std::string PVar = "p" + Tensor + std::to_string(L);
+  std::string CName = coordVarName(L);
+  IterEnv Env;
+  Env.LastPos = ir::var(PVar);
+  Env.Canonical =
+      recoverCanonical(Fmt, {{Fmt.Inverse.SrcVars.back(), ir::var(CName)}});
+  for (const std::string &V : BodyIVars)
+    if (!Env.Canonical.count(V))
+      return nullptr;
+  ir::BlockBuilder LoopBody;
+  LoopBody.add(ir::decl(CName, ir::load(crdName(L), ir::var(PVar))));
+  LoopBody.add(Body(Env));
+  return ir::forRange(PVar, Lo, Hi, LoopBody.build());
 }
 
 ir::Stmt SourceIterator::buildPrefix(

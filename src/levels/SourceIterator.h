@@ -27,6 +27,7 @@
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,19 @@ public:
   build(const std::function<ir::Stmt(const IterEnv &)> &Body,
         const std::map<int, std::function<ir::Stmt(const IterEnv &)>>
             &LevelPrologue = {}) const;
+
+  /// Emits the nest as one flat loop over the innermost level's positions
+  /// — for csr, `for p in [A2_pos[0], A2_pos[dim0])` — or returns null
+  /// when that would change what \p Body computes. The flat loop applies
+  /// when the innermost level is compressed, every level above it is dense
+  /// or compressed (their positions then cover one contiguous range, so
+  /// the innermost positions of all parents do too), the values array is
+  /// unpadded (no zero guard), and every canonical ivar in \p BodyIVars
+  /// (those \p Body reads) follows from the innermost coordinate alone.
+  /// \p Body sees LastPos and those ivars only.
+  ir::Stmt buildFlat(const std::set<std::string> &BodyIVars,
+                     const std::function<ir::Stmt(const IterEnv &)> &Body)
+      const;
 
   /// Emits a nest over only the first \p Levels levels (no value guard);
   /// used by optimized queries that read per-slice statistics (e.g. CSR's

@@ -11,6 +11,8 @@
 #include "support/Assert.h"
 #include "support/StringUtils.h"
 
+#include <set>
+
 using namespace convgen;
 using namespace convgen::query;
 
@@ -79,8 +81,16 @@ struct Compiler {
     return Index;
   }
 
-  /// Emits one statement of a query.
+  /// The store one source-space statement makes for the nonzero (or, for
+  /// a prefix sweep, the slice) \p Env describes.
+  ir::Stmt emitSourceStore(const Forall &F, const levels::IterEnv &Env) const;
+
+  /// Emits one prefix-sweep or temp-reduction statement of a query.
   ir::Stmt emitForall(const Forall &F) const;
+
+  /// Emits all SourceAll statements as one pass over the source's
+  /// nonzeros; their bodies concatenate.
+  ir::Stmt emitFusedSweep(const std::vector<const Forall *> &Fused) const;
 
   /// Annotates an analysis sweep as parallel when every fused statement is
   /// an exact integer reduction: each thread then accumulates into private
@@ -130,41 +140,64 @@ Compiler::parallelizeSweep(ir::Stmt Loop,
   return ir::markLoopParallel(Loop, {}, std::move(Reductions));
 }
 
+ir::Stmt Compiler::emitSourceStore(const Forall &F,
+                                   const levels::IterEnv &Env) const {
+  remap::LowerEnv LEnv;
+  LEnv.IVars = Env.Canonical;
+  std::vector<ir::Expr> Coords;
+  for (const remap::Expr &E : F.Lhs.Idx)
+    Coords.push_back(remap::lowerExpr(E, LEnv));
+  ir::Expr Value;
+  if (F.Rhs.Kind == RhsExpr::RhsKind::MapSource) {
+    ir::Expr Base = F.Rhs.Value ? remap::lowerExpr(F.Rhs.Value, LEnv) : nullptr;
+    if (Base && F.Rhs.ValueSign < 0)
+      Base = ir::neg(Base);
+    Value = Base ? (F.Rhs.ValueShift ? ir::add(Base, F.Rhs.ValueShift) : Base)
+                 : (F.Rhs.ValueShift ? F.Rhs.ValueShift : ir::intImm(0));
+  } else if (F.Rhs.Kind == RhsExpr::RhsKind::RowNnz) {
+    Value = Src.rowNnz(F.Rhs.RowNnzLevel, Env);
+  } else {
+    fatalError("unsupported rhs in a source-space forall");
+  }
+  if (F.Rhs.Scale != 1)
+    Value = ir::mul(Value, ir::intImm(F.Rhs.Scale));
+  return ir::store(F.Lhs.Tensor, linearize(F.Lhs.Tensor, Coords), Value,
+                   toReduceOp(F.Op));
+}
+
+ir::Stmt
+Compiler::emitFusedSweep(const std::vector<const Forall *> &Fused) const {
+  auto Body = [&](const levels::IterEnv &Env) -> ir::Stmt {
+    ir::BlockBuilder B;
+    for (const Forall *F : Fused)
+      B.add(emitSourceStore(*F, Env));
+    return B.build();
+  };
+  // Bodies that read only the innermost level's ivars need no loop per
+  // parent: one flat loop over the innermost positions replaces a nest
+  // whose short inner loops mispredict (csr -> csc counts columns over
+  // [A2_pos[0], A2_pos[dim0])).
+  std::set<std::string> Used;
+  for (const Forall *F : Fused) {
+    for (const remap::Expr &E : F->Lhs.Idx)
+      remap::collectIVars(E, Used);
+    remap::collectIVars(F->Rhs.Value, Used);
+  }
+  ir::Stmt Sweep = Src.buildFlat(Used, Body);
+  return parallelizeSweep(Sweep ? Sweep : Src.build(Body), Fused);
+}
+
 ir::Stmt Compiler::emitForall(const Forall &F) const {
   switch (F.Space) {
   case Forall::IterSpace::SourceAll:
-  case Forall::IterSpace::SourcePrefix: {
-    auto Body = [&](const levels::IterEnv &Env) -> ir::Stmt {
-      remap::LowerEnv LEnv;
-      LEnv.IVars = Env.Canonical;
-      std::vector<ir::Expr> Coords;
-      for (const remap::Expr &E : F.Lhs.Idx)
-        Coords.push_back(remap::lowerExpr(E, LEnv));
-      ir::Expr Value;
-      if (F.Rhs.Kind == RhsExpr::RhsKind::MapSource) {
-        ir::Expr Base =
-            F.Rhs.Value ? remap::lowerExpr(F.Rhs.Value, LEnv) : nullptr;
-        if (Base && F.Rhs.ValueSign < 0)
-          Base = ir::neg(Base);
-        Value = Base ? (F.Rhs.ValueShift ? ir::add(Base, F.Rhs.ValueShift)
-                                         : Base)
-                     : (F.Rhs.ValueShift ? F.Rhs.ValueShift : ir::intImm(0));
-        if (F.Rhs.Scale != 1)
-          Value = ir::mul(Value, ir::intImm(F.Rhs.Scale));
-      } else if (F.Rhs.Kind == RhsExpr::RhsKind::RowNnz) {
-        Value = Src.rowNnz(F.Rhs.RowNnzLevel, Env);
-        if (F.Rhs.Scale != 1)
-          Value = ir::mul(Value, ir::intImm(F.Rhs.Scale));
-      } else {
-        fatalError("unsupported rhs in a source-space forall");
-      }
-      return ir::store(F.Lhs.Tensor, linearize(F.Lhs.Tensor, Coords), Value,
-                       toReduceOp(F.Op));
-    };
-    if (F.Space == Forall::IterSpace::SourceAll)
-      return parallelizeSweep(Src.build(Body), {&F});
-    return parallelizeSweep(Src.buildPrefix(F.PrefixLevels, Body), {&F});
-  }
+    convgen_unreachable("SourceAll statements are emitted by the fused sweep");
+  case Forall::IterSpace::SourcePrefix:
+    return parallelizeSweep(
+        Src.buildPrefix(F.PrefixLevels,
+                        [&](const levels::IterEnv &Env) {
+                          return emitSourceStore(F, Env);
+                        }),
+        {&F});
   case Forall::IterSpace::TempDense: {
     // Nested loops over the temp's (relative) coordinates t0..tn-1; the
     // lhs takes the leading loop variables.
@@ -244,39 +277,8 @@ query::compileQueries(const std::vector<std::pair<int, Query>> &LevelQueries,
     for (const Forall &F : Stmt.Stmts)
       if (F.Space == Forall::IterSpace::SourceAll)
         Fused.push_back(&F);
-  if (!Fused.empty()) {
-    // Re-emit through one iterator walk: bodies concatenate.
-    ir::Stmt Sweep = Src.build([&](const levels::IterEnv &Env) -> ir::Stmt {
-      ir::BlockBuilder Body;
-      for (const Forall *F : Fused) {
-        // Reuse the single-statement path with a fixed environment.
-        Forall Single = *F;
-        remap::LowerEnv LEnv;
-        LEnv.IVars = Env.Canonical;
-        std::vector<ir::Expr> Coords;
-        for (const remap::Expr &E : Single.Lhs.Idx)
-          Coords.push_back(remap::lowerExpr(E, LEnv));
-        ir::Expr Base = Single.Rhs.Value
-                            ? remap::lowerExpr(Single.Rhs.Value, LEnv)
-                            : nullptr;
-        if (Base && Single.Rhs.ValueSign < 0)
-          Base = ir::neg(Base);
-        ir::Expr Value =
-            Base ? (Single.Rhs.ValueShift
-                        ? ir::add(Base, Single.Rhs.ValueShift)
-                        : Base)
-                 : (Single.Rhs.ValueShift ? Single.Rhs.ValueShift
-                                          : ir::intImm(0));
-        if (Single.Rhs.Scale != 1)
-          Value = ir::mul(Value, ir::intImm(Single.Rhs.Scale));
-        Body.add(ir::store(Single.Lhs.Tensor,
-                           C.linearize(Single.Lhs.Tensor, Coords), Value,
-                           toReduceOp(Single.Op)));
-      }
-      return Body.build();
-    });
-    Code.add(C.parallelizeSweep(std::move(Sweep), Fused));
-  }
+  if (!Fused.empty())
+    Code.add(C.emitFusedSweep(Fused));
 
   // Emit the remaining statements (prefix sweeps, temp reductions) in
   // order; producers precede consumers within each query by construction.

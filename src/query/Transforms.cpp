@@ -24,16 +24,6 @@ bool containsCounter(const remap::Expr &E) {
   return containsCounter(E->A) || containsCounter(E->B);
 }
 
-/// Variables an index expression mentions (ivars only).
-void collectIVars(const remap::Expr &E, std::set<std::string> &Out) {
-  if (!E)
-    return;
-  if (E->Kind == remap::ExprKind::IVar)
-    Out.insert(E->Name);
-  collectIVars(E->A, Out);
-  collectIVars(E->B, Out);
-}
-
 /// True if every variable in \p Vars appears as a whole, plain index
 /// expression in \p Idx.
 bool allPlainlyIndexed(const std::vector<std::string> &Vars,
@@ -160,7 +150,7 @@ bool query::simplifyWidthCount(CinStmt &Stmt,
     // then the compressed level's stored width is the aggregate count.
     std::set<std::string> Used;
     for (const remap::Expr &E : F.Lhs.Idx)
-      collectIVars(E, Used);
+      remap::collectIVars(E, Used);
     int Prefix = -1;
     for (int L = 0; L < Order; ++L) {
       std::vector<std::string> Avail = Src.ivarsAvailableAtPrefix(L);

@@ -90,6 +90,16 @@ remap::collectCounters(const RemapStmt &Stmt) {
   return Out;
 }
 
+void remap::collectIVars(const Expr &E, std::set<std::string> &Out) {
+  if (!E)
+    return;
+  if (E->Kind == ExprKind::IVar)
+    Out.insert(E->Name);
+  Out.insert(E->CounterIndices.begin(), E->CounterIndices.end());
+  collectIVars(E->A, Out);
+  collectIVars(E->B, Out);
+}
+
 bool remap::dimIsPlainVar(const RemapStmt &Stmt, size_t DimIdx,
                           std::string *VarName) {
   CONVGEN_ASSERT(DimIdx < Stmt.DstDims.size(), "dimension out of range");

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,10 @@ std::string counterKey(const std::vector<std::string> &Indices);
 /// Collects the distinct counters used anywhere in \p Stmt, in first-use
 /// order. Each entry is the counter's index-variable list.
 std::vector<std::vector<std::string>> collectCounters(const RemapStmt &Stmt);
+
+/// Adds to \p Out every source variable \p E depends on, including the
+/// index variables of its counters. \p E may be null.
+void collectIVars(const Expr &E, std::set<std::string> &Out);
 
 /// True if \p DimIdx's expression is exactly one source variable; that
 /// variable's name is stored in \p VarName.

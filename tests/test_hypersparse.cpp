@@ -135,12 +135,11 @@ TEST(SortedRankingPlan, SharedSortEmitsExactlyOneSortCall) {
   EXPECT_EQ(Code.find("_pos[f"), std::string::npos) << Code;
 }
 
-TEST(SortedRankingPlan, NonNestedGroupingKeepsPerLevelSorts) {
-  // A target whose two compressed levels group by (d0,d1) then (d0) —
-  // tuples that do NOT nest as prefixes in level order (the shallower
-  // level's tuple is wider). planAssembly must keep the per-level sorts;
-  // the shared derivation only knows how to compact prefixes of the
-  // anchor's full-arity tuple.
+TEST(SortedRankingPlan, UnvalidatedLevelOrderIsUnsupported) {
+  // A target whose level 1 stores dimension 1 breaks the invariant the
+  // shared-sort decision rests on (level K's grouping tuple is dims 0..K).
+  // planAssembly rejects it with checkFormat's diagnostic instead of
+  // planning around it.
   formats::Format Weird;
   Weird.Name = "nonnested";
   Weird.SrcOrder = 2;
@@ -156,10 +155,10 @@ TEST(SortedRankingPlan, NonNestedGroupingKeepsPerLevelSorts) {
   ScopedEnv Budget("CONVGEN_RANK_DENSE_MAX_BYTES", "1");
   codegen::AssemblyPlan Plan =
       codegen::planAssembly(Coo, Weird, std::vector<int64_t>{1000, 1000});
-  ASSERT_TRUE(Plan.Unsupported.empty()) << Plan.Unsupported;
-  EXPECT_TRUE(Plan.Sorted[0]);
-  EXPECT_TRUE(Plan.Sorted[1]);
-  EXPECT_EQ(Plan.SharedSortAnchor, 0);
+  EXPECT_NE(Plan.Unsupported.find("level 0 must store dimension 0"),
+            std::string::npos)
+      << Plan.Unsupported;
+  EXPECT_FALSE(codegen::conversionSupported(Weird, Coo));
 }
 
 TEST(SortedRankingPlan, SingleSortedLevelNeedsNoSharing) {

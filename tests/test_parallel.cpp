@@ -10,6 +10,7 @@
 
 #include "codegen/Generator.h"
 #include "convert/Converter.h"
+#include "ir/Interpreter.h"
 #include "convert/PlanCache.h"
 #include "formats/Standard.h"
 #include "tensor/Corpus.h"
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <regex>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -38,6 +40,27 @@ size_t countPragmas(const std::string &Code) {
        At = Code.find("#pragma omp parallel", At + 1))
     ++Count;
   return Count;
+}
+
+/// The analysis section of an emitted routine: the attribute-query
+/// sweeps, up to edge insertion.
+std::string analysisSection(const std::string &Code) {
+  size_t Begin = Code.find("// analysis: compute attribute queries");
+  size_t End = Code.find("// assembly: edge insertion", Begin);
+  return Begin == std::string::npos ? "" : Code.substr(Begin, End - Begin);
+}
+
+/// Conditions (the text between the two semicolons) of every `for (` in
+/// \p Code.
+std::vector<std::string> forConditions(const std::string &Code) {
+  std::vector<std::string> Out;
+  for (size_t At = Code.find("for ("); At != std::string::npos;
+       At = Code.find("for (", At + 1)) {
+    size_t First = Code.find(';', At);
+    size_t Second = Code.find(';', First + 1);
+    Out.push_back(Code.substr(First + 1, Second - First - 1));
+  }
+  return Out;
 }
 
 } // namespace
@@ -210,6 +233,107 @@ TEST(ParallelAnnotation, CscToEllKeepsTheCounterArrayLoopSerial) {
   // cells are shared across outer iterations, so insertion stays serial.
   std::string Insertion = Code.substr(Code.find("coordinate insertion"));
   EXPECT_EQ(countPragmas(Insertion), 0u) << Code;
+}
+
+//===----------------------------------------------------------------------===//
+// Codegen shape of the blocked passes and the analysis sweep
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Pairs whose insertion takes the Blocked cursor strategy.
+const std::vector<std::pair<const char *, const char *>> BlockedPairs = {
+    {"coo", "csr"},  {"csr", "csc"},  {"csc", "csr"},
+    {"dia", "csr"},  {"ell", "csc"},  {"coo3", "csf"},
+    {"csf", "csf_102"}};
+
+std::string cSourceOf(const char *Src, const char *Dst) {
+  return codegen::generateConversion(formats::standardFormatOrDie(Src),
+                                     formats::standardFormatOrDie(Dst))
+      .cSource();
+}
+
+} // namespace
+
+TEST(BlockedShape, CountingPassSkipsTheLastPartition) {
+  // The offsets scan never reads the last partition's tallies, so the
+  // counting pass stops one short; at one partition it runs no iterations.
+  for (auto [Src, Dst] : BlockedPairs) {
+    std::string Code = cSourceOf(Src, Dst);
+    size_t At = Code.find("// per-partition cursor counts");
+    ASSERT_NE(At, std::string::npos) << Src << "->" << Dst << "\n" << Code;
+    EXPECT_NE(Code.find("for (int64_t cb = 0; cb < cvg_P - 1; cb++)", At),
+              std::string::npos)
+        << Src << "->" << Dst << "\n" << Code;
+    size_t Ins = Code.find("// blocked coordinate insertion");
+    EXPECT_NE(Code.find("for (int64_t cb = 0; cb < cvg_P; cb++)", Ins),
+              std::string::npos)
+        << Src << "->" << Dst << "\n" << Code;
+  }
+}
+
+TEST(BlockedShape, PartitionBoundsAreLocalsNotLoopConditions) {
+  // Each partition's [lo, hi) is evaluated once before its loop; no loop
+  // condition redoes the divide per iteration.
+  for (auto [Src, Dst] : BlockedPairs) {
+    std::string Code = cSourceOf(Src, Dst);
+    EXPECT_NE(Code.find("int64_t cb_lo = "), std::string::npos)
+        << Src << "->" << Dst << "\n" << Code;
+    for (const std::string &Cond : forConditions(Code))
+      EXPECT_EQ(Cond.find("/ cvg_P"), std::string::npos)
+          << Src << "->" << Dst << ": for condition '" << Cond << "'";
+  }
+}
+
+TEST(AnalysisShape, TransposeSweepsAreOneFlatPositionLoop) {
+  // The column counts of csr -> csc (and the row counts of csc -> ell)
+  // read only the innermost coordinate: one loop over all stored
+  // positions replaces the row nest. The flat sweep stays one parallel
+  // region, so the routine's pragma count is unchanged.
+  struct Case {
+    const char *Src, *Dst, *Flat, *RowLoop;
+    size_t Pragmas;
+  };
+  for (const Case &C :
+       {Case{"csr", "csc",
+             "for (int64_t pA2 = A2_pos[0]; pA2 < A2_pos[dim0]; pA2++)",
+             "for (int64_t i = 0; i < dim0; i++)", 4},
+        Case{"csc", "csr",
+             "for (int64_t pA2 = A2_pos[0]; pA2 < A2_pos[dim1]; pA2++)",
+             "for (int64_t j = 0; j < dim1; j++)", 4},
+        Case{"csc", "ell",
+             "for (int64_t pA2 = A2_pos[0]; pA2 < A2_pos[dim1]; pA2++)",
+             "for (int64_t j = 0; j < dim1; j++)", 2}}) {
+    std::string Code = cSourceOf(C.Src, C.Dst);
+    std::string Analysis = analysisSection(Code);
+    size_t At = Analysis.find(C.Flat);
+    ASSERT_NE(At, std::string::npos) << C.Src << "->" << C.Dst << "\n"
+                                     << Analysis;
+    EXPECT_EQ(Analysis.find(C.Flat, At + 1), std::string::npos) << Analysis;
+    EXPECT_EQ(Analysis.find(C.RowLoop), std::string::npos) << Analysis;
+    EXPECT_EQ(countPragmas(Code), C.Pragmas) << Code;
+  }
+}
+
+TEST(AnalysisShape, PaddedAndParentReadingSweepsStayNested) {
+  // Padded sources need their per-slot zero guard, and sweeps whose
+  // bodies read the row coordinate (diagonal ids j - i, per-row widths)
+  // need the row loop: neither flattens.
+  std::regex FlatLoop(R"(for \(int64_t \w+ = A\d_pos\[0\];)");
+  struct Case {
+    const char *Src, *Dst, *OuterLoop;
+  };
+  for (const Case &C :
+       {Case{"ell", "csr", "for (int64_t c0 = 0; c0 < A1_param; c0++)"},
+        Case{"dia", "csr", "for (int64_t sA1 = 0; sA1 < A1_param; sA1++)"},
+        Case{"csr", "dia", "for (int64_t i = 0; i < dim0; i++)"},
+        Case{"csr", "ell", "for (int64_t i = 0; i < dim0; i++)"}}) {
+    std::string Analysis = analysisSection(cSourceOf(C.Src, C.Dst));
+    EXPECT_FALSE(std::regex_search(Analysis, FlatLoop))
+        << C.Src << "->" << C.Dst << "\n" << Analysis;
+    EXPECT_NE(Analysis.find(C.OuterLoop), std::string::npos)
+        << C.Src << "->" << C.Dst << "\n" << Analysis;
+  }
 }
 
 TEST(ParallelAnnotation, InterpreterIgnoresTheFlag) {
@@ -419,3 +543,115 @@ INSTANTIATE_TEST_SUITE_P(AllPairs3, ThreadInvariance3,
                          [](const auto &Info) {
                            return Info.param.Src + "_to_" + Info.param.Dst;
                          });
+
+//===----------------------------------------------------------------------===//
+// Partition-count invariance of blocked insertion
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Inputs where partitions outnumber outer iterations or where one
+/// partition holds every nonzero: 0, 1 and 2 outer slices, and all
+/// nonzeros in the last row (csr-like sources) or column (csc-like).
+std::vector<std::pair<std::string, tensor::Triplets>> edgeMatrices() {
+  auto make = [](int64_t Rows, int64_t Cols,
+                 std::vector<tensor::Entry> Entries) {
+    tensor::Triplets T;
+    T.NumRows = Rows;
+    T.NumCols = Cols;
+    T.Entries = std::move(Entries);
+    return T;
+  };
+  std::vector<std::pair<std::string, tensor::Triplets>> Out;
+  Out.push_back({"zero_rows", make(0, 5, {})});
+  Out.push_back({"one_row", make(1, 6, {{0, 1, 1.5}, {0, 4, -2.0}})});
+  Out.push_back({"two_rows",
+                 make(2, 3, {{0, 2, 1.0}, {1, 0, 2.0}, {1, 2, 3.0}})});
+  Out.push_back({"last_row_only",
+                 make(9, 9, {{8, 0, 1.0}, {8, 3, 2.0}, {8, 8, 3.0}})});
+  Out.push_back({"last_col_only",
+                 make(9, 9, {{0, 8, 1.0}, {4, 8, 2.0}, {8, 8, 3.0}})});
+  Out.push_back({"one_nonzero", make(7, 7, {{3, 5, 4.0}})});
+  return Out;
+}
+
+std::vector<std::pair<std::string, tensor::Triplets>> edgeTensors3() {
+  auto make = [](std::vector<int64_t> Dims,
+                 std::vector<std::vector<int64_t>> Coords) {
+    tensor::Triplets T;
+    T.setDims(Dims);
+    double V = 1.0;
+    for (const std::vector<int64_t> &C : Coords)
+      T.Entries.emplace_back(C, V++);
+    return T;
+  };
+  std::vector<std::pair<std::string, tensor::Triplets>> Out;
+  Out.push_back({"zero_slices", make({0, 3, 3}, {})});
+  Out.push_back({"one_slice", make({1, 3, 4}, {{0, 0, 1}, {0, 2, 3}})});
+  Out.push_back(
+      {"two_slices", make({2, 3, 3}, {{0, 1, 1}, {1, 0, 2}, {1, 2, 0}})});
+  Out.push_back({"last_slice_only",
+                 make({6, 4, 4}, {{5, 0, 0}, {5, 1, 3}, {5, 3, 2}})});
+  return Out;
+}
+
+} // namespace
+
+TEST(BlockedPartitions, BitIdenticalToTheInterpreterAtAnyPartitionCount) {
+  // The interpreter runs the blocked passes at partition counts 1, 2, 3,
+  // 4 and 7 (serially, no OpenMP needed); the JIT runs them at the same
+  // OpenMP thread counts when it has OpenMP. Every run must reproduce the
+  // one-partition reference bit for bit, including the inputs where the
+  // uncounted last partition holds every nonzero.
+  const std::vector<int> Counts = {1, 2, 3, 4, 7};
+  for (auto [SrcName, DstName] : BlockedPairs) {
+    formats::Format Src = formats::standardFormatOrDie(SrcName);
+    formats::Format Dst = formats::standardFormatOrDie(DstName);
+    convert::Converter Reference(Src, Dst);
+    const codegen::Conversion &Conv = Reference.conversion();
+    ASSERT_NE(Conv.cSource().find("blocked coordinate insertion"),
+              std::string::npos)
+        << SrcName << "->" << DstName;
+    std::shared_ptr<jit::JitConversion> Native;
+    if (jit::jitAvailable())
+      Native = convert::PlanCache::instance().jit(Src, Dst);
+
+    std::vector<std::pair<std::string, tensor::Triplets>> Inputs;
+    if (Src.SrcOrder == 2) {
+      Inputs = edgeMatrices();
+      for (auto &M : tensor::testMatrices())
+        Inputs.push_back(M);
+    } else {
+      Inputs = edgeTensors3();
+      for (auto &T : tensor::testTensors3())
+        Inputs.push_back(T);
+    }
+    for (auto &[Name, T] : Inputs) {
+      tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
+      tensor::SparseTensor Want = Reference.run(In);
+      for (int P : Counts) {
+        std::string Label = std::string(SrcName) + "->" + DstName + " on " +
+                            Name + " at " + std::to_string(P) +
+                            " partitions";
+        ir::Interpreter Interp;
+        Interp.setNumParts(P);
+        convert::bindSourceTensor(Interp, In);
+        ir::RunResult R = Interp.run(Conv.Func);
+        expectBitIdentical(Want,
+                           convert::collectTargetTensor(Dst, In.Dims, R),
+                           "interpreter " + Label);
+        if (!Native)
+          continue;
+        setenv("OMP_NUM_THREADS", std::to_string(P).c_str(), 1);
+#ifdef _OPENMP
+        omp_set_num_threads(P);
+#endif
+        expectBitIdentical(Want, Native->run(In), "jit " + Label);
+      }
+    }
+  }
+  unsetenv("OMP_NUM_THREADS");
+#ifdef _OPENMP
+  omp_set_num_threads(omp_get_num_procs());
+#endif
+}
