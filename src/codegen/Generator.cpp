@@ -471,6 +471,7 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
   Plan.Dedup.assign(N, false);
   Plan.Ranked.assign(N, false);
   Plan.Sorted.assign(N, false);
+  Plan.RankSpace.assign(N, -1);
 
   auto isEdge = [&](size_t K) {
     return Dst.Levels[K].Kind == LevelKind::Compressed ||
@@ -598,7 +599,8 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
     const char *What;
     if (Plan.Ranked[K]) {
       // int32 rank array + presence bit set over dims 0..Dim.
-      F = satMulUnknown(5, prodExt(L.Dim));
+      Plan.RankSpace[K] = prodExt(L.Dim);
+      F = satMulUnknown(5, Plan.RankSpace[K]);
       What = "rank array and presence bit set";
     } else if (Plan.Dedup[K]) {
       // Version-stamp workspace over the level's own dim, plus the
@@ -614,10 +616,11 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
     for (size_t P = 0; P < K; ++P)
       AncestorSorted = AncestorSorted || Plan.Sorted[P];
     bool OverBudget = F >= 0 && overBudget(F);
-    // The planner's sort-first direct variant forces every eligible
-    // compressed level onto sorted ranking even under the dense budget.
+    // ForceSortedRanking puts every eligible compressed level onto sorted
+    // ranking even under the dense budget.
     if (!OverBudget && !AncestorSorted && !Opts.ForceSortedRanking)
       continue;
+    Plan.RankSpace[K] = -1;
     // The level wants sorted ranking; check the strategy's preconditions.
     std::string NoFallback;
     if (!L.Unique) {
@@ -642,10 +645,10 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
                             P + 1);
     }
     if (!NoFallback.empty()) {
-      // This path is also reachable through AncestorSorted (or a planner
-      // force) with this level's own footprint small or unknown; claiming
-      // "-1 bytes over the budget" would be nonsense, so name the real
-      // cause instead.
+      // This path is also reachable through AncestorSorted (or
+      // ForceSortedRanking) with this level's own footprint small or
+      // unknown; claiming "-1 bytes over the budget" would be nonsense, so
+      // name the real cause instead.
       if (OverBudget)
         Plan.Unsupported = sizeDiagnostic(K, What, F, NoFallback);
       else if (AncestorSorted)
@@ -659,8 +662,8 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
             static_cast<long long>(Budget), K + 1, NoFallback.c_str());
       else
         Plan.Unsupported = strfmt(
-            "conversion %s -> %s: the planner forced the sorted-ranking "
-            "strategy, which does not apply to level %zu: %s",
+            "conversion %s -> %s: forced sorted ranking does not apply "
+            "to level %zu: %s",
             Src.Name.c_str(), Dst.Name.c_str(), K + 1, NoFallback.c_str());
       return Plan;
     }
@@ -1151,10 +1154,52 @@ AssemblyPlan codegen::planAssembly(const formats::Format &Source,
 Options codegen::optionsForDims(const formats::Format &Source,
                                 const formats::Format &Target,
                                 const Options &Opts,
-                                const std::vector<int64_t> &Dims) {
+                                const std::vector<int64_t> &Dims, int64_t Nnz,
+                                std::string *Why) {
   Options Out = Opts;
   Out.DimsHint = Dims;
   AssemblyPlan Plan = planAssembly(Source, Target, Out);
+  // The sorted-ranking rule: a ranked level whose dense rank array dwarfs
+  // the input moves the plan to sorted ranking, if that applies.
+  size_t Level = 0;
+  while (Level < Plan.RankSpace.size() &&
+         !(Nnz >= kSortedRankMinNnz && Plan.Unsupported.empty() &&
+           Plan.RankSpace[Level] > kSortedRankRatio * Nnz))
+    ++Level;
+  bool Fires = Level < Plan.RankSpace.size();
+  int64_t Space = Fires ? Plan.RankSpace[Level] : -1;
+  std::string Blocked;
+  if (Fires) {
+    Options Sorted = Out;
+    Sorted.ForceSortedRanking = true;
+    AssemblyPlan SortedPlan = planAssembly(Source, Target, Sorted);
+    if (SortedPlan.Unsupported.empty()) {
+      Out = Sorted;
+      Plan = std::move(SortedPlan);
+    } else {
+      Blocked = ", but sorted ranking does not apply: " +
+                SortedPlan.Unsupported;
+    }
+  }
+  if (Why && Fires)
+    *Why = strfmt("%s: level %zu's dense rank space of %lld entries exceeds "
+                  "%lld x nnz (%lld)%s",
+                  Blocked.empty() ? "sorted ranking" : "dense ranking",
+                  Level + 1, static_cast<long long>(Space),
+                  static_cast<long long>(kSortedRankRatio),
+                  static_cast<long long>(Nnz), Blocked.c_str());
+  else if (Why && Nnz < 0)
+    *Why = "default plan: nnz unknown";
+  else if (Why && Nnz < kSortedRankMinNnz)
+    *Why = strfmt("default plan: nnz (%lld) is below the sorted-ranking "
+                  "floor of %lld",
+                  static_cast<long long>(Nnz),
+                  static_cast<long long>(kSortedRankMinNnz));
+  else if (Why)
+    *Why = strfmt("default plan: no ranked level's dense rank space "
+                  "exceeds %lld x nnz (%lld)",
+                  static_cast<long long>(kSortedRankRatio),
+                  static_cast<long long>(Nnz));
   if (!Plan.anySorted() && Plan.Unsupported.empty())
     Out.DimsHint.clear();
   return Out;

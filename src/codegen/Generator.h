@@ -55,20 +55,20 @@ struct Options {
   std::vector<int64_t> DimsHint;
 
   /// Put every eligible compressed level on the O(nnz) sorted-ranking
-  /// strategy even under the dense-footprint budget (the conversion path
-  /// planner's "direct+sorted" candidate). planAssembly() reports
-  /// Unsupported with a planner-specific diagnostic when a level fails the
-  /// strategy's preconditions instead of silently keeping dense ranking.
-  /// Participates in plan keys and JIT compile flags, so a forced plan can
-  /// never alias the default plan's cached object. Forced plans are
-  /// excluded from the warm-start manifest (its compact option encoding
-  /// carries only the paper-ablation bits).
+  /// strategy even under the dense-footprint budget (the "direct+sorted"
+  /// plan optionsForDims() picks when a dense rank array dwarfs nnz).
+  /// planAssembly() reports Unsupported with a specific diagnostic when a
+  /// level fails the strategy's preconditions instead of silently keeping
+  /// dense ranking. Participates in plan keys and JIT compile flags, so a
+  /// forced plan can never alias the default plan's cached object. Forced
+  /// plans are excluded from the warm-start manifest (its compact option
+  /// encoding carries only the paper-ablation bits).
   bool ForceSortedRanking = false;
 };
 
 /// Per-level assembly strategy decisions plus the support verdict for a
 /// conversion pair, exactly as the generator will apply them. Exposed so
-/// tests can pin which strategy the planner picks at/below/above the size
+/// tests can pin which strategy planAssembly picks at/below/above the size
 /// threshold and so runtimes can detect when a tensor's dims require a
 /// dims-specific plan.
 struct AssemblyPlan {
@@ -96,6 +96,11 @@ struct AssemblyPlan {
   /// PackedSort only: the per-destination-dim bit widths (dimension
   /// order); empty otherwise.
   std::vector<int64_t> PackWidths;
+  /// Per level: entries of the dense rank array a ranked level allocates
+  /// at the hinted dims (the product of its grouping extents, the figure
+  /// its byte footprint is estimated from); -1 when the level does not
+  /// rank densely or an extent is unknown.
+  std::vector<int64_t> RankSpace;
   /// Leading source levels whose lexicographic order the sequenced dedup
   /// workspace trusts but the source format cannot guarantee structurally;
   /// the converter validates them at run time. 0 when no check is needed.
@@ -119,8 +124,8 @@ AssemblyPlan planAssembly(const formats::Format &Source,
                           const formats::Format &Target,
                           const std::vector<int64_t> &Dims = {});
 
-/// Options-aware variant: reads the dims hint *and* the planner-forced
-/// ForceSortedRanking field from \p Opts. The three-field overload is
+/// Options-aware variant: reads the dims hint *and* the
+/// ForceSortedRanking field from \p Opts. The three-argument overload is
 /// equivalent to default options with DimsHint = Dims.
 AssemblyPlan planAssembly(const formats::Format &Source,
                           const formats::Format &Target,
@@ -133,14 +138,33 @@ AssemblyPlan planAssembly(const formats::Format &Source,
 /// ScopedEnv, which reloads the snapshot); defaults to 64 MiB.
 int64_t rankDenseMaxBytes();
 
-/// Returns \p Opts with DimsHint populated iff these dims change the
-/// pair's assembly plan (a sorted level or a size-grounds rejection);
-/// otherwise DimsHint is cleared so callers share the default cached plan.
-/// The conversion runners use this to route huge-dimension tensors to a
-/// dims-specialized plan automatically.
+/// The sorted-ranking rule's ratio: a ranked level whose dense rank array
+/// has more than kSortedRankRatio entries per stored input value runs
+/// faster on the O(nnz) sorted-ranking strategy, since initializing and
+/// scanning the array then costs more than sorting the nonzeros.
+/// Calibrated on the JIT (see CHANGES.md).
+constexpr int64_t kSortedRankRatio = 5;
+
+/// The sorted-ranking rule's floor: inputs with fewer stored values keep
+/// the default plan. The sorted routine is a second compiled object per
+/// shape, about a second of compile, which conversions this small (about
+/// a millisecond on either plan) do not win back.
+constexpr int64_t kSortedRankMinNnz = 4096;
+
+/// The one routing function every conversion runner calls per request.
+/// Returns \p Opts specialized to an input with these \p Dims and \p Nnz
+/// stored values (-1: unknown, which turns the sorted-ranking rule off):
+///  * ForceSortedRanking is set when Nnz is at least kSortedRankMinNnz,
+///    some ranked level's RankSpace exceeds kSortedRankRatio * Nnz, and
+///    the sorted plan is supported;
+///  * DimsHint is populated iff the resulting plan depends on the dims (a
+///    sorted level or a size-grounds rejection), and cleared otherwise so
+///    callers share the default cached plan.
+/// \p Why (optional) receives the rule's verdict with its numbers.
 Options optionsForDims(const formats::Format &Source,
                        const formats::Format &Target, const Options &Opts,
-                       const std::vector<int64_t> &Dims);
+                       const std::vector<int64_t> &Dims, int64_t Nnz = -1,
+                       std::string *Why = nullptr);
 
 /// A generated conversion routine.
 struct Conversion {
@@ -194,9 +218,9 @@ bool conversionSupported(const formats::Format &Source,
                          const std::vector<int64_t> &Dims,
                          std::string *Why = nullptr);
 
-/// Options-aware variant: honors the dims hint *and* the planner-forced
-/// strategy fields (a forced strategy whose preconditions fail makes the
-/// pair unsupported under those options, never a silent fallback).
+/// Options-aware variant: honors the dims hint *and* ForceSortedRanking
+/// (a forced strategy whose preconditions fail makes the pair unsupported
+/// under those options, never a silent fallback).
 bool conversionSupported(const formats::Format &Source,
                          const formats::Format &Target,
                          const Options &Opts, std::string *Why = nullptr);

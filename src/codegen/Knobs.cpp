@@ -8,18 +8,24 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <string>
 
 using namespace convgen;
 using namespace convgen::codegen;
 
 namespace {
 
-/// The published snapshot. Never deleted: readers hold plain references
-/// with no lifetime token, so a superseded snapshot must outlive any
-/// thread that loaded it. reloadKnobsFromEnv() is a test-only hook — the
-/// leak is a handful of ~64-byte structs per test binary, by design.
-std::atomic<const StrategyKnobs *> Current{nullptr};
+/// A published snapshot and the one it superseded. Snapshots are never
+/// freed: readers hold plain references with no lifetime token, so a
+/// superseded snapshot must outlive any thread that loaded it. Chaining
+/// each to its predecessor keeps them all reachable from Current, so leak
+/// checkers see no orphan. reloadKnobsFromEnv() is a test-only hook; the
+/// chain grows by one small struct per reload.
+struct Snapshot {
+  StrategyKnobs Knobs;
+  const Snapshot *Previous = nullptr;
+};
+
+std::atomic<const Snapshot *> Current{nullptr};
 
 int64_t parseInt(const char *Name, int64_t Default, bool RequirePositive) {
   const char *Env = std::getenv(Name);
@@ -34,47 +40,39 @@ int64_t parseInt(const char *Name, int64_t Default, bool RequirePositive) {
   return static_cast<int64_t>(V);
 }
 
-const StrategyKnobs *parseFromEnv() {
-  auto *K = new StrategyKnobs();
-  K->RankDenseMaxBytes = parseInt("CONVGEN_RANK_DENSE_MAX_BYTES",
-                                  K->RankDenseMaxBytes, true);
-  if (const char *Env = std::getenv("CONVGEN_PLANNER")) {
-    std::string V = Env;
-    K->PlannerOn = !(V == "off" || V == "0");
-  }
-  K->PlannerMinNnz =
-      parseInt("CONVGEN_PLANNER_MIN_NNZ", K->PlannerMinNnz, false);
-  K->PlannerTrustAfter =
-      parseInt("CONVGEN_PLANNER_TRUST_AFTER", K->PlannerTrustAfter, true);
-  if (const char *Env = std::getenv("CONVGEN_PLANNER_MARGIN")) {
-    char *End = nullptr;
-    double V = std::strtod(Env, &End);
-    if (End != Env && *End == '\0' && V >= 0 && V < 1)
-      K->PlannerMargin = V;
-  }
-  return K;
+Snapshot *parseFromEnv() {
+  auto *S = new Snapshot();
+  S->Knobs.RankDenseMaxBytes = parseInt("CONVGEN_RANK_DENSE_MAX_BYTES",
+                                        S->Knobs.RankDenseMaxBytes, true);
+  return S;
 }
 
 } // namespace
 
 const StrategyKnobs &codegen::knobs() {
-  const StrategyKnobs *K = Current.load(std::memory_order_acquire);
-  if (K)
-    return *K;
+  const Snapshot *S = Current.load(std::memory_order_acquire);
+  if (S)
+    return S->Knobs;
   // First use: parse and publish. A racing first use may parse too; one
   // snapshot wins the CAS, the loser's copy is freed (both parsed the same
   // environment, so either is correct).
-  const StrategyKnobs *Fresh = parseFromEnv();
-  const StrategyKnobs *Expected = nullptr;
+  Snapshot *Fresh = parseFromEnv();
+  const Snapshot *Expected = nullptr;
   if (Current.compare_exchange_strong(Expected, Fresh,
                                       std::memory_order_acq_rel))
-    return *Fresh;
+    return Fresh->Knobs;
   delete Fresh;
-  return *Expected;
+  return Expected->Knobs;
 }
 
 void codegen::reloadKnobsFromEnv() {
-  // The superseded snapshot is leaked, never freed: a concurrent reader
-  // that loaded it before the swap may still be dereferencing it.
-  Current.store(parseFromEnv(), std::memory_order_release);
+  // The superseded snapshot stays alive, linked from the fresh one: a
+  // concurrent reader that loaded it before the swap may still be
+  // dereferencing it.
+  Snapshot *Fresh = parseFromEnv();
+  const Snapshot *Old = Current.load(std::memory_order_acquire);
+  do
+    Fresh->Previous = Old;
+  while (!Current.compare_exchange_weak(Old, Fresh, std::memory_order_acq_rel,
+                                        std::memory_order_acquire));
 }

@@ -14,14 +14,15 @@
 /// snapshot for tests that scope the environment (tests/ScopedEnv.h calls
 /// it automatically).
 ///
-/// Scope: only the knobs that feed planning decisions live here — the
-/// dense-ranking byte budget and the path planner's settings. There is no
+/// Scope: only the knobs that feed planning decisions live here, and
+/// today that is the dense-ranking byte budget alone. There is no
 /// per-strategy override: which list-construction and sort lowering a
-/// level uses follows from the formats and the input extents alone
-/// (codegen::planAssembly). Operational settings (cache directories, fault
-/// injection, deadlines, preload mode) keep their per-use getenv reads —
-/// they are read from single-threaded setup paths or are themselves
-/// snapshotted at construction.
+/// level uses follows from the formats, the input extents and nnz
+/// (codegen::planAssembly and codegen::optionsForDims, whose
+/// sorted-ranking ratio is a constant, not a knob). Operational settings
+/// (cache directories, fault injection, deadlines, preload mode) keep
+/// their per-use getenv reads — they are read from single-threaded setup
+/// paths or are themselves snapshotted at construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,27 +41,12 @@ struct StrategyKnobs {
   /// CONVGEN_RANK_DENSE_MAX_BYTES: byte budget for dense per-level ranking
   /// structures; non-positive or unparsable values keep the default.
   int64_t RankDenseMaxBytes = int64_t(64) << 20;
-  /// CONVGEN_PLANNER: "off" or "0" disables the conversion path planner
-  /// (pre-planner direct behavior); anything else leaves it on.
-  bool PlannerOn = true;
-  /// CONVGEN_PLANNER_MIN_NNZ: smallest input (stored nonzeros) the planner
-  /// engages on. Below it the default direct path runs untouched, so tiny
-  /// tensors (and the pre-planner test suite) never pay planning overhead.
-  int64_t PlannerMinNnz = 32768;
-  /// CONVGEN_PLANNER_TRUST_AFTER: measured-outcome observations per
-  /// candidate before the planner trusts measurements over the analytic
-  /// cost model.
-  int64_t PlannerTrustAfter = 3;
-  /// CONVGEN_PLANNER_MARGIN: relative improvement a measured alternative
-  /// must show over the analytic winner's own measurement before the
-  /// decision flips (hysteresis against noise).
-  double PlannerMargin = 0.15;
 };
 
 /// The current snapshot. First use parses the environment once; after
 /// that every call is a single atomic load. The reference stays valid for
 /// the process lifetime even across reloadKnobsFromEnv() (superseded
-/// snapshots are intentionally leaked so concurrent readers never dangle).
+/// snapshots are never freed, so concurrent readers never dangle).
 const StrategyKnobs &knobs();
 
 /// Re-parses every strategy knob from the environment and publishes the

@@ -8,12 +8,9 @@
 
 #include "convert/PlanCache.h"
 #include "ir/Interpreter.h"
-#include "planner/Planner.h"
 #include "support/Assert.h"
 #include "support/DegradationLog.h"
 #include "support/StringUtils.h"
-
-#include <chrono>
 
 using namespace convgen;
 using namespace convgen::convert;
@@ -130,55 +127,6 @@ Status convert::checkSourceOrder(const codegen::Conversion &Conv,
   return Status();
 }
 
-namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// Executes a planner-chosen candidate path through the interpreter: plan
-/// acquisition for every hop up front (codegen is a once-per-process cost,
-/// not a per-conversion one), then the timed hop chain, then the measured
-/// outcome recorded under the candidate's key so later decisions can trust
-/// it.
-StatusOr<tensor::SparseTensor> runChosenPath(const planner::Candidate &Chosen,
-                                             const tensor::SparseTensor &In,
-                                             const support::Deadline &Deadline) {
-  std::vector<std::shared_ptr<const codegen::Conversion>> Plans;
-  for (const planner::Hop &H : Chosen.Hops) {
-    StatusOr<std::shared_ptr<const codegen::Conversion>> P =
-        PlanCache::instance().tryPlan(H.Src, H.Dst, H.Opts);
-    if (!P.ok())
-      return P.status();
-    Plans.push_back(P.take());
-  }
-  auto Start = std::chrono::steady_clock::now();
-  tensor::SparseTensor Staged;
-  const tensor::SparseTensor *Cur = &In;
-  for (size_t I = 0; I < Plans.size(); ++I) {
-    if (Deadline.expired())
-      return Status::error(
-          ErrorCode::DeadlineExceeded,
-          strfmt("converter: request deadline expired before hop %zu of the "
-                 "planned path",
-                 I + 1));
-    Status Order = checkSourceOrder(*Plans[I], *Cur);
-    if (!Order.ok())
-      return Order;
-    ir::Interpreter Interp;
-    bindSourceTensor(Interp, *Cur);
-    ir::RunResult Result = Interp.run(Plans[I]->Func);
-    Staged = collectTargetTensor(Plans[I]->Target, Cur->Dims, Result);
-    Cur = &Staged;
-  }
-  PlanCache::instance().recordOutcome(Chosen.OutcomeKey, secondsSince(Start));
-  return std::move(Staged);
-}
-
-} // namespace
-
 StatusOr<tensor::SparseTensor>
 Converter::tryRun(const tensor::SparseTensor &In,
                   const support::Deadline &Deadline) const {
@@ -198,17 +146,17 @@ Converter::tryRun(const tensor::SparseTensor &In,
         ErrorCode::InvalidArgument,
         strfmt("converter compiled for source '%s' got a '%s' tensor",
                Conv->Source.Name.c_str(), In.Format.Name.c_str()));
-  // Size-driven strategy routing: when this tensor's dimensions push a
-  // level's dense ranking structures over the CONVGEN_RANK_DENSE_MAX_BYTES
-  // budget, fetch the dims-specialized plan (sorted-ranking levels, O(nnz)
-  // workspaces) from the cache instead of letting the default plan
-  // allocate by extent products — or return the planner's size-grounds
-  // diagnostic when no fallback applies.
+  // Per-request strategy routing (codegen::optionsForDims): when this
+  // tensor's dims or nnz change the plan — a level's dense ranking
+  // structures over the CONVGEN_RANK_DENSE_MAX_BYTES budget, or a dense
+  // rank array that dwarfs nnz — fetch that specialized plan from the
+  // cache, or return its size-grounds diagnostic when no fallback applies.
   const codegen::Conversion *Plan = Conv.get();
   std::shared_ptr<const codegen::Conversion> DimPlan;
   codegen::Options Effective = codegen::optionsForDims(
-      Conv->Source, Conv->Target, Conv->Opts, In.Dims);
-  if (Effective.DimsHint != Conv->Opts.DimsHint) {
+      Conv->Source, Conv->Target, Conv->Opts, In.Dims, In.storedSize());
+  if (Effective.DimsHint != Conv->Opts.DimsHint ||
+      Effective.ForceSortedRanking != Conv->Opts.ForceSortedRanking) {
     StatusOr<std::shared_ptr<const codegen::Conversion>> Specialized =
         PlanCache::instance().tryPlan(Conv->Source, Conv->Target, Effective);
     if (!Specialized.ok())
@@ -218,46 +166,13 @@ Converter::tryRun(const tensor::SparseTensor &In,
     if (Deadline.expired())
       return deadlineError("after dims-specialized plan acquisition");
   }
-  // Acceptance contract first, chosen path second: a source the default
-  // plan rejects (unsorted where its dedup assembly requires order) is
-  // rejected no matter which path the planner would pick, so planner-on
-  // and planner-off accept exactly the same inputs.
   Status Order = checkSourceOrder(*Plan, In);
   if (!Order.ok())
     return Order;
-  // The path planner: pick the cheapest equivalent strategy assignment or
-  // two-hop chain for this input, execute it, and record the measured
-  // wall-clock so repeated conversions of similar shapes auto-tune.
-  planner::Decision Route = planner::decide(
-      Conv->Source, Conv->Target, Conv->Opts, planner::InputStats::fromTensor(In));
-  if (Route.Engaged && Route.Chosen.Label != "direct") {
-    StatusOr<tensor::SparseTensor> Planned =
-        runChosenPath(Route.Chosen, In, Deadline);
-    if (Planned.ok() || Planned.status().code() == ErrorCode::DeadlineExceeded)
-      return Planned;
-    // Any other failure of a variant path falls back to the default
-    // direct conversion below — the planner must never make a convertible
-    // input fail.
-    support::DegradationLog::instance().record(
-        support::Degradation::PlannerFallback,
-        strfmt("%s -> %s: planned path '%s' failed (%s); using the direct "
-               "conversion",
-               Conv->Source.Name.c_str(), Conv->Target.Name.c_str(),
-               Route.Chosen.Label.c_str(),
-               Planned.status().message().c_str()));
-  }
-  auto Start = std::chrono::steady_clock::now();
   ir::Interpreter Interp;
   bindSourceTensor(Interp, In);
   ir::RunResult Result = Interp.run(Plan->Func);
-  tensor::SparseTensor Out = collectTargetTensor(Plan->Target, In.Dims, Result);
-  if (Route.Engaged)
-    for (const planner::Candidate &C : Route.Considered)
-      if (C.Label == "direct") {
-        PlanCache::instance().recordOutcome(C.OutcomeKey, secondsSince(Start));
-        break;
-      }
-  return std::move(Out);
+  return collectTargetTensor(Plan->Target, In.Dims, Result);
 }
 
 tensor::SparseTensor Converter::run(const tensor::SparseTensor &In) const {

@@ -48,7 +48,7 @@ public:
             codegen::Options Opts = codegen::Options());
 
   /// Checked construction: an unsupported pair comes back as
-  /// ErrorCode::Unsupported with the planner's diagnostic instead of
+  /// ErrorCode::Unsupported with planAssembly's diagnostic instead of
   /// aborting.
   static StatusOr<Converter> tryCreate(formats::Format Source,
                                        formats::Format Target,

@@ -341,9 +341,9 @@ std::string convert::planKey(const formats::Format &Source,
   // CONVGEN_RANK_DENSE_MAX_BYTES can never hit a stale cached plan.
   // optionsForDims() keeps the hint empty whenever the dims do not affect
   // the plan, so ordinary tensors share the default entry per pair.
-  // Planner-forced sorted ranking always carries its strategy bits (and a
-  // one-bit forced marker below): a planner decision can never alias the
-  // default plan's cached object even at hint-free dims.
+  // Forced sorted ranking always carries its strategy bits (and a one-bit
+  // forced marker below): a forced plan can never alias the default
+  // plan's cached object even at hint-free dims.
   if (!Opts.DimsHint.empty() || Opts.ForceSortedRanking) {
     codegen::AssemblyPlan Plan = codegen::planAssembly(Source, Target, Opts);
     Key += " [s";
@@ -691,7 +691,7 @@ Status PlanCache::exportManifest(const std::string &Path) {
     // the formats must round-trip through the standard registry onto the
     // same plan key (custom formats and knob drift since recording fail
     // this and are skipped, not exported broken).
-    // Planner-forced plans cannot round-trip through the manifest's
+    // Forced-sorted plans cannot round-trip through the manifest's
     // compact option encoding (q/c/u/m bits only); a fresh process
     // re-plans and recompiles them on demand instead.
     if (Rec.Opts.ForceSortedRanking)
@@ -931,132 +931,4 @@ void PlanCache::maybePreloadFromEnv() {
       preload("", PreloadMode::Background);
     // Anything else (including "off") boots cold.
   });
-}
-
-//===--------------------------------------------------------------------===//
-// Measured per-strategy outcomes (the planner's auto-tuning memory).
-//===--------------------------------------------------------------------===//
-
-namespace {
-/// Outcome store format version; an unknown header drops the whole file
-/// (measurements are advisory — losing them costs re-measurement, never
-/// correctness).
-const char kOutcomesHeader[] = "convgen-outcomes-v1";
-} // namespace
-
-std::string PlanCache::outcomesFilePath() {
-  if (const char *Env = std::getenv("CONVGEN_OUTCOMES"))
-    return Env; // Empty value = memory-only, by request.
-  std::string Dir = diskCacheDir();
-  return Dir.empty() ? "" : Dir + "/outcomes.txt";
-}
-
-void PlanCache::loadOutcomesLocked() {
-  if (OutcomesLoaded)
-    return;
-  OutcomesLoaded = true;
-  std::string Path = outcomesFilePath();
-  std::string Contents;
-  if (Path.empty() || !readWholeFile(Path, &Contents))
-    return; // Cold start: nothing learned yet.
-  std::string::size_type Pos = 0;
-  bool First = true;
-  while (Pos <= Contents.size()) {
-    std::string::size_type Nl = Contents.find('\n', Pos);
-    std::string Line = Contents.substr(
-        Pos, Nl == std::string::npos ? std::string::npos : Nl - Pos);
-    Pos = Nl == std::string::npos ? Contents.size() + 1 : Nl + 1;
-    if (First) {
-      First = false;
-      if (Line != kOutcomesHeader)
-        return; // Unknown version or corrupt header: start cold.
-      continue;
-    }
-    if (Line.empty())
-      continue;
-    std::vector<std::string> F = splitTabs(Line);
-    if (F.size() != 5)
-      continue; // Torn or foreign line: skip it, keep the rest.
-    if (F[4] != contentHash(Line.substr(0, Line.rfind('\t'))))
-      continue;
-    char *End = nullptr;
-    OutcomeRecord Rec;
-    unsigned long long Count = std::strtoull(F[1].c_str(), &End, 10);
-    if (!End || *End != '\0' || Count == 0)
-      continue;
-    Rec.Count = Count;
-    Rec.TotalSeconds = std::strtod(F[2].c_str(), &End);
-    if (!End || *End != '\0' || !(Rec.TotalSeconds >= 0))
-      continue;
-    Rec.MinSeconds = std::strtod(F[3].c_str(), &End);
-    if (!End || *End != '\0' || !(Rec.MinSeconds >= 0))
-      continue;
-    Outcomes[F[0]] = Rec;
-  }
-}
-
-void PlanCache::persistOutcomesLocked() {
-  std::string Path = outcomesFilePath();
-  if (Path.empty())
-    return;
-  std::string Out = std::string(kOutcomesHeader) + "\n";
-  for (const auto &[Key, Rec] : Outcomes) {
-    if (Key.find('\t') != std::string::npos ||
-        Key.find('\n') != std::string::npos)
-      continue;
-    std::string Line = Key + "\t" + std::to_string(Rec.Count) + "\t" +
-                       strfmt("%.9g", Rec.TotalSeconds) + "\t" +
-                       strfmt("%.9g", Rec.MinSeconds);
-    Out += Line + "\t" + contentHash(Line) + "\n";
-  }
-  EntryLock Lock(Path);
-  if (!writeFileAtomic(Path, Out))
-    DegradationLog::instance().record(
-        Degradation::CacheWriteFailure,
-        "outcomes: cannot write " + Path);
-}
-
-void PlanCache::recordOutcome(const std::string &Key, double Seconds) {
-  if (!(Seconds >= 0) || Seconds != Seconds)
-    return; // Negative or NaN: a broken clock teaches nothing.
-  std::lock_guard<std::mutex> Lock(OutcomesMu);
-  loadOutcomesLocked();
-  OutcomeRecord &Rec = Outcomes[Key];
-  Rec.Count++;
-  Rec.TotalSeconds += Seconds;
-  Rec.MinSeconds =
-      Rec.Count == 1 ? Seconds : std::min(Rec.MinSeconds, Seconds);
-  // A key still below the trust threshold flushes immediately: a
-  // short-lived process (a CLI run) records only a handful of outcomes,
-  // and those early observations are exactly the ones cross-process
-  // auto-tuning needs to reach trust. Established keys batch the writes.
-  if (Rec.Count <= static_cast<uint64_t>(
-                       std::max<int64_t>(1, codegen::knobs().PlannerTrustAfter)) ||
-      ++OutcomesSinceFlush >= kOutcomePersistEvery) {
-    OutcomesSinceFlush = 0;
-    persistOutcomesLocked();
-  }
-}
-
-bool PlanCache::outcomeFor(const std::string &Key, OutcomeRecord *Out) {
-  std::lock_guard<std::mutex> Lock(OutcomesMu);
-  loadOutcomesLocked();
-  auto It = Outcomes.find(Key);
-  if (It == Outcomes.end())
-    return false;
-  if (Out)
-    *Out = It->second;
-  return true;
-}
-
-void PlanCache::resetOutcomes() {
-  std::lock_guard<std::mutex> Lock(OutcomesMu);
-  Outcomes.clear();
-  OutcomesLoaded = true; // The empty state is authoritative now.
-  OutcomesSinceFlush = 0;
-  std::string Path = outcomesFilePath();
-  if (!Path.empty()) {
-    EntryLock Lock2(Path);
-    std::remove(Path.c_str());
-  }
 }

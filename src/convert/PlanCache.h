@@ -89,17 +89,6 @@ enum class PreloadMode {
               ///< and dlopens. waitForPreload() joins the result.
 };
 
-/// Accumulated wall-clock measurements of one conversion-path candidate
-/// (keyed by the planner's outcome key: pair + input-shape bucket +
-/// candidate label). The planner trusts these over its analytic cost
-/// model after CONVGEN_PLANNER_TRUST_AFTER observations.
-struct OutcomeRecord {
-  uint64_t Count = 0;
-  double TotalSeconds = 0;
-  double MinSeconds = 0;
-  double meanSeconds() const { return Count ? TotalSeconds / Count : 0; }
-};
-
 /// Outcome counters of one preload() pass.
 struct PreloadStats {
   uint64_t Entries = 0; ///< Manifest lines examined.
@@ -135,7 +124,7 @@ public:
 
   /// Checked plan acquisition: an unsupported pair (or pair-at-dims, when
   /// Opts.DimsHint is set) returns ErrorCode::Unsupported with the
-  /// planner's diagnostic instead of aborting. An already expired
+  /// planAssembly's diagnostic instead of aborting. An already expired
   /// \p Deadline returns DeadlineExceeded without generating anything;
   /// in-process codegen itself is never interrupted (it is pure
   /// millisecond-scale compute — only *waiting* is deadline-bounded).
@@ -227,30 +216,9 @@ public:
   /// a no-op. ConversionService construction invokes this.
   void maybePreloadFromEnv();
 
-  //===----------------------------------------------------------------===//
-  // Measured per-strategy outcomes (the planner's auto-tuning memory),
-  // persisted alongside the warm-start manifest.
-  //===----------------------------------------------------------------===//
-
-  /// Folds one measured conversion (wall-clock \p Seconds) into \p Key's
-  /// OutcomeRecord. Thread-safe; the store is loaded from
-  /// outcomesFilePath() on first touch and rewritten (atomically, under
-  /// the entry flock) every few records so restarts keep what was
-  /// learned. Keys containing tabs or newlines are recorded in memory but
-  /// never persisted. Non-finite or negative measurements are ignored.
-  void recordOutcome(const std::string &Key, double Seconds);
-
-  /// Reads \p Key's record into \p Out; false when nothing was recorded.
-  bool outcomeFor(const std::string &Key, OutcomeRecord *Out);
-
-  /// Drops every outcome record, in memory and on disk (tests, and the
-  /// documented operator reset).
-  void resetOutcomes();
-
-  /// Where outcomes persist: CONVGEN_OUTCOMES when set (empty value =
-  /// memory-only), else <diskCacheDir()>/outcomes.txt, else "" (memory-
-  /// only) when the disk cache is disabled.
-  static std::string outcomesFilePath();
+  /// No-op, kept for callers built against the removed measured-outcome
+  /// store; strategy choice no longer records or reads measurements.
+  void resetOutcomes() {}
 
 private:
   PlanCache() = default;
@@ -325,17 +293,6 @@ private:
 
   /// The eager validation pass preload() and the warmer thread share.
   PreloadStats preloadEager(const std::string &ManifestPath);
-
-  /// Outcome store (see recordOutcome). Guarded by OutcomesMu; lazily
-  /// loaded from disk on first touch, rewritten every
-  /// kOutcomePersistEvery records.
-  mutable std::mutex OutcomesMu;
-  std::map<std::string, OutcomeRecord> Outcomes;
-  bool OutcomesLoaded = false;
-  uint64_t OutcomesSinceFlush = 0;
-  static constexpr uint64_t kOutcomePersistEvery = 8;
-  void loadOutcomesLocked();
-  void persistOutcomesLocked();
 
   struct Counters {
     std::atomic<uint64_t> PlanHits{0};

@@ -518,16 +518,28 @@ static int64_t cvg_unique_prefix(const int32_t *src, int64_t n,
 )";
   // Per-phase wall-clock accumulators; <fn>_phase_seconds exposes them to
   // the benchmark harness (slots: analysis, edge insertion, insertion,
-  // finalize). Thread-local so concurrent runs of a PlanCache-shared
-  // routine never race: each caller thread accumulates (and reads back)
-  // its own clock.
+  // finalize). Added to atomically, through a compare-and-swap loop since
+  // C11 atomic floating-point arithmetic needs libatomic, which the
+  // routine cannot assume; so concurrent runs of a PlanCache-shared
+  // routine never race. The phase start is a local of each run. No
+  // thread-local storage: every dlopen'd routine with TLS costs each
+  // thread a dynamically allocated TLS block, and LeakSanitizer misreads
+  // some of those blocks and crashes at exit once many routines are
+  // loaded.
   Out += "static double cvg_now(void) {\n"
          "  struct timespec cvg_ts;\n"
          "  clock_gettime(CLOCK_MONOTONIC, &cvg_ts);\n"
          "  return (double)cvg_ts.tv_sec + 1e-9 * (double)cvg_ts.tv_nsec;\n"
          "}\n"
-         "static _Thread_local double cvg_phase_secs[8];\n"
-         "static _Thread_local double cvg_phase_t0;\n\n";
+         "static double cvg_phase_secs[8];\n"
+         "static void cvg_phase_add(int64_t k, double d) {\n"
+         "  double old, upd;\n"
+         "  __atomic_load(&cvg_phase_secs[k], &old, __ATOMIC_RELAXED);\n"
+         "  do\n"
+         "    upd = old + d;\n"
+         "  while (!__atomic_compare_exchange(&cvg_phase_secs[k], &old, &upd, 0,\n"
+         "                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED));\n"
+         "}\n\n";
   Out += cTensorStructDecl();
   Out += "\ndouble *" + F.Name + "_phase_seconds(void) {\n"
          "  return cvg_phase_secs;\n}\n";
@@ -535,7 +547,7 @@ static int64_t cvg_unique_prefix(const int32_t *src, int64_t n,
          "(const cvg_tensor_t *restrict A, cvg_tensor_t *restrict B) {\n";
   for (const Param &P : F.Params)
     Out += bindParam(P);
-  Out += "\n";
+  Out += "  double cvg_phase_t0 = 0;\n\n";
   Out += printStmtAsC(F.Body, 1);
   Out += "}\n";
   return Out;

@@ -1005,7 +1005,7 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
       Out += Pad + "cvg_phase_t0 = cvg_now();\n";
     } else {
       Out += Pad + strfmt("{ double cvg_t = cvg_now(); "
-                          "cvg_phase_secs[%lld] += cvg_t - cvg_phase_t0; "
+                          "cvg_phase_add(%lld, cvg_t - cvg_phase_t0); "
                           "cvg_phase_t0 = cvg_t; } // %s",
                           static_cast<long long>(S->Phase),
                           S->Name.c_str()) +

@@ -321,11 +321,11 @@ std::string jit::jitEffectiveFlags(const std::string &ExtraFlags) {
 std::string jit::jitEffectiveFlags(const std::string &ExtraFlags,
                                    const codegen::Options &Opts) {
   std::string Flags = jitEffectiveFlags(ExtraFlags);
-  // The planner-forced sorted ranking changes the generated C; baking it
+  // Forced sorted ranking changes the generated C; baking it
   // in as a benign define keeps the flag string (the other half of every
   // cache key) honest even for callers that bypass planKey.
   if (Opts.ForceSortedRanking)
-    Flags += " -DCONVGEN_PLANNER_FORCE_SORTED_RANKING=1";
+    Flags += " -DCONVGEN_FORCE_SORTED_RANKING=1";
   return Flags;
 }
 
@@ -772,7 +772,7 @@ JitConversion::tryRun(const tensor::SparseTensor &In) const {
   // automatically. This is a request error, not an environment error — the
   // interpreter running *this* plan would misbehave identically, so no
   // fallback.
-  // Re-plan with this object's own options (planner-forced strategies
+  // Re-plan with this object's own options (forced sorted ranking
   // included) at the tensor's dims — comparing a default-strategy need
   // against a forced-strategy compile would misfire both ways.
   codegen::Options NeedOpts = Conv.Opts;

@@ -103,9 +103,9 @@ bool jitOpenMPAvailable();
 /// extra flags (exposed so the plan cache can key shared objects on it).
 std::string jitEffectiveFlags(const std::string &ExtraFlags);
 
-/// Options-aware variant: additionally bakes the planner-forced
-/// ForceSortedRanking field of \p Opts in as a benign -D define, so a
-/// planner-forced object can never alias the default-strategy object on
+/// Options-aware variant: additionally bakes the ForceSortedRanking field
+/// of \p Opts in as a benign -D define, so a forced-sorted object can
+/// never alias the default-strategy object on
 /// disk or in memory. Identical to the one-argument overload when nothing
 /// is forced.
 std::string jitEffectiveFlags(const std::string &ExtraFlags,
@@ -198,11 +198,10 @@ public:
   double compileSeconds() const { return CompileSecs; }
 
   /// Cumulative per-phase wall-clock seconds the routine recorded across
-  /// all runs (kNumPhases slots), or nullptr if the loaded object predates
-  /// phase timing. Benchmarks snapshot before/after a timing loop and
-  /// divide the delta by the rep count. The clock is thread-local inside
-  /// the routine, and this pointer was resolved on the loading thread —
-  /// read it from the same thread that runs the conversions.
+  /// all runs on all threads (kNumPhases slots), or nullptr if the loaded
+  /// object predates phase timing. Benchmarks snapshot before/after a
+  /// timing loop and divide the delta by the rep count; runs on other
+  /// threads during the loop add to the delta.
   const double *phaseSeconds() const { return PhaseSecs; }
 
   const codegen::Conversion &conversion() const { return Conv; }

@@ -9,12 +9,10 @@
 #include "convert/Converter.h"
 #include "convert/PlanCache.h"
 #include "jit/Jit.h"
-#include "planner/Planner.h"
 #include "support/Assert.h"
 #include "support/DegradationLog.h"
 #include "support/StringUtils.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -136,76 +134,6 @@ void ConversionService::release() {
   SlotFreed.notify_one();
 }
 
-namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
-/// Executes a planner-chosen candidate path through JIT handles: every
-/// hop's handle acquired up front (compiles are a once-per-process cost),
-/// the hop chain timed, and the measured outcome recorded under the
-/// candidate's key. \p AnyDegraded reports whether any hop served through
-/// a degraded (interpreter) handle.
-StatusOr<tensor::SparseTensor>
-runPlannedNative(const planner::Decision &Route,
-                 const ConversionRequest &Request, const Deadline &D,
-                 bool *AnyDegraded) {
-  const planner::Candidate &Chosen = Route.Chosen;
-  // Acceptance contract: a source tensor the default direct plan rejects
-  // (unsorted where its dedup assembly requires order) stays rejected no
-  // matter which path the planner chose, so planner-on and planner-off
-  // accept exactly the same inputs.
-  if (Chosen.Label != "direct") {
-    for (const planner::Candidate &C : Route.Considered)
-      if (C.Label == "direct" && !C.Hops.empty()) {
-        StatusOr<std::shared_ptr<const codegen::Conversion>> Direct =
-            PlanCache::instance().tryPlan(C.Hops[0].Src, C.Hops[0].Dst,
-                                          C.Hops[0].Opts);
-        if (!Direct.ok())
-          return Direct.status();
-        Status Order = checkSourceOrder(**Direct, *Request.Input);
-        if (!Order.ok())
-          return Order;
-        break;
-      }
-  }
-  std::vector<std::shared_ptr<jit::JitConversion>> Handles;
-  for (const planner::Hop &H : Chosen.Hops) {
-    StatusOr<std::shared_ptr<jit::JitConversion>> HRes =
-        PlanCache::instance().tryJit(H.Src, H.Dst, H.Opts, "", D);
-    if (!HRes.ok())
-      return HRes.status();
-    Handles.push_back(HRes.take());
-  }
-  if (D.expired())
-    return Status::error(ErrorCode::DeadlineExceeded,
-                         "service: request deadline expired after "
-                         "planned-path JIT acquisition");
-  auto Start = std::chrono::steady_clock::now();
-  tensor::SparseTensor Staged;
-  const tensor::SparseTensor *Cur = Request.Input;
-  for (size_t I = 0; I < Handles.size(); ++I) {
-    if (I && D.expired())
-      return Status::error(
-          ErrorCode::DeadlineExceeded,
-          "service: request deadline expired between planned hops");
-    StatusOr<tensor::SparseTensor> Out = Handles[I]->tryRun(*Cur);
-    if (!Out.ok())
-      return Out;
-    if (Handles[I]->degraded())
-      *AnyDegraded = true;
-    Staged = Out.take();
-    Cur = &Staged;
-  }
-  PlanCache::instance().recordOutcome(Chosen.OutcomeKey, secondsSince(Start));
-  return std::move(Staged);
-}
-
-} // namespace
-
 StatusOr<tensor::SparseTensor>
 ConversionService::convert(const ConversionRequest &Request) {
   Counts.Submitted.fetch_add(1, std::memory_order_relaxed);
@@ -260,59 +188,14 @@ ConversionService::convert(const ConversionRequest &Request) {
     return Out;
   }
 
-  // Native path. The path planner picks the cheapest equivalent strategy
-  // assignment or two-hop chain for this input; its default "direct"
-  // choice is exactly the classic dims-routed plan, so a disengaged
-  // planner and an engaged-but-default one key the shared cache
-  // identically. Planner-executed conversions are timed and their
-  // outcomes recorded so repeated shapes auto-tune.
-  planner::Decision Route =
-      planner::decide(Request.Source, Request.Target, Request.Opts,
-                      planner::InputStats::fromTensor(*Request.Input));
-  if (Route.Engaged) {
-    Counts.PlannerEngaged.fetch_add(1, std::memory_order_relaxed);
-    if (Route.MeasuredWin)
-      Counts.PlannerMeasured.fetch_add(1, std::memory_order_relaxed);
-    bool AnyDegraded = false;
-    StatusOr<tensor::SparseTensor> Out =
-        runPlannedNative(Route, Request, D, &AnyDegraded);
-    bool Fallback = false;
-    if (!Out.ok() && Out.status().code() != ErrorCode::DeadlineExceeded &&
-        Route.Chosen.Label != "direct") {
-      // A variant path must never make a convertible input fail: retry
-      // through the default direct plan before reporting anything.
-      DegradationLog::instance().record(
-          Degradation::PlannerFallback,
-          strfmt("%s -> %s: planned path '%s' failed (%s); using the "
-                 "direct conversion",
-                 Request.Source.Name.c_str(), Request.Target.Name.c_str(),
-                 Route.Chosen.Label.c_str(),
-                 Out.status().message().c_str()));
-      Fallback = true;
-    }
-    if (!Fallback) {
-      if (!Out.ok()) {
-        if (Out.status().code() == ErrorCode::DeadlineExceeded)
-          Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-        else
-          Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-        return Out;
-      }
-      if (Route.Chosen.Kind == planner::Candidate::Path::TwoHop)
-        Counts.PlannerTwoHop.fetch_add(1, std::memory_order_relaxed);
-      else if (Route.Chosen.Label != "direct")
-        Counts.PlannerForcedStrategy.fetch_add(1, std::memory_order_relaxed);
-      if (AnyDegraded)
-        Counts.DegradedRuns.fetch_add(1, std::memory_order_relaxed);
-      Counts.Completed.fetch_add(1, std::memory_order_relaxed);
-      return Out;
-    }
-  }
-  // Route to the dims-specialized plan up front (a JIT handle compiled
-  // with dense ranking rejects huge-dims tensors; see Jit.h), so the
-  // shared cache is keyed the same way the Converter would key it.
+  // Native path. Route to the plan this input's dims and nnz call for
+  // (codegen::optionsForDims: the dense-budget flip and the sorted-ranking
+  // rule) up front, since a JIT handle compiled with dense ranking rejects
+  // huge-dims tensors (see Jit.h); the shared cache is then keyed the same
+  // way the Converter and submitBatch key it.
   codegen::Options Opts = codegen::optionsForDims(
-      Request.Source, Request.Target, Request.Opts, Request.Input->Dims);
+      Request.Source, Request.Target, Request.Opts, Request.Input->Dims,
+      Request.Input->storedSize());
   StatusOr<std::shared_ptr<jit::JitConversion>> Handle =
       PlanCache::instance().tryJit(Request.Source, Request.Target, Opts, "",
                                    D);
@@ -347,14 +230,8 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
   B = BatchStats();
   B.Requests = Requests.size();
 
-  // Batches bypass the path planner deliberately: grouping exists to
-  // amortize one handle acquisition across same-plan members, and
-  // per-member planner decisions would fragment the groups (and the
-  // outcome records) it amortizes over. Callers wanting planned execution
-  // submit individually.
-  //
   // Group member indices by plan key, first-appearance order. The key is
-  // the dims-routed one (optionsForDims), exactly as convert() would key
+  // the routed one (optionsForDims), exactly as convert() would key
   // the cache — two tensors whose dims land on the same assembly strategy
   // share one group and one handle. ForceInterpreter and null-input
   // requests cannot share a native handle; each is its own singleton
@@ -367,8 +244,8 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
       Groups.push_back({"", {I}});
       continue;
     }
-    codegen::Options Opts = codegen::optionsForDims(R.Source, R.Target,
-                                                    R.Opts, R.Input->Dims);
+    codegen::Options Opts = codegen::optionsForDims(
+        R.Source, R.Target, R.Opts, R.Input->Dims, R.Input->storedSize());
     std::string Key = planKey(R.Source, R.Target, Opts);
     auto [It, New] = GroupIndex.emplace(Key, Groups.size());
     if (New)
@@ -462,7 +339,7 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
       }
       if (!Handle) {
         codegen::Options Opts = codegen::optionsForDims(
-            R.Source, R.Target, R.Opts, R.Input->Dims);
+            R.Source, R.Target, R.Opts, R.Input->Dims, R.Input->storedSize());
         StatusOr<std::shared_ptr<jit::JitConversion>> H =
             PlanCache::instance().tryJit(R.Source, R.Target, Opts, "",
                                          GroupD);
@@ -550,13 +427,6 @@ ServiceStats ConversionService::stats() const {
   Out.BatchGroups = Counts.BatchGroups.load(std::memory_order_relaxed);
   Out.AsyncSubmitted =
       Counts.AsyncSubmitted.load(std::memory_order_relaxed);
-  Out.PlannerEngaged =
-      Counts.PlannerEngaged.load(std::memory_order_relaxed);
-  Out.PlannerForcedStrategy =
-      Counts.PlannerForcedStrategy.load(std::memory_order_relaxed);
-  Out.PlannerTwoHop = Counts.PlannerTwoHop.load(std::memory_order_relaxed);
-  Out.PlannerMeasured =
-      Counts.PlannerMeasured.load(std::memory_order_relaxed);
   return Out;
 }
 

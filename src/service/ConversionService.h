@@ -111,18 +111,6 @@ struct ServiceStats {
   /// submit() futures handed out (their requests also count in Submitted
   /// when the worker runs them).
   uint64_t AsyncSubmitted = 0;
-  /// convert() requests where the path planner engaged (planner on, input
-  /// at or above the nnz floor, direct pair supported, no caller-forced
-  /// strategies).
-  uint64_t PlannerEngaged = 0;
-  /// Engaged requests served by a direct conversion under a
-  /// planner-forced strategy assignment (not the default plan).
-  uint64_t PlannerForcedStrategy = 0;
-  /// Engaged requests served by a two-hop chain through COO.
-  uint64_t PlannerTwoHop = 0;
-  /// Engaged requests whose choice came from measured outcomes overriding
-  /// the analytic model (the auto-tuning flip).
-  uint64_t PlannerMeasured = 0;
 };
 
 /// Per-call breakout a submitBatch() caller can ask for: how much cache
@@ -251,10 +239,6 @@ private:
     std::atomic<uint64_t> BatchRequests{0};
     std::atomic<uint64_t> BatchGroups{0};
     std::atomic<uint64_t> AsyncSubmitted{0};
-    std::atomic<uint64_t> PlannerEngaged{0};
-    std::atomic<uint64_t> PlannerForcedStrategy{0};
-    std::atomic<uint64_t> PlannerTwoHop{0};
-    std::atomic<uint64_t> PlannerMeasured{0};
   };
   mutable Counters Counts;
 };

@@ -44,8 +44,6 @@ const char *support::degradationName(Degradation Kind) {
     return "preload-evict";
   case Degradation::PreloadHit:
     return "preload-hit";
-  case Degradation::PlannerFallback:
-    return "planner-fallback";
   }
   return "unknown";
 }

@@ -65,12 +65,8 @@ enum class Degradation {
   /// object into the in-memory cache, so the entry's first request hits
   /// warm with no compiler invocation.
   PreloadHit,
-  /// A planner-chosen variant path failed at execution and the conversion
-  /// fell back to the default direct plan (which then served the request;
-  /// the input never fails because of a planner choice).
-  PlannerFallback,
 };
-constexpr int kNumDegradations = 15;
+constexpr int kNumDegradations = 14;
 
 /// Stable lowercase name ("jit-compile-failure", ...).
 const char *degradationName(Degradation Kind);
@@ -98,8 +94,7 @@ struct DegradationCounters {
     return total() - (*this)[Degradation::SingleFlightCoalesce] -
            (*this)[Degradation::LoadShed] -
            (*this)[Degradation::DeadlineExceeded] -
-           (*this)[Degradation::PreloadHit] -
-           (*this)[Degradation::PlannerFallback];
+           (*this)[Degradation::PreloadHit];
   }
 };
 

@@ -7,10 +7,10 @@
 /// \file
 /// Shared RAII environment override for the test suite: sets a variable
 /// for the scope and restores the previous value (or unsets) on exit. The
-/// planning knobs (CONVGEN_RANK_DENSE_MAX_BYTES, CONVGEN_PLANNER*) are
-/// snapshotted once into a thread-safe config object rather than re-read
-/// per call — getenv racing setenv is undefined behavior under threads —
-/// so the constructor and destructor reload the snapshot explicitly.
+/// planning knob (CONVGEN_RANK_DENSE_MAX_BYTES) is snapshotted once into a
+/// thread-safe config object rather than re-read per call — getenv racing
+/// setenv is undefined behavior under threads — so the constructor and
+/// destructor reload the snapshot explicitly.
 /// Cache/JIT settings (CONVGEN_CACHE_DIR, CONVGEN_CC, ...) are still read
 /// at their use sites and need no reload.
 ///

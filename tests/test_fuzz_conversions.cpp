@@ -5,7 +5,9 @@
 // packed radix or merge sort lowering chosen from the extents), so
 // hand-enumerated tests cannot cover the combinations; this harness drives
 // random (source, target, dims, nonzero pattern,
-// CONVGEN_RANK_DENSE_MAX_BYTES) tuples and bit-compares
+// CONVGEN_RANK_DENSE_MAX_BYTES) tuples, a share of them sized to land on
+// either side of the sorted-ranking rule (codegen::optionsForDims), and
+// bit-compares
 //
 //   * the interpreter-backed Converter against the hand-written triplet
 //     oracle (structural validity + exact triplet equality), and
@@ -44,6 +46,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -97,6 +100,10 @@ struct FuzzStats {
   int Ran = 0;
   int Skipped = 0;
   int JitCompared = 0;
+  /// Cases the sorted-ranking rule routed to sorted ranking, and cases
+  /// it left on the default plan.
+  int RuleSorted = 0;
+  int RuleDefault = 0;
 };
 
 /// Exact structural equality of two tensors in the same format (the
@@ -136,13 +143,21 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   std::string SrcName, DstName;
   std::vector<int64_t> Dims;
   bool Huge = false;
+  // Rule cases: an order-3 shape large enough that the sorted-ranking rule
+  // (codegen::optionsForDims) can fire above its nnz floor. The dims are
+  // fixed so the packed-sort widths, and with them the JIT objects the
+  // cases compile, stay few.
+  bool Rule = false;
   if (Order3) {
     SrcName = Names3[Pick(4)];
     DstName = Names3[Pick(4)];
     Huge = Pick(4) == 0; // 25% of order-3 cases use a huge-extent mode.
+    Rule = !Huge && Pick(4) == 0;
     if (Huge)
       Dims = {int64_t(1) << 31, int64_t(1) << (10 + Pick(11)),
               int64_t(1) + Pick(1000)};
+    else if (Rule)
+      Dims = {160, 160, 4};
     else
       Dims = {int64_t(1) + Pick(10), int64_t(1) + Pick(10),
               int64_t(1) + Pick(10)};
@@ -162,7 +177,7 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   // The profile set is deliberately small: each distinct (pair,
   // strategy-bits) combination costs one JIT compile.
   std::vector<std::unique_ptr<ScopedEnv>> Knobs;
-  switch (Concurrent ? 0 : Pick(3)) {
+  switch (Concurrent || Rule ? 0 : Pick(3)) {
   case 0:
     break; // Library defaults.
   case 1:
@@ -207,8 +222,20 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   tensor::Triplets T;
   T.setDims(Dims);
   int MaxNnz = Huge ? 40 : Pick(3) == 0 ? 0 : 1 + Pick(48);
+  // A rule case draws exactly MaxNnz distinct nonzeros relative to the
+  // dims, on either side of the rule's ratio: the ranked (i, j) levels'
+  // dense rank space exceeds kSortedRankRatio * nnz below Boundary.
+  size_t Exact = 0;
+  if (Rule) {
+    int Boundary = static_cast<int>(Dims[0] * Dims[1] /
+                                    codegen::kSortedRankRatio);
+    int Floor = static_cast<int>(codegen::kSortedRankMinNnz);
+    MaxNnz = Pick(2) == 0 ? Floor + Pick(Boundary - Floor)
+                          : Boundary + Pick(1500);
+    Exact = static_cast<size_t>(MaxNnz);
+  }
   std::set<std::vector<int64_t>> Seen;
-  for (int E = 0; E < MaxNnz; ++E) {
+  for (int E = 0; E < MaxNnz || T.Entries.size() < Exact; ++E) {
     std::vector<int64_t> Coord;
     for (int64_t D : Dims)
       Coord.push_back(static_cast<int64_t>(
@@ -223,6 +250,11 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   }
 
   tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
+  // The routing every runner applies to this input; the interpreter-backed
+  // Converter below reaches the same options through tryRun.
+  codegen::Options Opts = codegen::optionsForDims(
+      Src, Dst, codegen::Options(), Dims, In.storedSize());
+  ++(Opts.ForceSortedRanking ? Stats.RuleSorted : Stats.RuleDefault);
   convert::Converter Conv(Src, Dst);
   tensor::SparseTensor Out = Conv.run(In);
   Out.validate();
@@ -233,8 +265,6 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
 
   if (!jit::jitAvailable())
     return;
-  codegen::Options Opts =
-      codegen::optionsForDims(Src, Dst, codegen::Options(), Dims);
   auto Native = convert::PlanCache::instance().jit(Src, Dst, Opts);
   if (Concurrent) {
     // No OMP_NUM_THREADS flips from worker threads; the routine runs at
@@ -283,9 +313,10 @@ TEST(FuzzConversions, RandomizedDifferentialAgainstTheOracle) {
       break;
   }
   std::printf("[  fuzz    ] %d cases run, %d unsupported-pair skips, "
-              "%d JIT bit-compared (seed 0x%llx)\n",
-              Stats.Ran, Stats.Skipped, Stats.JitCompared,
-              static_cast<unsigned long long>(FuzzSeed));
+              "%d JIT bit-compared, %d/%d routed sorted/default by the "
+              "sorted-ranking rule (seed 0x%llx)\n",
+              Stats.Ran, Stats.Skipped, Stats.JitCompared, Stats.RuleSorted,
+              Stats.RuleDefault, static_cast<unsigned long long>(FuzzSeed));
   if (FuzzFaults || support::faultsConfigured())
     std::printf("[  fuzz    ] faults injected: %llu; degradations: %s\n",
                 static_cast<unsigned long long>(
@@ -294,6 +325,11 @@ TEST(FuzzConversions, RandomizedDifferentialAgainstTheOracle) {
   // The harness must exercise real conversions, not skip everything (tiny
   // random budgets legitimately reject a chunk of the pair space).
   EXPECT_GT(Stats.Ran, FuzzIters / 3);
+  // Both sides of the sorted-ranking rule must see differential coverage.
+  if (FuzzIters >= 100) {
+    EXPECT_GT(Stats.RuleSorted, 0);
+    EXPECT_GT(Stats.RuleDefault, 0);
+  }
 }
 
 TEST(FuzzConversions, ConcurrentCaseStreamThroughTheSharedCache) {

@@ -12,6 +12,7 @@
 #include "convert/Converter.h"
 #include "convert/PlanCache.h"
 #include "formats/Standard.h"
+#include "ir/Interpreter.h"
 #include "jit/Jit.h"
 #include "remap/RemapParser.h"
 #include "tensor/Corpus.h"
@@ -22,7 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <random>
+#include <set>
 #include <sstream>
 
 #ifdef _OPENMP
@@ -201,6 +205,234 @@ TEST(SortedRankingPlan, OptionsForDimsSetsTheHintOnlyWhenThePlanChanges) {
   EXPECT_TRUE(Small.DimsHint.empty());
   codegen::Options Huge = codegen::optionsForDims(Coo3, Csf, {}, hugeDims());
   EXPECT_EQ(Huge.DimsHint, hugeDims());
+}
+
+//===----------------------------------------------------------------------===//
+// The sorted-ranking rule (optionsForDims' nnz argument)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The options the explicitly forced "direct+sorted" plan runs under.
+codegen::Options forcedSorted(const formats::Format &Src,
+                              const formats::Format &Dst,
+                              const std::vector<int64_t> &Dims) {
+  codegen::Options Forced;
+  Forced.ForceSortedRanking = true;
+  return codegen::optionsForDims(Src, Dst, Forced, Dims);
+}
+
+} // namespace
+
+TEST(SortedRankRule, PlannerShapesRouteToSortedAt40kNnz) {
+  // The two order-3 shapes whose dense rank arrays dwarf their nonzeros:
+  // hypersparse coo3 -> csf (level 2 ranks 2048 * 2048 slices) and the
+  // csf_102 -> csf permutation (512 * 512).
+  struct Case {
+    const char *Src;
+    const char *Dst;
+    std::vector<int64_t> Dims;
+  };
+  const Case Cases[] = {{"coo3", "csf", {2048, 2048, 64}},
+                        {"csf_102", "csf", {512, 512, 64}}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(std::string(C.Src) + " -> " + C.Dst);
+    formats::Format Src = formats::standardFormatOrDie(C.Src);
+    formats::Format Dst = formats::standardFormatOrDie(C.Dst);
+    std::string Why;
+    codegen::Options Opts =
+        codegen::optionsForDims(Src, Dst, {}, C.Dims, 40000, &Why);
+    EXPECT_TRUE(Opts.ForceSortedRanking) << Why;
+    EXPECT_EQ(Opts.DimsHint, C.Dims);
+    EXPECT_TRUE(codegen::planAssembly(Src, Dst, Opts).anySorted());
+    // The same plan key the explicitly forced plan has always had.
+    EXPECT_EQ(convert::planKey(Src, Dst, Opts),
+              convert::planKey(Src, Dst, forcedSorted(Src, Dst, C.Dims)));
+  }
+}
+
+TEST(SortedRankRule, DenseEnoughInputsKeepTheDefaultPlanAndKey) {
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  formats::Format Csf102 = formats::standardFormatOrDie("csf_102");
+  struct Case {
+    const formats::Format *Src;
+    std::vector<int64_t> Dims;
+    int64_t Space; ///< Largest ranked level's dense rank space.
+  };
+  const Case Cases[] = {{&Coo3, {2048, 2048, 64}, 2048 * 2048},
+                        {&Csf102, {512, 512, 64}, 512 * 512}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Src->Name);
+    // From ceil(space / ratio) nonzeros on, the space no longer exceeds
+    // ratio * nnz.
+    int64_t Tipping =
+        (C.Space + codegen::kSortedRankRatio - 1) / codegen::kSortedRankRatio;
+    for (int64_t Nnz : {Tipping, C.Space, 4 * C.Space}) {
+      codegen::Options Opts =
+          codegen::optionsForDims(*C.Src, Csf, {}, C.Dims, Nnz);
+      EXPECT_FALSE(Opts.ForceSortedRanking) << Nnz;
+      EXPECT_TRUE(Opts.DimsHint.empty()) << Nnz;
+      EXPECT_EQ(convert::planKey(*C.Src, Csf, Opts),
+                convert::planKey(*C.Src, Csf, codegen::Options()));
+    }
+    // One nonzero fewer tips it.
+    EXPECT_TRUE(codegen::optionsForDims(*C.Src, Csf, {}, C.Dims, Tipping - 1)
+                    .ForceSortedRanking);
+  }
+  // Unknown nnz (the default argument) turns the rule off, and so does an
+  // input below the floor, however large its dense rank space.
+  EXPECT_FALSE(
+      codegen::optionsForDims(Coo3, Csf, {}, {2048, 2048, 64})
+          .ForceSortedRanking);
+  std::string Why;
+  codegen::Options Tiny = codegen::optionsForDims(
+      Coo3, Csf, {}, {2048, 2048, 64}, codegen::kSortedRankMinNnz - 1, &Why);
+  EXPECT_FALSE(Tiny.ForceSortedRanking);
+  EXPECT_TRUE(Tiny.DimsHint.empty());
+  EXPECT_NE(Why.find("below the sorted-ranking floor"), std::string::npos)
+      << Why;
+  EXPECT_TRUE(codegen::optionsForDims(Coo3, Csf, {}, {2048, 2048, 64},
+                                      codegen::kSortedRankMinNnz)
+                  .ForceSortedRanking);
+}
+
+TEST(SortedRankRule, NoTable3PairEverFlips) {
+  // The paper's seven matrix pairs assemble without dense rank arrays, so
+  // the rule never touches them, however sparse the input.
+  const std::pair<const char *, const char *> Pairs[] = {
+      {"coo", "csr"}, {"coo", "dia"}, {"csr", "csc"}, {"csr", "dia"},
+      {"csr", "ell"}, {"csc", "dia"}, {"csc", "ell"}};
+  const std::vector<int64_t> DimsSet[] = {
+      {1000, 1000}, {40000, 40000}, {5, 100000}, {100000, 5}};
+  for (const auto &[S, D] : Pairs) {
+    formats::Format Src = formats::standardFormatOrDie(S);
+    formats::Format Dst = formats::standardFormatOrDie(D);
+    for (const std::vector<int64_t> &Dims : DimsSet) {
+      SCOPED_TRACE(std::string(S) + " -> " + D);
+      codegen::AssemblyPlan Plan = codegen::planAssembly(Src, Dst, Dims);
+      ASSERT_TRUE(Plan.Unsupported.empty()) << Plan.Unsupported;
+      for (size_t K = 0; K < Plan.Ranked.size(); ++K) {
+        EXPECT_FALSE(Plan.Ranked[K]) << "level " << K + 1;
+        EXPECT_EQ(Plan.RankSpace[K], -1) << "level " << K + 1;
+      }
+      for (int64_t Nnz : {codegen::kSortedRankMinNnz, int64_t(5000)}) {
+        codegen::Options Opts =
+            codegen::optionsForDims(Src, Dst, {}, Dims, Nnz);
+        codegen::Options Unknown = codegen::optionsForDims(Src, Dst, {}, Dims);
+        EXPECT_FALSE(Opts.ForceSortedRanking);
+        EXPECT_EQ(convert::planKey(Src, Dst, Opts),
+                  convert::planKey(Src, Dst, Unknown));
+      }
+    }
+  }
+}
+
+TEST(SortedRankRule, IneligibleSortedChainKeepsDenseRankingAndStaysSupported) {
+  // csc -> bcsr ranks its block-column level densely, but its dims are
+  // computed block coordinates, which sorted ranking cannot take; ell ->
+  // bcsr additionally pads its values.
+  formats::Format Bcsr = formats::standardFormatOrDie("bcsr");
+  for (const char *S : {"csc", "ell"}) {
+    SCOPED_TRACE(S);
+    formats::Format Src = formats::standardFormatOrDie(S);
+    // 2000 x 2000 blocks of dense rank space: well under the byte budget,
+    // far over the rule's ratio at the floor.
+    std::vector<int64_t> Dims = {8000, 8000};
+    int64_t Nnz = codegen::kSortedRankMinNnz;
+    codegen::AssemblyPlan Plan = codegen::planAssembly(Src, Bcsr, Dims);
+    ASSERT_TRUE(Plan.Unsupported.empty()) << Plan.Unsupported;
+    ASSERT_GT(*std::max_element(Plan.RankSpace.begin(), Plan.RankSpace.end()),
+              codegen::kSortedRankRatio * Nnz);
+    std::string Why;
+    codegen::Options Opts =
+        codegen::optionsForDims(Src, Bcsr, {}, Dims, Nnz, &Why);
+    EXPECT_FALSE(Opts.ForceSortedRanking);
+    EXPECT_TRUE(Opts.DimsHint.empty());
+    EXPECT_NE(Why.find("does not apply"), std::string::npos) << Why;
+    EXPECT_TRUE(codegen::conversionSupported(Src, Bcsr, Opts));
+  }
+}
+
+namespace {
+
+/// Runs exactly the plan for \p Opts through the interpreter (no
+/// per-request routing), the way a compiled routine would.
+tensor::SparseTensor runPlan(const formats::Format &Src,
+                             const formats::Format &Dst,
+                             const codegen::Options &Opts,
+                             const tensor::SparseTensor &In) {
+  auto Plan = convert::PlanCache::instance().plan(Src, Dst, Opts);
+  ir::Interpreter Interp;
+  convert::bindSourceTensor(Interp, In);
+  ir::RunResult Result = Interp.run(Plan->Func);
+  return convert::collectTargetTensor(Dst, In.Dims, Result);
+}
+
+void expectBitIdentical(const tensor::SparseTensor &Want,
+                        const tensor::SparseTensor &Got,
+                        const std::string &What) {
+  ASSERT_EQ(Want.Levels.size(), Got.Levels.size()) << What;
+  for (size_t K = 0; K < Want.Levels.size(); ++K) {
+    EXPECT_EQ(Want.Levels[K].Pos, Got.Levels[K].Pos) << What << ", level " << K;
+    EXPECT_EQ(Want.Levels[K].Crd, Got.Levels[K].Crd) << What << ", level " << K;
+    EXPECT_EQ(Want.Levels[K].Perm, Got.Levels[K].Perm)
+        << What << ", level " << K;
+    EXPECT_EQ(Want.Levels[K].SizeParam, Got.Levels[K].SizeParam)
+        << What << ", level " << K;
+  }
+  EXPECT_EQ(Want.Vals, Got.Vals) << What;
+}
+
+} // namespace
+
+TEST(SortedRankRule, ForcedSortedIsBitIdenticalToTheDefaultPlan) {
+  struct Pair {
+    const char *Src;
+    const char *Dst;
+    std::vector<int64_t> Dims;
+  };
+  const Pair Pairs[] = {
+      {"coo", "csr", {12, 12}},       {"csr", "csc", {12, 12}},
+      {"csc", "coo", {12, 12}},       {"coo3", "csf", {6, 6, 6}},
+      {"csf", "coo3", {6, 6, 6}},     {"csf_102", "csf", {6, 6, 6}},
+      {"coo3", "csf_021", {6, 6, 6}},
+  };
+  for (const Pair &P : Pairs) {
+    formats::Format Src = formats::standardFormatOrDie(P.Src);
+    formats::Format Dst = formats::standardFormatOrDie(P.Dst);
+    const std::vector<int64_t> &Dims = P.Dims;
+    for (uint64_t Seed : {0x5eed01ull, 0x5eed02ull, 0x5eed03ull}) {
+      SCOPED_TRACE(std::string(P.Src) + " -> " + P.Dst + ", seed " +
+                   std::to_string(Seed));
+      tensor::Triplets T;
+      T.setDims(Dims);
+      std::mt19937_64 Rng(Seed);
+      std::set<std::vector<int64_t>> Seen;
+      for (int E = 0; E < 150; ++E) {
+        std::vector<int64_t> Coord;
+        for (int64_t D : Dims)
+          Coord.push_back(
+              static_cast<int64_t>(Rng() % static_cast<uint64_t>(D)));
+        if (Seen.insert(Coord).second)
+          T.Entries.push_back(
+              tensor::Entry(Coord, static_cast<double>(1 + Rng() % 97)));
+      }
+      tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
+      tensor::SparseTensor Want = runPlan(Src, Dst, codegen::Options(), In);
+      Want.validate();
+      EXPECT_TRUE(tensor::equal(tensor::toTriplets(Want), T));
+      codegen::Options Forced = forcedSorted(Src, Dst, Dims);
+      if (codegen::conversionSupported(Src, Dst, Forced))
+        expectBitIdentical(Want, runPlan(Src, Dst, Forced, In),
+                           "direct+sorted");
+      // End to end, through the per-request routing.
+      StatusOr<tensor::SparseTensor> Routed =
+          convert::Converter(Src, Dst).tryRun(In);
+      ASSERT_TRUE(Routed.ok()) << Routed.status().message();
+      expectBitIdentical(Want, *Routed, "routed");
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

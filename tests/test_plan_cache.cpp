@@ -157,11 +157,11 @@ TEST(PlanCacheJit, DisablingTheDiskCacheStaysInMemory) {
 }
 
 TEST(PlanCacheKeys, ForcedSortedRankingIsOneKeyBitAndOneDefine) {
-  // Strategy is derived from the formats and the extents, so the only
-  // strategy input outside the dims is the planner's forced sorted
-  // ranking: one marker in the plan key and one define in the effective
-  // JIT flags (the other half of every cache key). The environment adds
-  // no strategy defines of its own.
+  // Strategy is derived from the formats, the extents and nnz, so the only
+  // strategy input outside the dims is forced sorted ranking (which the
+  // sorted-ranking rule sets): one marker in the plan key and one define
+  // in the effective JIT flags (the other half of every cache key). The
+  // environment adds no strategy defines of its own.
   ScopedEnv NoExtra("CONVGEN_JIT_FLAGS", "");
   std::string Base = "-O3 -march=native -std=c11 -shared -fPIC";
   if (jit::jitOpenMPAvailable())
@@ -178,7 +178,7 @@ TEST(PlanCacheKeys, ForcedSortedRankingIsOneKeyBitAndOneDefine) {
   EXPECT_NE(ForcedKey.find(" [f:S1]"), std::string::npos) << ForcedKey;
   EXPECT_NE(ForcedKey.find(" [s111:g3]"), std::string::npos) << ForcedKey;
   EXPECT_EQ(jit::jitEffectiveFlags("", Opts),
-            Base + " -DCONVGEN_PLANNER_FORCE_SORTED_RANKING=1");
+            Base + " -DCONVGEN_FORCE_SORTED_RANKING=1");
 }
 
 TEST(PlanCacheJit, ForcedSortedRankingCompilesAFreshObjectNotAStaleOne) {

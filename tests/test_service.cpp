@@ -107,7 +107,7 @@ struct WorkItem {
   formats::Format Dst;
   tensor::SparseTensor In;
   tensor::SparseTensor Want; // Serial interpreter result.
-  codegen::Options Opts;     // Dims-routed.
+  codegen::Options Opts;     // Routed (optionsForDims).
   std::string Label;
 };
 
@@ -120,7 +120,8 @@ WorkItem makeItem(const char *SrcName, const char *DstName,
   std::vector<int64_t> Dims;
   for (int M = 0; M < T.order(); ++M)
     Dims.push_back(T.dim(M));
-  W.Opts = codegen::optionsForDims(W.Src, W.Dst, codegen::Options(), Dims);
+  W.Opts = codegen::optionsForDims(W.Src, W.Dst, codegen::Options(), Dims,
+                                   W.In.storedSize());
   convert::Converter Oracle(W.Src, W.Dst);
   W.Want = Oracle.run(W.In);
   W.Label = std::string(SrcName) + " -> " + DstName;
@@ -744,6 +745,51 @@ TEST(Batch, GroupsByPlanKeyAndAcquiresOneHandlePerGroup) {
   EXPECT_EQ(S.Batches, 1u);
   EXPECT_EQ(S.BatchRequests, Requests.size());
   EXPECT_EQ(S.BatchGroups, 3u);
+}
+
+TEST(Batch, SingleAndBatchedRequestsRunTheSamePlan) {
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+  // A hypersparse coo3 -> csf input: level 2's dense rank array (2048 *
+  // 2048 entries) dwarfs its 40k nonzeros, so routing picks sorted
+  // ranking. convert() and submitBatch() must both route it that way.
+  tensor::Triplets T = tensor::genRandomTensor3(2048, 2048, 64, 40000, 1004);
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  tensor::SparseTensor In = tensor::buildFromTriplets(Coo3, T);
+  codegen::Options Routed = codegen::optionsForDims(
+      Coo3, Csf, codegen::Options(), In.Dims, In.storedSize());
+  ASSERT_TRUE(Routed.ForceSortedRanking);
+  resetBooks();
+
+  ServiceLimits Limits;
+  Limits.MaxInflight = 2;
+  ConversionService Service(Limits);
+  ConversionRequest R;
+  R.Source = Coo3;
+  R.Target = Csf;
+  R.Input = &In;
+
+  PlanCacheStats Before = PlanCache::instance().stats();
+  StatusOr<tensor::SparseTensor> Single = Service.convert(R);
+  ASSERT_TRUE(Single.ok()) << Single.status().toString();
+  PlanCacheStats Mid = PlanCache::instance().stats();
+  std::vector<StatusOr<tensor::SparseTensor>> Batched =
+      Service.submitBatch({R});
+  ASSERT_EQ(Batched.size(), 1u);
+  ASSERT_TRUE(Batched[0].ok()) << Batched[0].status().toString();
+  PlanCacheStats After = PlanCache::instance().stats();
+
+  // One plan key: the batch's acquisition hits the handle convert()
+  // compiled under the routed key.
+  EXPECT_EQ(Mid.JitMisses - Before.JitMisses, 1u);
+  EXPECT_EQ(After.JitMisses - Mid.JitMisses, 0u);
+  EXPECT_EQ(After.JitHits - Mid.JitHits, 1u);
+  // ... and that key is the routed one.
+  PlanCache::instance().jit(Coo3, Csf, Routed);
+  EXPECT_EQ(PlanCache::instance().stats().JitMisses, After.JitMisses);
+
+  expectBitIdentical(*Single, *Batched[0], "convert vs submitBatch");
+  expectBitIdentical(tensor::buildFromTriplets(Csf, T), *Single, "oracle");
 }
 
 TEST(Batch, ShedMembersFailAloneAndTheBatchContinues) {
