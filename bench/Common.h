@@ -90,10 +90,9 @@ inline double medianSeconds(const std::function<void()> &Fn) {
 }
 
 /// Machine-readable output: every bench binary writes a BENCH_<name>.json
-/// beside its human-readable table (the same shape bench_parallel_scaling
-/// introduced), so successive PRs can track the perf trajectory without
-/// parsing tables. Scalar metadata first, then a "results" array whose
-/// entries the benchmark formats itself (strfmt keeps this dependency-free).
+/// beside its human-readable table. Scalar metadata first, then a
+/// "results" array whose entries the benchmark formats itself (strfmt
+/// keeps this dependency-free).
 class BenchReport {
 public:
   /// \p File is the output name, e.g. "BENCH_table3.json".
@@ -101,9 +100,7 @@ public:
     meta("scale", strfmt("%.3f", benchScale()));
     meta("reps", strfmt("%d", benchReps()));
     // Provenance: parallel-speedup numbers are only meaningful relative to
-    // the recording host's core count (the repo's historical JSONs were
-    // recorded on a 1-CPU dev container; the CI bench-multicore leg
-    // uploads multi-core artifacts with this field set accordingly).
+    // the recording host's core count.
     meta("host_threads",
          strfmt("%u", std::max(1u, std::thread::hardware_concurrency())));
   }
@@ -119,14 +116,6 @@ public:
 
   /// Adds one pre-formatted JSON object to the results array.
   void add(const std::string &EntryObject) { Entries.push_back(EntryObject); }
-
-  /// The standard timing entry most benches emit.
-  static std::string timingEntry(const std::string &Label,
-                                 const TimeStats &S) {
-    return strfmt("{\"label\": \"%s\", \"median_seconds\": %.6g, "
-                  "\"min_seconds\": %.6g}",
-                  Label.c_str(), S.MedianSeconds, S.MinSeconds);
-  }
 
   /// Writes the report; returns false (with a note on stderr) on failure.
   /// The process's degradation summary is embedded (and echoed to stderr

@@ -142,16 +142,32 @@ bool checksumMatches(const std::string &SoPath) {
 /// changes; a preloader seeing another version drops the whole file.
 const char kManifestHeader[] = "convgen-manifest-v1";
 
-/// Everything outside the plan that determines whether a cached object is
-/// loadable here: the full effective flag string (strategy knobs and
-/// CONVGEN_JIT_FLAGS baked in), the compiler identity, and the host ISA.
-/// A preloader whose hash differs from the manifest writer's is
-/// version-skewed and must evict, not serve.
+/// Everything outside the emitted C that determines the compiled binary:
+/// the full effective flag string (strategy knobs and CONVGEN_JIT_FLAGS
+/// baked in), the compiler identity, and the host ISA (-march=native
+/// bakes it into the object).
+std::string toolchainKey(const std::string &EffectiveFlags) {
+  return EffectiveFlags + "\n" + convgen::jit::compilerSpec() + "\n" +
+         hostIsaFingerprint();
+}
+
+/// Hash of the toolchain key. A preloader whose hash differs from the
+/// manifest writer's is version-skewed and must evict, not serve.
 std::string environmentHash(const std::string &ExtraFlags) {
-  const char *Cc = std::getenv("CONVGEN_CC");
   return convgen::convert::contentHash(
-      convgen::jit::jitEffectiveFlags(ExtraFlags) + "\n" +
-      (Cc ? Cc : "cc") + "\n" + hostIsaFingerprint());
+      toolchainKey(convgen::jit::jitEffectiveFlags(ExtraFlags)));
+}
+
+/// The disk-cache object for \p Plan: keyed on its emitted C and the
+/// toolchain key of the flags it compiles with.
+std::string diskObjectPath(const std::string &Dir,
+                           const convgen::codegen::Conversion &Plan,
+                           const std::string &ExtraFlags) {
+  std::string Key =
+      Plan.cSource() + "\n" +
+      toolchainKey(convgen::jit::jitEffectiveFlags(ExtraFlags, Plan.Opts));
+  return Dir + "/" + Plan.Func.Name + "-" +
+         convgen::convert::contentHash(Key) + ".so";
 }
 
 std::vector<std::string> splitTabs(const std::string &Line) {
@@ -579,18 +595,10 @@ PlanCache::jitImpl(const formats::Format &Source,
   // generation too.
   std::shared_ptr<const codegen::Conversion> Plan =
       plan(Source, Target, Opts);
-  // The disk key covers everything that determines the binary: the emitted
-  // C, the full flag string, the compiler identity (CONVGEN_CC), and the
-  // host CPU (-march=native bakes the ISA into the object).
   std::string SoPath;
   std::string Dir = diskCacheDir();
-  if (!Dir.empty()) {
-    const char *Cc = std::getenv("CONVGEN_CC");
-    std::string DiskKey = Plan->cSource() + "\n" +
-                          jit::jitEffectiveFlags(ExtraFlags, Opts) + "\n" +
-                          (Cc ? Cc : "cc") + "\n" + hostIsaFingerprint();
-    SoPath = Dir + "/" + Plan->Func.Name + "-" + contentHash(DiskKey) + ".so";
-  }
+  if (!Dir.empty())
+    SoPath = diskObjectPath(Dir, *Plan, ExtraFlags);
   auto Compiled = std::make_shared<jit::JitConversion>(*Plan, ExtraFlags,
                                                        SoPath, Deadline);
   {
@@ -820,12 +828,7 @@ PreloadStats PlanCache::preloadEager(
       Evict("disk cache disabled");
       continue;
     }
-    const char *Cc = std::getenv("CONVGEN_CC");
-    std::string DiskKey = (*Plan)->cSource() + "\n" +
-                          jit::jitEffectiveFlags(ExtraFlags) + "\n" +
-                          (Cc ? Cc : "cc") + "\n" + hostIsaFingerprint();
-    std::string SoPath =
-        Dir + "/" + (*Plan)->Func.Name + "-" + contentHash(DiskKey) + ".so";
+    std::string SoPath = diskObjectPath(Dir, **Plan, ExtraFlags);
     if (SoPath != F[7]) {
       Evict(F[0] + " -> " + F[1] +
             ": recorded object path does not match this environment");

@@ -211,9 +211,7 @@ using support::Degradation;
 using support::DegradationLog;
 using support::FaultSite;
 
-/// The compiler spec, re-read per use so tests can rebind CONVGEN_CC
-/// in-process (availability probes below are memoized per value).
-static std::string compilerSpec() {
+std::string jit::compilerSpec() {
   const char *Env = std::getenv("CONVGEN_CC");
   if (Env && *Env)
     return Env;

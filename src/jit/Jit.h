@@ -87,6 +87,11 @@ struct CTensor {
 /// phase, as before).
 constexpr int kNumPhases = 8;
 
+/// The external C compiler command: CONVGEN_CC, or "cc" when that is unset
+/// or empty. Re-read per use so tests can rebind CONVGEN_CC in-process
+/// (availability probes are memoized per value).
+std::string compilerSpec();
+
 /// True if a working C compiler is available. Probed once per distinct
 /// CONVGEN_CC value (so tests can point CONVGEN_CC at a nonexistent binary
 /// and observe the no-compiler degradation in-process).

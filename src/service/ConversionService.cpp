@@ -13,7 +13,9 @@
 #include "support/DegradationLog.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <thread>
@@ -25,14 +27,18 @@ using support::Deadline;
 using support::Degradation;
 using support::DegradationLog;
 
-static int64_t envInt(const char *Name, int64_t Default) {
+/// \p Name's integer value (or \p Default when unset or malformed),
+/// clamped to [Lo, Hi] before any narrowing.
+static int64_t envInt(const char *Name, int64_t Default, int64_t Lo,
+                      int64_t Hi) {
+  int64_t V = Default;
   if (const char *Env = std::getenv(Name)) {
     char *End = nullptr;
-    long long V = std::strtoll(Env, &End, 10);
+    long long Parsed = std::strtoll(Env, &End, 10);
     if (End != Env && *End == '\0')
-      return V;
+      V = Parsed;
   }
-  return Default;
+  return std::clamp(V, Lo, Hi);
 }
 
 ServiceLimits ServiceLimits::fromEnv() {
@@ -40,20 +46,16 @@ ServiceLimits ServiceLimits::fromEnv() {
   if (Hw < 1)
     Hw = 1;
   ServiceLimits L;
+  constexpr int64_t IntMax = std::numeric_limits<int>::max();
   // 2x the hardware threads: conversion is memory-bound enough that a
   // little oversubscription keeps cores busy across the marshal/compile
   // gaps without drowning the allocator.
   L.MaxInflight =
-      static_cast<int>(envInt("CONVGEN_MAX_INFLIGHT", 2LL * Hw));
-  if (L.MaxInflight < 1)
-    L.MaxInflight = 1;
+      static_cast<int>(envInt("CONVGEN_MAX_INFLIGHT", 2LL * Hw, 1, IntMax));
   L.QueueDepth = static_cast<int>(
-      envInt("CONVGEN_QUEUE_DEPTH", 2LL * L.MaxInflight));
-  if (L.QueueDepth < 0)
-    L.QueueDepth = 0;
-  L.DefaultDeadlineMs = envInt("CONVGEN_DEFAULT_DEADLINE_MS", 0);
-  if (L.DefaultDeadlineMs < 0)
-    L.DefaultDeadlineMs = 0;
+      envInt("CONVGEN_QUEUE_DEPTH", 2LL * L.MaxInflight, 0, IntMax));
+  L.DefaultDeadlineMs = envInt("CONVGEN_DEFAULT_DEADLINE_MS", 0, 0,
+                               std::numeric_limits<int64_t>::max());
   return L;
 }
 

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -683,6 +684,40 @@ TEST(Service, DefaultDeadlineFromLimitsApplies) {
   expectBitIdentical(W.Want, *Out, W.Label);
   EXPECT_EQ(Service.stats().DegradedRuns, 0u)
       << "the deadline-bound handle leaked into the shared cache";
+}
+
+TEST(Service, OutOfRangeLimitSettingsClampInsteadOfWrapping) {
+  const int IntMax = std::numeric_limits<int>::max();
+  {
+    // 2^32 - 1 must not narrow to -1, which would clamp to 0 (shed at
+    // saturation).
+    ScopedEnv Depth("CONVGEN_QUEUE_DEPTH", "4294967295");
+    EXPECT_EQ(ServiceLimits::fromEnv().QueueDepth, IntMax);
+  }
+  {
+    // 2^31 must not narrow to INT_MIN, which would clamp to 1.
+    ScopedEnv Inflight("CONVGEN_MAX_INFLIGHT", "2147483648");
+    ServiceLimits L = ServiceLimits::fromEnv();
+    EXPECT_EQ(L.MaxInflight, IntMax);
+    EXPECT_EQ(L.QueueDepth, IntMax);
+  }
+  {
+    // In range, but the default queue depth (2x) is not: it must clamp,
+    // not overflow.
+    ScopedEnv Inflight("CONVGEN_MAX_INFLIGHT", "1500000000");
+    ServiceLimits L = ServiceLimits::fromEnv();
+    EXPECT_EQ(L.MaxInflight, 1500000000);
+    EXPECT_EQ(L.QueueDepth, IntMax);
+  }
+  {
+    ScopedEnv Inflight("CONVGEN_MAX_INFLIGHT", "-5");
+    ScopedEnv Depth("CONVGEN_QUEUE_DEPTH", "-5");
+    ScopedEnv Deadline("CONVGEN_DEFAULT_DEADLINE_MS", "-5");
+    ServiceLimits L = ServiceLimits::fromEnv();
+    EXPECT_EQ(L.MaxInflight, 1);
+    EXPECT_EQ(L.QueueDepth, 0);
+    EXPECT_EQ(L.DefaultDeadlineMs, 0);
+  }
 }
 
 //===------------------------------------------------------------------===//
