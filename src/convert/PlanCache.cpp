@@ -163,9 +163,8 @@ std::string environmentHash(const std::string &ExtraFlags) {
 std::string diskObjectPath(const std::string &Dir,
                            const convgen::codegen::Conversion &Plan,
                            const std::string &ExtraFlags) {
-  std::string Key =
-      Plan.cSource() + "\n" +
-      toolchainKey(convgen::jit::jitEffectiveFlags(ExtraFlags, Plan.Opts));
+  std::string Key = Plan.cSource() + "\n" +
+                    toolchainKey(convgen::jit::jitEffectiveFlags(ExtraFlags));
   return Dir + "/" + Plan.Func.Name + "-" +
          convgen::convert::contentHash(Key) + ".so";
 }
@@ -431,56 +430,114 @@ std::string PlanCache::diskCacheDir() {
   return Dir;
 }
 
+template <typename V, typename BuildFn>
+StatusOr<V> PlanCache::lookupOrBuild(std::map<std::string, V> Shard::*Entries,
+                                     FlightMap<V> Shard::*Flights,
+                                     FlightCounters &Count,
+                                     const std::string &Key,
+                                     const std::string &Pair,
+                                     const support::Deadline &Deadline,
+                                     BuildFn Build) {
+  Shard &S = shardFor(Key);
+  for (;;) {
+    {
+      std::shared_lock<std::shared_mutex> Read(S.Mu);
+      auto It = (S.*Entries).find(Key);
+      if (It != (S.*Entries).end()) {
+        Count.Hits.fetch_add(1, std::memory_order_relaxed);
+        return It->second;
+      }
+    }
+    // Miss: join or start the key's single flight.
+    std::shared_ptr<Flight<V>> F;
+    bool Leader = false;
+    {
+      std::unique_lock<std::shared_mutex> Write(S.Mu);
+      auto It = (S.*Entries).find(Key);
+      if (It != (S.*Entries).end()) {
+        Count.Hits.fetch_add(1, std::memory_order_relaxed);
+        return It->second;
+      }
+      std::shared_ptr<Flight<V>> &Slot = (S.*Flights)[Key];
+      Leader = !Slot;
+      if (Leader)
+        Slot = std::make_shared<Flight<V>>();
+      F = Slot;
+    }
+    if (Leader) {
+      // Build outside the lock (other shard traffic proceeds), then
+      // publish to the map and the waiters' future.
+      V Built = Build();
+      {
+        std::unique_lock<std::shared_mutex> Write(S.Mu);
+        if (cacheable(Built))
+          (S.*Entries)[Key] = Built;
+        (S.*Flights).erase(Key);
+      }
+      Count.Misses.fetch_add(1, std::memory_order_relaxed);
+      F->Promise.set_value(Built);
+      return Built;
+    }
+    // Coalesced waiter: block on the leader's future, bounded by this
+    // caller's own deadline (the build itself keeps running for the leader
+    // and everyone more patient). Only JIT lookups carry a finite deadline.
+    if (!Pair.empty())
+      DegradationLog::instance().record(Degradation::SingleFlightCoalesce,
+                                        Pair);
+    if (!Deadline.infinite() &&
+        F->Future.wait_until(Deadline.timePoint()) ==
+            std::future_status::timeout) {
+      std::string Why =
+          Pair + ": deadline expired waiting on the in-flight compile";
+      DegradationLog::instance().record(Degradation::DeadlineExceeded, Why);
+      return Status::error(ErrorCode::DeadlineExceeded, "jit: " + Why);
+    }
+    V Got = F->Future.get();
+    // The leader's own deadline cut its build short; this caller still has
+    // time, so it leads or joins a fresh flight instead.
+    if (!cacheable(Got) && !Deadline.expired())
+      continue;
+    // A successful wait counts as a hit, never a miss.
+    Count.Hits.fetch_add(1, std::memory_order_relaxed);
+    Count.Coalesced.fetch_add(1, std::memory_order_relaxed);
+    return Got;
+  }
+}
+
 std::shared_ptr<const codegen::Conversion>
 PlanCache::plan(const formats::Format &Source, const formats::Format &Target,
                 const codegen::Options &Opts) {
-  std::string Key = planKey(Source, Target, Opts);
-  Shard &S = shardFor(Key);
-  {
-    std::shared_lock<std::shared_mutex> Read(S.Mu);
-    auto It = S.Plans.find(Key);
-    if (It != S.Plans.end()) {
-      Stats.PlanHits.fetch_add(1, std::memory_order_relaxed);
-      return It->second;
-    }
+  // Codegen is pure, millisecond-scale compute, so waiters block
+  // unboundedly (deadlines bound compiles and queues, not in-process
+  // codegen) and the lookup cannot fail.
+  auto Generate = [&] {
+    return std::make_shared<const codegen::Conversion>(
+        codegen::generateConversion(Source, Target, Opts));
+  };
+  return lookupOrBuild(&Shard::Plans, &Shard::PlanFlights, Stats.Plan,
+                       planKey(Source, Target, Opts), "",
+                       support::Deadline::never(), Generate)
+      .take();
+}
+
+/// The checked entry points' shared gate: an already expired deadline
+/// fails fast, before any work, and an unsupported pair returns the
+/// planner's diagnostic.
+static Status precheck(const char *What, const formats::Format &Source,
+                       const formats::Format &Target,
+                       const codegen::Options &Opts,
+                       const support::Deadline &Deadline) {
+  if (Deadline.expired()) {
+    DegradationLog::instance().record(
+        Degradation::DeadlineExceeded,
+        strfmt("%s request arrived with an expired deadline", What));
+    return Status::error(ErrorCode::DeadlineExceeded,
+                         strfmt("%s: request deadline expired", What));
   }
-  // Miss: join or start the key's single flight. Codegen is pure,
-  // millisecond-scale compute, so waiters block unboundedly on the future
-  // (deadlines bound compiles and queues, not in-process codegen).
-  std::shared_ptr<Flight<PlanPtr>> F;
-  {
-    std::unique_lock<std::shared_mutex> Write(S.Mu);
-    auto It = S.Plans.find(Key);
-    if (It != S.Plans.end()) {
-      Stats.PlanHits.fetch_add(1, std::memory_order_relaxed);
-      return It->second;
-    }
-    auto [FlightIt, Leader] =
-        S.PlanFlights.emplace(Key, std::shared_ptr<Flight<PlanPtr>>());
-    if (Leader)
-      FlightIt->second = std::make_shared<Flight<PlanPtr>>();
-    F = FlightIt->second;
-    if (!Leader) {
-      // Coalesced waiter: counted as a hit (the plan exists, in flight),
-      // never a miss. Wait outside the lock.
-      Stats.PlanHits.fetch_add(1, std::memory_order_relaxed);
-      Stats.PlanCoalesced.fetch_add(1, std::memory_order_relaxed);
-      Write.unlock();
-      return F->Future.get();
-    }
-  }
-  // Leader: generate outside the lock (other shard traffic proceeds), then
-  // publish to the map and the waiters' future.
-  auto Generated = std::make_shared<const codegen::Conversion>(
-      codegen::generateConversion(Source, Target, Opts));
-  {
-    std::unique_lock<std::shared_mutex> Write(S.Mu);
-    S.Plans[Key] = Generated;
-    S.PlanFlights.erase(Key);
-  }
-  Stats.PlanMisses.fetch_add(1, std::memory_order_relaxed);
-  F->Promise.set_value(Generated);
-  return Generated;
+  std::string Why;
+  if (!codegen::conversionSupported(Source, Target, Opts, &Why))
+    return Status::error(ErrorCode::Unsupported, Why);
+  return Status();
 }
 
 StatusOr<std::shared_ptr<const codegen::Conversion>>
@@ -488,17 +545,9 @@ PlanCache::tryPlan(const formats::Format &Source,
                    const formats::Format &Target,
                    const codegen::Options &Opts,
                    const support::Deadline &Deadline) {
-  if (Deadline.expired()) {
-    DegradationLog::instance().record(
-        Degradation::DeadlineExceeded,
-        "plan request arrived with an expired deadline");
-    return Status::error(ErrorCode::DeadlineExceeded,
-                         "plan: request deadline expired");
-  }
-  std::string Why;
-  bool Supported = codegen::conversionSupported(Source, Target, Opts, &Why);
-  if (!Supported)
-    return Status::error(ErrorCode::Unsupported, Why);
+  Status Gate = precheck("plan", Source, Target, Opts, Deadline);
+  if (!Gate.ok())
+    return Gate;
   return plan(Source, Target, Opts);
 }
 
@@ -506,17 +555,9 @@ StatusOr<std::shared_ptr<jit::JitConversion>>
 PlanCache::tryJit(const formats::Format &Source, const formats::Format &Target,
                   const codegen::Options &Opts, const std::string &ExtraFlags,
                   const support::Deadline &Deadline) {
-  if (Deadline.expired()) {
-    DegradationLog::instance().record(
-        Degradation::DeadlineExceeded,
-        "jit request arrived with an expired deadline");
-    return Status::error(ErrorCode::DeadlineExceeded,
-                         "jit: request deadline expired");
-  }
-  std::string Why;
-  bool Supported = codegen::conversionSupported(Source, Target, Opts, &Why);
-  if (!Supported)
-    return Status::error(ErrorCode::Unsupported, Why);
+  Status Gate = precheck("jit", Source, Target, Opts, Deadline);
+  if (!Gate.ok())
+    return Gate;
   // Environment failures below this point degrade inside JitConversion
   // (which then interprets) rather than surfacing as a Status: the handle
   // the caller gets always converts. Only a finite deadline can turn this
@@ -540,106 +581,45 @@ PlanCache::jitImpl(const formats::Format &Source,
                    const codegen::Options &Opts,
                    const std::string &ExtraFlags,
                    const support::Deadline &Deadline) {
-  std::string Key = planKey(Source, Target, Opts) + " !" + ExtraFlags;
-  Shard &S = shardFor(Key);
-  {
-    std::shared_lock<std::shared_mutex> Read(S.Mu);
-    auto It = S.Jits.find(Key);
-    if (It != S.Jits.end()) {
-      Stats.JitHits.fetch_add(1, std::memory_order_relaxed);
-      return It->second;
-    }
-  }
-  // Miss: join or start the key's single flight.
-  std::shared_ptr<Flight<JitPtr>> F;
-  {
-    std::unique_lock<std::shared_mutex> Write(S.Mu);
-    auto It = S.Jits.find(Key);
-    if (It != S.Jits.end()) {
-      Stats.JitHits.fetch_add(1, std::memory_order_relaxed);
-      return It->second;
-    }
-    auto [FlightIt, Leader] =
-        S.JitFlights.emplace(Key, std::shared_ptr<Flight<JitPtr>>());
-    if (Leader)
-      FlightIt->second = std::make_shared<Flight<JitPtr>>();
-    F = FlightIt->second;
-    if (!Leader) {
-      Write.unlock();
-      // Coalesced waiter: block on the leader's future, bounded by this
-      // caller's own deadline (the compile itself keeps running for the
-      // leader and everyone more patient). A successful wait counts as a
-      // hit, never a miss.
-      DegradationLog::instance().record(
-          Degradation::SingleFlightCoalesce,
-          Source.Name + " -> " + Target.Name);
-      if (!Deadline.infinite() &&
-          F->Future.wait_until(Deadline.timePoint()) ==
-              std::future_status::timeout) {
-        DegradationLog::instance().record(
-            Degradation::DeadlineExceeded,
-            Source.Name + " -> " + Target.Name +
-                ": deadline expired waiting on the in-flight compile");
-        return Status::error(ErrorCode::DeadlineExceeded,
-                             "jit: deadline expired waiting on the "
-                             "in-flight compile for " +
-                                 Source.Name + " -> " + Target.Name);
-      }
-      Stats.JitHits.fetch_add(1, std::memory_order_relaxed);
-      Stats.JitCoalesced.fetch_add(1, std::memory_order_relaxed);
-      return F->Future.get();
-    }
-  }
-  // Leader: build outside the lock. plan() is itself single-flight, so a
-  // concurrent Converter construction for the same triple shares the
-  // generation too.
-  std::shared_ptr<const codegen::Conversion> Plan =
-      plan(Source, Target, Opts);
-  std::string SoPath;
-  std::string Dir = diskCacheDir();
-  if (!Dir.empty())
-    SoPath = diskObjectPath(Dir, *Plan, ExtraFlags);
-  auto Compiled = std::make_shared<jit::JitConversion>(*Plan, ExtraFlags,
-                                                       SoPath, Deadline);
-  {
-    std::unique_lock<std::shared_mutex> Write(S.Mu);
-    // A handle degraded by *this caller's* deadline is served to this
-    // flight's waiters (they were no more patient) but never cached: the
-    // environment did not fail, this caller just ran out of time, and the
-    // next request should compile for real. Environment-degraded handles
-    // are cached — every caller would fail the same way, and re-failing
-    // per request would pay the full retry ladder every time.
-    if (!Compiled->degradedByRequestDeadline())
-      S.Jits[Key] = Compiled;
-    S.JitFlights.erase(Key);
-  }
-  Stats.JitMisses.fetch_add(1, std::memory_order_relaxed);
-  if (Compiled->loadedFromCache())
-    Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
-  // A healthy native handle with a disk-cache slot is warm-start material:
-  // remember enough to describe it in an exported manifest. Degraded
-  // handles have no object to preload; deadline-degraded ones were not
-  // even cached.
-  if (!SoPath.empty() && !Compiled->degraded() &&
-      !Compiled->degradedByRequestDeadline())
-    registerManifestRecord(Key, Source, Target, Opts, ExtraFlags, SoPath);
-  F->Promise.set_value(Compiled);
-  return Compiled;
+  // A handle degraded by the leader's own deadline is not cached: the
+  // environment did not fail, that caller just ran out of time, and the
+  // next request should compile for real. Environment-degraded handles are
+  // cached — every caller would fail the same way, and re-failing per
+  // request would pay the full retry ladder every time.
+  return lookupOrBuild(
+      &Shard::Jits, &Shard::JitFlights, Stats.Jit,
+      planKey(Source, Target, Opts) + " !" + ExtraFlags,
+      Source.Name + " -> " + Target.Name, Deadline, [&] {
+        // plan() is itself single-flight, so a concurrent Converter
+        // construction for the same triple shares the generation too.
+        std::shared_ptr<const codegen::Conversion> Plan =
+            plan(Source, Target, Opts);
+        std::string Dir = diskCacheDir();
+        std::string SoPath =
+            Dir.empty() ? "" : diskObjectPath(Dir, *Plan, ExtraFlags);
+        auto Compiled = std::make_shared<jit::JitConversion>(
+            *Plan, ExtraFlags, SoPath, Deadline);
+        if (Compiled->loadedFromCache())
+          Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
+        return Compiled;
+      });
 }
 
 PlanCacheStats PlanCache::stats() const {
   PlanCacheStats Out;
-  Out.PlanHits = Stats.PlanHits.load(std::memory_order_relaxed);
-  Out.PlanMisses = Stats.PlanMisses.load(std::memory_order_relaxed);
-  Out.PlanCoalesced = Stats.PlanCoalesced.load(std::memory_order_relaxed);
-  Out.JitHits = Stats.JitHits.load(std::memory_order_relaxed);
-  Out.JitMisses = Stats.JitMisses.load(std::memory_order_relaxed);
-  Out.JitCoalesced = Stats.JitCoalesced.load(std::memory_order_relaxed);
+  Out.PlanHits = Stats.Plan.Hits.load(std::memory_order_relaxed);
+  Out.PlanMisses = Stats.Plan.Misses.load(std::memory_order_relaxed);
+  Out.PlanCoalesced = Stats.Plan.Coalesced.load(std::memory_order_relaxed);
+  Out.JitHits = Stats.Jit.Hits.load(std::memory_order_relaxed);
+  Out.JitMisses = Stats.Jit.Misses.load(std::memory_order_relaxed);
+  Out.JitCoalesced = Stats.Jit.Coalesced.load(std::memory_order_relaxed);
   Out.DiskHits = Stats.DiskHits.load(std::memory_order_relaxed);
   return Out;
 }
 
 void PlanCache::clearMemory() {
+  // The manifest is exported from the JIT maps, so a cleared cache also
+  // behaves like a fresh process at export (tests export before clearing).
   for (Shard &S : Shards) {
     std::unique_lock<std::shared_mutex> Write(S.Mu);
     S.Plans.clear();
@@ -647,29 +627,6 @@ void PlanCache::clearMemory() {
     // Flights stay: their leaders will publish into the cleared maps when
     // they land, and interrupting them would strand their waiters.
   }
-  // Manifest records go with the handles they describe, so a cleared cache
-  // behaves like a fresh process (tests export before clearing).
-  std::lock_guard<std::mutex> Lock(RecordsMu);
-  Records.clear();
-}
-
-void PlanCache::registerManifestRecord(const std::string &JitKey,
-                                       const formats::Format &Source,
-                                       const formats::Format &Target,
-                                       const codegen::Options &Opts,
-                                       const std::string &ExtraFlags,
-                                       const std::string &SoPath) {
-  ManifestRecord Rec;
-  Rec.SrcName = Source.Name;
-  Rec.DstName = Target.Name;
-  Rec.Opts = Opts;
-  Rec.ExtraFlags = ExtraFlags;
-  // JitKey is planKey + " !" + ExtraFlags; strip the suffix rather than
-  // re-deriving the key (planKey runs the assembly planner per call).
-  Rec.PlanKey = JitKey.substr(0, JitKey.size() - ExtraFlags.size() - 2);
-  Rec.SoPath = SoPath;
-  std::lock_guard<std::mutex> Lock(RecordsMu);
-  Records[JitKey] = std::move(Rec);
 }
 
 std::string PlanCache::manifestFilePath() {
@@ -687,46 +644,53 @@ Status PlanCache::exportManifest(const std::string &Path) {
     return Status::error(ErrorCode::Unavailable,
                          "manifest: disk cache disabled and no "
                          "CONVGEN_MANIFEST path set");
-  std::map<std::string, ManifestRecord> Snapshot;
-  {
-    std::lock_guard<std::mutex> Lock(RecordsMu);
-    Snapshot = Records;
+  // Warm-start material: every healthy native handle with a disk-cache
+  // slot (degraded handles have no object to preload). Forced-sorted plans
+  // cannot round-trip through the manifest's compact option encoding
+  // (q/c/u/m bits only); a fresh process re-plans them on demand instead.
+  std::map<std::string, JitPtr> Snapshot;
+  for (Shard &S : Shards) {
+    std::shared_lock<std::shared_mutex> Read(S.Mu);
+    for (const auto &[JitKey, Handle] : S.Jits)
+      if (!Handle->degraded() && !Handle->cachedSoPath().empty() &&
+          !Handle->conversion().Opts.ForceSortedRanking)
+        Snapshot.emplace(JitKey, Handle);
   }
   std::string Out = std::string(kManifestHeader) + "\n";
-  for (const auto &[JitKey, Rec] : Snapshot) {
-    (void)JitKey;
+  for (const auto &[JitKey, Handle] : Snapshot) {
+    const codegen::Conversion &Conv = Handle->conversion();
+    const std::string &ExtraFlags = Handle->extraFlags();
+    const std::string &SoPath = Handle->cachedSoPath();
     // Only entries a fresh process can rebuild from names make the file:
     // the formats must round-trip through the standard registry onto the
-    // same plan key (custom formats and knob drift since recording fail
-    // this and are skipped, not exported broken).
-    // Forced-sorted plans cannot round-trip through the manifest's
-    // compact option encoding (q/c/u/m bits only); a fresh process
-    // re-plans and recompiles them on demand instead.
-    if (Rec.Opts.ForceSortedRanking)
-      continue;
+    // same plan key (custom formats and knob drift since the build fail
+    // this and are skipped, not exported broken). The plan key is the JIT
+    // key minus its " !" + ExtraFlags suffix (planKey runs the assembly
+    // planner per call; stripping is free).
+    std::string PlanKey =
+        JitKey.substr(0, JitKey.size() - ExtraFlags.size() - 2);
     std::optional<formats::Format> Src =
-        formats::standardFormat(Rec.SrcName);
+        formats::standardFormat(Conv.Source.Name);
     std::optional<formats::Format> Dst =
-        formats::standardFormat(Rec.DstName);
+        formats::standardFormat(Conv.Target.Name);
     if (!Src || !Dst)
       continue;
-    if (planKey(*Src, *Dst, Rec.Opts) != Rec.PlanKey)
+    if (planKey(*Src, *Dst, Conv.Opts) != PlanKey)
       continue;
-    if (Rec.ExtraFlags.find('\t') != std::string::npos ||
-        Rec.ExtraFlags.find('\n') != std::string::npos)
+    if (ExtraFlags.find('\t') != std::string::npos ||
+        ExtraFlags.find('\n') != std::string::npos)
       continue;
     // The object digest comes from the entry's own checksum manifest; an
     // entry whose object (or .sum) is already gone is not exportable.
     std::string Digest;
-    if (!readWholeFile(manifestPath(Rec.SoPath), &Digest))
+    if (!readWholeFile(manifestPath(SoPath), &Digest))
       continue;
-    std::string Line = Rec.SrcName + "\t" + Rec.DstName + "\t" +
-                       serializeOptBits(Rec.Opts) + "\t" +
-                       serializeDims(Rec.Opts.DimsHint) + "\t" +
-                       Rec.ExtraFlags + "\t" +
-                       environmentHash(Rec.ExtraFlags) + "\t" +
-                       contentHash(Rec.PlanKey) + "\t" + Rec.SoPath +
-                       "\t" + trim(Digest);
+    std::string Line = Conv.Source.Name + "\t" + Conv.Target.Name + "\t" +
+                       serializeOptBits(Conv.Opts) + "\t" +
+                       serializeDims(Conv.Opts.DimsHint) + "\t" +
+                       ExtraFlags + "\t" + environmentHash(ExtraFlags) +
+                       "\t" + contentHash(PlanKey) + "\t" + SoPath + "\t" +
+                       trim(Digest);
     Out += Line + "\t" + contentHash(Line) + "\n";
   }
   EntryLock Lock(Resolved);
@@ -844,7 +808,8 @@ PreloadStats PlanCache::preloadEager(
       Evict(F[0] + " -> " + F[1] + ": object digest mismatch");
       continue;
     }
-    JitPtr Handle = jit::JitConversion::loadCachedOnly(**Plan, SoPath);
+    JitPtr Handle =
+        jit::JitConversion::loadCachedOnly(**Plan, SoPath, ExtraFlags);
     if (!Handle) {
       Evict(F[0] + " -> " + F[1] + ": cached object failed to load");
       continue;
@@ -860,7 +825,6 @@ PreloadStats PlanCache::preloadEager(
       }
       Sh.Jits[JitKey] = Handle;
     }
-    registerManifestRecord(JitKey, *Src, *Dst, Opts, ExtraFlags, SoPath);
     DegradationLog::instance().record(Degradation::PreloadHit,
                                       F[0] + " -> " + F[1]);
     S.Loaded++;
@@ -889,7 +853,7 @@ PreloadStats PlanCache::preload(
     PreloadStarted = true;
     PreloadDone = false;
   }
-  if (Mode == PreloadMode::Eager) {
+  auto Pass = [this, Resolved] {
     PreloadStats S = preloadEager(Resolved);
     {
       std::lock_guard<std::mutex> Lock(PreloadMu);
@@ -898,19 +862,13 @@ PreloadStats PlanCache::preload(
     }
     PreloadCv.notify_all();
     return S;
-  }
+  };
+  if (Mode == PreloadMode::Eager)
+    return Pass();
   // Background: a detached warmer thread runs the same pass. Detached
   // because PlanCache is deliberately leaked — there is no destructor to
   // join from; waitForPreload() synchronizes on the done flag instead.
-  std::thread([this, Resolved] {
-    PreloadStats S = preloadEager(Resolved);
-    {
-      std::lock_guard<std::mutex> Lock(PreloadMu);
-      PreloadResult = S;
-      PreloadDone = true;
-    }
-    PreloadCv.notify_all();
-  }).detach();
+  std::thread(Pass).detach();
   return PreloadStats();
 }
 

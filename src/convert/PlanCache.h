@@ -110,7 +110,8 @@ struct PreloadStats {
 /// work synchronously while the rest block on a per-key shared future
 /// (bounded by their deadline, when they have one) and are counted as
 /// hits, never misses. Exactly one compile per unique key, under any
-/// concurrent-miss storm.
+/// concurrent-miss storm (plus one per flight its leader's own deadline
+/// cut short, which waiters with time left redo; see tryJit).
 class PlanCache {
 public:
   /// The process-wide instance. All methods are thread-safe.
@@ -150,9 +151,12 @@ public:
   /// that times out on the in-flight compile gets DeadlineExceeded (the
   /// compile itself continues for the leader), and a leader's compile wait
   /// is bounded by min(CONVGEN_COMPILE_TIMEOUT_MS, deadline remaining). A
-  /// handle degraded *by the caller's deadline* is returned but not
-  /// cached — the next, more patient, caller recompiles; a handle degraded
-  /// by the environment (every caller would fail identically) is cached.
+  /// handle degraded *by the caller's deadline* is returned to that caller
+  /// but not cached — the next, more patient, caller recompiles; a handle
+  /// degraded by the environment (every caller would fail identically) is
+  /// cached. A coalesced waiter handed such a deadline-degraded handle
+  /// while its own deadline has not expired does not take it: it retries
+  /// the lookup, leading or joining a fresh flight.
   StatusOr<std::shared_ptr<jit::JitConversion>>
   tryJit(const formats::Format &Source, const formats::Format &Target,
          const codegen::Options &Opts = codegen::Options(),
@@ -234,6 +238,9 @@ private:
     Flight() : Future(Promise.get_future().share()) {}
   };
 
+  template <typename V>
+  using FlightMap = std::map<std::string, std::shared_ptr<Flight<V>>>;
+
   /// 16 shards keep unrelated keys off each other's locks; within a
   /// shard, shared_mutex keeps the (overwhelmingly common) hit path
   /// reader-parallel. Entries are immutable shared_ptrs — publication
@@ -242,12 +249,37 @@ private:
     mutable std::shared_mutex Mu;
     std::map<std::string, PlanPtr> Plans;
     std::map<std::string, JitPtr> Jits;
-    std::map<std::string, std::shared_ptr<Flight<PlanPtr>>> PlanFlights;
-    std::map<std::string, std::shared_ptr<Flight<JitPtr>>> JitFlights;
+    FlightMap<PlanPtr> PlanFlights;
+    FlightMap<JitPtr> JitFlights;
   };
   static constexpr int kNumShards = 16;
 
   Shard &shardFor(const std::string &Key) const;
+
+  /// Hit/miss/coalesce counters of one cached kind (plans or JIT handles).
+  struct FlightCounters {
+    std::atomic<uint64_t> Hits{0};
+    std::atomic<uint64_t> Misses{0};
+    std::atomic<uint64_t> Coalesced{0};
+  };
+
+  /// Whether a freshly built value may enter the shared map: plans always;
+  /// a JIT handle unless the leader's own deadline degraded it.
+  static bool cacheable(const PlanPtr &) { return true; }
+  static bool cacheable(const JitPtr &J) {
+    return !J->degradedByRequestDeadline();
+  }
+
+  /// The single-flight lookup plan() and jitImpl() share: a reader-locked
+  /// hit, else lead (run \p Build, cache it if cacheable()) or join the
+  /// key's flight until \p Deadline, retrying when handed a non-cacheable
+  /// value with time left. Waiters log under \p Pair unless it is empty.
+  template <typename V, typename BuildFn>
+  StatusOr<V> lookupOrBuild(std::map<std::string, V> Shard::*Entries,
+                            FlightMap<V> Shard::*Flights,
+                            FlightCounters &Count, const std::string &Key,
+                            const std::string &Pair,
+                            const support::Deadline &Deadline, BuildFn Build);
 
   /// The single-flight JIT path shared by jit() and tryJit(); the only
   /// error a finite \p Deadline can produce is DeadlineExceeded.
@@ -259,21 +291,6 @@ private:
 
   mutable std::array<Shard, kNumShards> Shards;
 
-  /// What exportManifest() needs to describe one JIT entry so preload()
-  /// can rebuild and revalidate it in a fresh process. Registered on the
-  /// leader path of jitImpl for non-degraded handles with a disk-cache
-  /// slot; keyed by the in-memory JIT key.
-  struct ManifestRecord {
-    std::string SrcName;
-    std::string DstName;
-    codegen::Options Opts; // DimsHint included (strategy-bit recomputation)
-    std::string ExtraFlags;
-    std::string PlanKey; // as recorded — export skips on knob drift
-    std::string SoPath;
-  };
-  mutable std::mutex RecordsMu;
-  std::map<std::string, ManifestRecord> Records;
-
   /// Result slot of the background warmer thread (the thread is detached —
   /// PlanCache is deliberately leaked, so joinable members would terminate
   /// at exit).
@@ -284,23 +301,12 @@ private:
   PreloadStats PreloadResult;
   std::once_flag PreloadOnce;
 
-  void registerManifestRecord(const std::string &JitKey,
-                              const formats::Format &Source,
-                              const formats::Format &Target,
-                              const codegen::Options &Opts,
-                              const std::string &ExtraFlags,
-                              const std::string &SoPath);
-
   /// The eager validation pass preload() and the warmer thread share.
   PreloadStats preloadEager(const std::string &ManifestPath);
 
   struct Counters {
-    std::atomic<uint64_t> PlanHits{0};
-    std::atomic<uint64_t> PlanMisses{0};
-    std::atomic<uint64_t> PlanCoalesced{0};
-    std::atomic<uint64_t> JitHits{0};
-    std::atomic<uint64_t> JitMisses{0};
-    std::atomic<uint64_t> JitCoalesced{0};
+    FlightCounters Plan;
+    FlightCounters Jit;
     std::atomic<uint64_t> DiskHits{0};
   };
   mutable Counters Stats;

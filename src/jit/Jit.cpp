@@ -316,17 +316,6 @@ std::string jit::jitEffectiveFlags(const std::string &ExtraFlags) {
   return Flags;
 }
 
-std::string jit::jitEffectiveFlags(const std::string &ExtraFlags,
-                                   const codegen::Options &Opts) {
-  std::string Flags = jitEffectiveFlags(ExtraFlags);
-  // Forced sorted ranking changes the generated C; baking it
-  // in as a benign define keeps the flag string (the other half of every
-  // cache key) honest even for callers that bypass planKey.
-  if (Opts.ForceSortedRanking)
-    Flags += " -DCONVGEN_FORCE_SORTED_RANKING=1";
-  return Flags;
-}
-
 /// Loads the conversion entry point out of an already compiled object.
 /// Returns false (with \p Error set) instead of aborting, so callers can
 /// treat a stale or corrupt cached object as a miss. Honors the dlopen and
@@ -393,8 +382,8 @@ JitConversion::JitConversion(const codegen::Conversion &Conversion,
                              const std::string &ExtraFlags,
                              const std::string &CachedSoPath,
                              support::Deadline RequestDeadline)
-    : Conv(Conversion) {
-  Status S = initialize(ExtraFlags, CachedSoPath, RequestDeadline);
+    : Conv(Conversion), ExtraFlags(ExtraFlags), CachedSoPath(CachedSoPath) {
+  Status S = initialize(RequestDeadline);
   if (S.ok())
     return;
   // Environment failure after retries: degrade to interpreter-backed
@@ -411,44 +400,37 @@ JitConversion::JitConversion(const codegen::Conversion &Conversion,
 
 std::shared_ptr<JitConversion>
 JitConversion::loadCachedOnly(const codegen::Conversion &Conversion,
-                              const std::string &CachedSoPath) {
-  if (CachedSoPath.empty() ||
-      !convert::readVerifiedCachedObject(CachedSoPath))
-    return nullptr;
-  // Same load-or-evict policy as the constructor's cached branch, minus
-  // the compile fallback: a verified object that refuses to dlopen/dlsym
-  // is evicted so the entry's first real request recompiles cleanly.
-  std::shared_ptr<JitConversion> J(new JitConversion(Conversion, nullptr));
-  std::string Error;
-  if (!loadConversion(CachedSoPath, J->Conv.Func.Name, &J->Handle, &J->Fn,
-                      &Error)) {
-    DegradationLog::instance().record(Degradation::JitLoadFailure, Error);
-    convert::evictCachedObject(CachedSoPath, Error);
-    return nullptr;
-  }
-  J->FromCache = true;
-  J->PhaseSecs = loadPhaseSeconds(J->Handle, J->Conv.Func.Name);
-  return J;
+                              const std::string &CachedSoPath,
+                              const std::string &ExtraFlags) {
+  // The constructor's cached load minus the compile fallback.
+  std::shared_ptr<JitConversion> J(
+      new JitConversion(Conversion, ExtraFlags, CachedSoPath, nullptr));
+  return J->loadVerifiedCached() ? J : nullptr;
 }
 
-Status JitConversion::initialize(const std::string &ExtraFlags,
-                                 const std::string &CachedSoPath,
-                                 const support::Deadline &RequestDeadline) {
-  // Cache hit: load the previously compiled, checksum-verified object —
-  // no external compiler. A verified object that still refuses to load
-  // (foreign-ISA leftover, injected dlopen fault) is evicted so future
-  // processes recompile instead of inheriting the poison.
-  if (!CachedSoPath.empty() &&
-      convert::readVerifiedCachedObject(CachedSoPath)) {
-    std::string Error;
-    if (loadConversion(CachedSoPath, Conv.Func.Name, &Handle, &Fn, &Error)) {
-      FromCache = true;
-      PhaseSecs = loadPhaseSeconds(Handle, Conv.Func.Name);
-      return Status();
-    }
+bool JitConversion::loadVerifiedCached() {
+  if (CachedSoPath.empty() ||
+      !convert::readVerifiedCachedObject(CachedSoPath))
+    return false;
+  // A verified object that still refuses to load (foreign-ISA leftover,
+  // injected dlopen fault) is evicted so future processes recompile
+  // instead of inheriting the poison.
+  std::string Error;
+  if (!loadConversion(CachedSoPath, Conv.Func.Name, &Handle, &Fn, &Error)) {
     DegradationLog::instance().record(Degradation::JitLoadFailure, Error);
     convert::evictCachedObject(CachedSoPath, Error);
+    return false;
   }
+  FromCache = true;
+  PhaseSecs = loadPhaseSeconds(Handle, Conv.Func.Name);
+  return true;
+}
+
+Status JitConversion::initialize(const support::Deadline &RequestDeadline) {
+  // Cache hit: load the previously compiled, checksum-verified object —
+  // no external compiler.
+  if (loadVerifiedCached())
+    return Status();
   if (!jitAvailable())
     return Status::error(ErrorCode::Unavailable,
                          "jit: no working C compiler ('" + compilerSpec() +
@@ -476,7 +458,7 @@ Status JitConversion::initialize(const std::string &ExtraFlags,
                            "compile could " +
                                std::string(A > 1 ? "be retried" : "start"));
     }
-    Last = compileAndLoadOnce(ExtraFlags, CachedSoPath, RequestDeadline);
+    Last = compileAndLoadOnce(RequestDeadline);
     // DeadlineExceeded is deliberately not an environment error: a timed
     // out compile is not retried (each retry would pay the full bound
     // again), so the loop exits here and the handle degrades immediately.
@@ -486,9 +468,8 @@ Status JitConversion::initialize(const std::string &ExtraFlags,
   return Last;
 }
 
-Status JitConversion::compileAndLoadOnce(
-    const std::string &ExtraFlags, const std::string &CachedSoPath,
-    const support::Deadline &RequestDeadline) {
+Status
+JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
   std::string Dir = makeScratchDir("jit");
   if (Dir.empty())
     return Status::error(ErrorCode::Unavailable,
@@ -522,8 +503,7 @@ Status JitConversion::compileAndLoadOnce(
   }
 
   std::vector<std::string> Args = splitTokens(compilerSpec());
-  for (const std::string &F :
-       splitTokens(jitEffectiveFlags(ExtraFlags, Conv.Opts)))
+  for (const std::string &F : splitTokens(jitEffectiveFlags(ExtraFlags)))
     Args.push_back(F);
   Args.push_back("-o");
   Args.push_back(SoPath);
@@ -541,26 +521,20 @@ Status JitConversion::compileAndLoadOnce(
       !RequestDeadline.infinite() && (KnobMs <= 0 || LeftMs < KnobMs);
   int64_t BoundMs = DeadlineBinds ? (LeftMs > 0 ? LeftMs : 1) : KnobMs;
 
-  int Rc;
+  int Rc = 1;
   bool TimedOut = false;
-  if (support::faultInjected(FaultSite::Compile)) {
-    // Injected fault fires before the spawn so 100%-rate harness runs do
-    // not pay one real compile per attempt.
-    Rc = 1;
-  } else if (BoundMs > 0 &&
-             support::faultInjected(FaultSite::CompileHang)) {
+  // An injected compile fault fires before the spawn (Rc stays 1) so
+  // 100%-rate harness runs do not pay one real compile per attempt.
+  if (!support::faultInjected(FaultSite::Compile)) {
+    auto Begin = std::chrono::steady_clock::now();
     // Injected hang: a child that blocks forever stands in for the wedged
     // compiler, and the genuine watchdog kills and reaps it. Drawn only
     // under a finite bound — with the watchdog disabled the injection
     // would hang the harness itself.
-    auto Begin = std::chrono::steady_clock::now();
-    Rc = runHangingChild(BoundMs, &TimedOut);
-    CompileSecs += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - Begin)
-                       .count();
-  } else {
-    auto Begin = std::chrono::steady_clock::now();
-    Rc = runCommand(Args, LogPath, BoundMs, &TimedOut);
+    if (BoundMs > 0 && support::faultInjected(FaultSite::CompileHang))
+      Rc = runHangingChild(BoundMs, &TimedOut);
+    else
+      Rc = runCommand(Args, LogPath, BoundMs, &TimedOut);
     CompileSecs += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - Begin)
                        .count();

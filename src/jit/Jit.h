@@ -108,14 +108,6 @@ bool jitOpenMPAvailable();
 /// extra flags (exposed so the plan cache can key shared objects on it).
 std::string jitEffectiveFlags(const std::string &ExtraFlags);
 
-/// Options-aware variant: additionally bakes the ForceSortedRanking field
-/// of \p Opts in as a benign -D define, so a forced-sorted object can
-/// never alias the default-strategy object on
-/// disk or in memory. Identical to the one-argument overload when nothing
-/// is forced.
-std::string jitEffectiveFlags(const std::string &ExtraFlags,
-                              const codegen::Options &Opts);
-
 /// The hung-compiler watchdog bound in milliseconds
 /// (CONVGEN_COMPILE_TIMEOUT_MS, default 120000; 0 or negative disables the
 /// watchdog). A compiler child exceeding it is SIGKILLed and reaped, the
@@ -158,10 +150,16 @@ public:
   /// cache exactly as on the regular path.
   static std::shared_ptr<JitConversion>
   loadCachedOnly(const codegen::Conversion &Conv,
-                 const std::string &CachedSoPath);
+                 const std::string &CachedSoPath,
+                 const std::string &ExtraFlags = "");
 
   /// True when the shared object came from the on-disk cache.
   bool loadedFromCache() const { return FromCache; }
+
+  /// The extra flags and disk-cache slot (empty: disk cache off) this
+  /// handle was built with; the warm-start manifest reads them.
+  const std::string &extraFlags() const { return ExtraFlags; }
+  const std::string &cachedSoPath() const { return CachedSoPath; }
 
   /// True when the native object could not be built or loaded and runs
   /// execute through the reference interpreter instead.
@@ -213,26 +211,30 @@ public:
 
 private:
   /// Bare handle for loadCachedOnly: no initialize(), no degradation — the
-  /// factory fills in Handle/Fn itself or discards the object.
-  JitConversion(const codegen::Conversion &Conversion, std::nullptr_t)
-      : Conv(Conversion) {}
+  /// factory loads the cached object itself or discards the handle.
+  JitConversion(const codegen::Conversion &Conversion,
+                const std::string &ExtraFlags,
+                const std::string &CachedSoPath, std::nullptr_t)
+      : Conv(Conversion), ExtraFlags(ExtraFlags), CachedSoPath(CachedSoPath) {}
 
+  /// The one cached load (constructor and loadCachedOnly): the verified
+  /// object at CachedSoPath, or false (an object that fails to load is
+  /// evicted).
+  bool loadVerifiedCached();
   /// Cached-load then compile-with-retry; a non-OK result degrades the
   /// handle instead of propagating.
-  Status initialize(const std::string &ExtraFlags,
-                    const std::string &CachedSoPath,
-                    const support::Deadline &RequestDeadline);
+  Status initialize(const support::Deadline &RequestDeadline);
   /// One compile + install + load attempt in a fresh scratch directory
   /// (removed on every failure path). The compiler wait is bounded by
   /// min(CONVGEN_COMPILE_TIMEOUT_MS, deadline remaining) when either is
   /// finite; a child exceeding the bound is SIGKILLed and reaped.
-  Status compileAndLoadOnce(const std::string &ExtraFlags,
-                            const std::string &CachedSoPath,
-                            const support::Deadline &RequestDeadline);
+  Status compileAndLoadOnce(const support::Deadline &RequestDeadline);
   /// The interpreter path a degraded handle serves runs through.
   tensor::SparseTensor interpretRun(const tensor::SparseTensor &In) const;
 
   codegen::Conversion Conv;
+  std::string ExtraFlags;
+  std::string CachedSoPath;
   void *Handle = nullptr;
   void (*Fn)(const CTensor *, CTensor *) = nullptr;
   double *PhaseSecs = nullptr;

@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -93,7 +92,6 @@ Status ConversionService::admit(const Deadline &D) {
     return Status();
   }
   if (Queued >= Limits.QueueDepth) {
-    Counts.Shed.fetch_add(1, std::memory_order_relaxed);
     DegradationLog::instance().record(
         Degradation::LoadShed,
         strfmt("shed at capacity (%d in flight, %d queued)", Inflight,
@@ -114,7 +112,6 @@ Status ConversionService::admit(const Deadline &D) {
             std::cv_status::timeout &&
         Inflight >= Limits.MaxInflight) {
       --Queued;
-      Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
       DegradationLog::instance().record(
           Degradation::DeadlineExceeded,
           "request deadline expired in the admission queue");
@@ -136,89 +133,115 @@ void ConversionService::release() {
   SlotFreed.notify_one();
 }
 
+Deadline ConversionService::resolveDeadline(int64_t DeadlineMs) const {
+  int64_t Ms = DeadlineMs < 0 ? Limits.DefaultDeadlineMs : DeadlineMs;
+  return Ms > 0 ? Deadline::afterMillis(Ms) : Deadline::never();
+}
+
+/// The options a native request is keyed and compiled under: its own,
+/// routed to the plan its input's dims and nnz call for
+/// (codegen::optionsForDims: the dense-budget flip and the sorted-ranking
+/// rule), since a JIT handle compiled with dense ranking rejects huge-dims
+/// tensors (see Jit.h). ForceInterpreter requests keep their own (the
+/// Converter routes itself), as do malformed ones without input.
+static codegen::Options routedOptions(const ConversionRequest &Request) {
+  if (Request.ForceInterpreter || !Request.Input)
+    return Request.Opts;
+  return codegen::optionsForDims(Request.Source, Request.Target, Request.Opts,
+                                 Request.Input->Dims,
+                                 Request.Input->storedSize());
+}
+
+StatusOr<tensor::SparseTensor>
+ConversionService::execute(const ConversionRequest &Request, const Deadline &D,
+                           const codegen::Options &Opts, BatchGroup *Group) {
+  Counts.Submitted.fetch_add(1, std::memory_order_relaxed);
+  bool Degraded = false;
+  StatusOr<tensor::SparseTensor> Out = [&]() -> StatusOr<tensor::SparseTensor> {
+    if (!Request.Input)
+      return Status::error(ErrorCode::InvalidArgument,
+                           "service: request carries no input tensor");
+    Status Admitted = admit(D);
+    if (!Admitted.ok())
+      return Admitted;
+    struct SlotReleaser {
+      ConversionService *S;
+      ~SlotReleaser() { S->release(); }
+    } Releaser{this};
+
+    auto deadlineExpired = [&](const char *Where) {
+      DegradationLog::instance().record(
+          Degradation::DeadlineExceeded,
+          strfmt("%s -> %s: %s%s", Request.Source.Name.c_str(),
+                 Request.Target.Name.c_str(), Where,
+                 Group ? " (batch member)" : ""));
+      return Status::error(
+          ErrorCode::DeadlineExceeded,
+          strfmt("service: request deadline expired %s", Where));
+    };
+    if (D.expired())
+      return deadlineExpired("entering execution");
+
+    if (Request.ForceInterpreter) {
+      // Oracle traffic: the Converter routes dims-specialized plans itself
+      // and checks the deadline at its own phase boundaries.
+      StatusOr<Converter> C =
+          Converter::tryCreate(Request.Source, Request.Target, Request.Opts);
+      if (!C.ok())
+        return C.status();
+      return C->tryRun(*Request.Input, D);
+    }
+
+    // A group member reuses the handle an earlier member acquired; a failed
+    // acquisition is retried by the next member.
+    std::shared_ptr<jit::JitConversion> Handle =
+        Group ? Group->Handle : nullptr;
+    if (!Handle) {
+      StatusOr<std::shared_ptr<jit::JitConversion>> H =
+          PlanCache::instance().tryJit(Request.Source, Request.Target, Opts,
+                                       "", Group ? Group->AcquireBy : D);
+      if (!H.ok())
+        return H.status();
+      Handle = H.take();
+      if (Group) {
+        Group->Handle = Handle;
+        Group->Stats->HandleAcquisitions++;
+      }
+    }
+    if (D.expired())
+      return deadlineExpired("after plan/JIT acquisition");
+    Degraded = Handle->degraded();
+    return Handle->tryRun(*Request.Input);
+  }();
+
+  // The one outcome-to-counter mapping: each request lands in exactly one
+  // of Completed / Shed / DeadlineExpired / RequestErrors, in the service
+  // counters and, for a batch member, in its batch's breakout.
+  auto Bump = [Group](std::atomic<uint64_t> &Counter,
+                      uint64_t BatchStats::*Field) {
+    Counter.fetch_add(1, std::memory_order_relaxed);
+    if (Group)
+      ++(Group->Stats->*Field);
+  };
+  ErrorCode Code = Out.status().code();
+  if (Out.ok()) {
+    if (Degraded)
+      Bump(Counts.DegradedRuns, &BatchStats::DegradedRuns);
+    Bump(Counts.Completed, &BatchStats::Completed);
+  } else if (Code == ErrorCode::ResourceExhausted) {
+    Bump(Counts.Shed, &BatchStats::Shed);
+  } else if (Code == ErrorCode::DeadlineExceeded) {
+    Bump(Counts.DeadlineExpired, &BatchStats::DeadlineExpired);
+  } else {
+    Bump(Counts.RequestErrors, &BatchStats::RequestErrors);
+  }
+  return Out;
+}
+
 StatusOr<tensor::SparseTensor>
 ConversionService::convert(const ConversionRequest &Request) {
-  Counts.Submitted.fetch_add(1, std::memory_order_relaxed);
-  if (!Request.Input) {
-    Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-    return Status::error(ErrorCode::InvalidArgument,
-                         "service: request carries no input tensor");
-  }
-  int64_t Ms = Request.DeadlineMs < 0 ? Limits.DefaultDeadlineMs
-                                      : Request.DeadlineMs;
-  Deadline D = Ms > 0 ? Deadline::afterMillis(Ms) : Deadline::never();
-
-  Status Admitted = admit(D);
-  if (!Admitted.ok())
-    return Admitted; // Shed / queue-deadline counters recorded in admit().
-  struct SlotReleaser {
-    ConversionService *S;
-    ~SlotReleaser() { S->release(); }
-  } Releaser{this};
-
-  auto deadlineExpired = [&](const char *Where) {
-    Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    DegradationLog::instance().record(
-        Degradation::DeadlineExceeded,
-        strfmt("%s -> %s: %s", Request.Source.Name.c_str(),
-               Request.Target.Name.c_str(), Where));
-    return Status::error(
-        ErrorCode::DeadlineExceeded,
-        strfmt("service: request deadline expired %s", Where));
-  };
-  if (D.expired())
-    return deadlineExpired("entering execution");
-
-  if (Request.ForceInterpreter) {
-    // Oracle traffic: the Converter routes dims-specialized plans itself
-    // and checks the deadline at its own phase boundaries.
-    StatusOr<Converter> C =
-        Converter::tryCreate(Request.Source, Request.Target, Request.Opts);
-    if (!C.ok()) {
-      Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-      return C.status();
-    }
-    StatusOr<tensor::SparseTensor> Out = C->tryRun(*Request.Input, D);
-    if (!Out.ok()) {
-      if (Out.status().code() == ErrorCode::DeadlineExceeded)
-        Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-      else
-        Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-      return Out;
-    }
-    Counts.Completed.fetch_add(1, std::memory_order_relaxed);
-    return Out;
-  }
-
-  // Native path. Route to the plan this input's dims and nnz call for
-  // (codegen::optionsForDims: the dense-budget flip and the sorted-ranking
-  // rule) up front, since a JIT handle compiled with dense ranking rejects
-  // huge-dims tensors (see Jit.h); the shared cache is then keyed the same
-  // way the Converter and submitBatch key it.
-  codegen::Options Opts = codegen::optionsForDims(
-      Request.Source, Request.Target, Request.Opts, Request.Input->Dims,
-      Request.Input->storedSize());
-  StatusOr<std::shared_ptr<jit::JitConversion>> Handle =
-      PlanCache::instance().tryJit(Request.Source, Request.Target, Opts, "",
-                                   D);
-  if (!Handle.ok()) {
-    if (Handle.status().code() == ErrorCode::DeadlineExceeded)
-      Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-    else
-      Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-    return Handle.status();
-  }
-  if (D.expired())
-    return deadlineExpired("after plan/JIT acquisition");
-  StatusOr<tensor::SparseTensor> Out = (*Handle)->tryRun(*Request.Input);
-  if (!Out.ok()) {
-    Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-    return Out;
-  }
-  if ((*Handle)->degraded())
-    Counts.DegradedRuns.fetch_add(1, std::memory_order_relaxed);
-  Counts.Completed.fetch_add(1, std::memory_order_relaxed);
-  return Out;
+  return execute(Request, resolveDeadline(Request.DeadlineMs),
+                 routedOptions(Request), nullptr);
 }
 
 std::vector<StatusOr<tensor::SparseTensor>>
@@ -232,159 +255,49 @@ ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
   B = BatchStats();
   B.Requests = Requests.size();
 
-  // Group member indices by plan key, first-appearance order. The key is
-  // the routed one (optionsForDims), exactly as convert() would key
-  // the cache — two tensors whose dims land on the same assembly strategy
-  // share one group and one handle. ForceInterpreter and null-input
-  // requests cannot share a native handle; each is its own singleton
-  // group, executed through convert().
-  std::vector<std::pair<std::string, std::vector<size_t>>> Groups;
+  // Deadlines resolve once, at batch entry, for every member: a member's
+  // budget covers its whole stay in the batch, including the members ahead
+  // of it (that wait is exactly what the deadline is for). Members group
+  // by the routed plan key in first-appearance order, exactly as convert()
+  // keys the cache, so tensors whose dims land on the same assembly
+  // strategy share one handle. ForceInterpreter and null-input requests
+  // cannot share a native handle; each is its own singleton group.
+  std::vector<Deadline> Deadlines;
+  std::vector<codegen::Options> Opts;
+  std::vector<std::vector<size_t>> Groups;
   std::map<std::string, size_t> GroupIndex;
   for (size_t I = 0; I < Requests.size(); ++I) {
     const ConversionRequest &R = Requests[I];
+    Deadlines.push_back(resolveDeadline(R.DeadlineMs));
+    Opts.push_back(routedOptions(R));
     if (R.ForceInterpreter || !R.Input) {
-      Groups.push_back({"", {I}});
+      Groups.push_back({I});
       continue;
     }
-    codegen::Options Opts = codegen::optionsForDims(
-        R.Source, R.Target, R.Opts, R.Input->Dims, R.Input->storedSize());
-    std::string Key = planKey(R.Source, R.Target, Opts);
-    auto [It, New] = GroupIndex.emplace(Key, Groups.size());
+    auto [It, New] = GroupIndex.emplace(
+        planKey(R.Source, R.Target, Opts.back()), Groups.size());
     if (New)
-      Groups.push_back({Key, {}});
-    Groups[It->second].second.push_back(I);
+      Groups.emplace_back();
+    Groups[It->second].push_back(I);
   }
   B.Groups = Groups.size();
   Counts.BatchGroups.fetch_add(Groups.size(), std::memory_order_relaxed);
 
-  // Deadlines resolve once, at batch entry: a member's budget covers its
-  // whole stay in the batch, including the members ahead of it in FIFO
-  // order (that wait is exactly what the deadline is for).
-  std::vector<Deadline> Deadlines(Requests.size());
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    int64_t Ms = Requests[I].DeadlineMs < 0 ? Limits.DefaultDeadlineMs
-                                            : Requests[I].DeadlineMs;
-    Deadlines[I] = Ms > 0 ? Deadline::afterMillis(Ms) : Deadline::never();
+  std::vector<StatusOr<tensor::SparseTensor>> Results(
+      Requests.size(),
+      Status::error(ErrorCode::Internal, "batch member never executed"));
+  for (const std::vector<size_t> &Members : Groups) {
+    // The group's one acquisition is bounded by its most patient member.
+    BatchGroup Group{Deadlines[Members.front()], nullptr, &B};
+    for (size_t Idx : Members)
+      if (!Group.AcquireBy.infinite() &&
+          (Deadlines[Idx].infinite() ||
+           Deadlines[Idx].timePoint() > Group.AcquireBy.timePoint()))
+        Group.AcquireBy = Deadlines[Idx];
+    for (size_t Idx : Members)
+      Results[Idx] = execute(Requests[Idx], Deadlines[Idx], Opts[Idx], &Group);
   }
-
-  std::vector<std::optional<StatusOr<tensor::SparseTensor>>> Results(
-      Requests.size());
-  auto NoteFailure = [&B](const Status &S) {
-    if (S.code() == ErrorCode::ResourceExhausted)
-      B.Shed++;
-    else if (S.code() == ErrorCode::DeadlineExceeded)
-      B.DeadlineExpired++;
-    else
-      B.RequestErrors++;
-  };
-
-  for (const auto &[Key, Members] : Groups) {
-    if (Key.empty()) {
-      // Singleton: convert() does all the accounting; mirror the outcome
-      // into the batch breakout.
-      size_t Idx = Members.front();
-      StatusOr<tensor::SparseTensor> Out = convert(Requests[Idx]);
-      if (Out.ok())
-        B.Completed++;
-      else
-        NoteFailure(Out.status());
-      Results[Idx] = std::move(Out);
-      continue;
-    }
-
-    // One handle acquisition serves the group, bounded by the most
-    // patient member (the handle outlives any single member; an impatient
-    // first member must not starve the rest of the group).
-    bool AnyInfinite = false;
-    Deadline::Clock::time_point Latest{};
-    for (size_t Idx : Members) {
-      if (Deadlines[Idx].infinite())
-        AnyInfinite = true;
-      else if (Deadlines[Idx].timePoint() > Latest)
-        Latest = Deadlines[Idx].timePoint();
-    }
-    Deadline GroupD =
-        AnyInfinite ? Deadline::never() : Deadline::at(Latest);
-
-    std::shared_ptr<jit::JitConversion> Handle;
-    for (size_t Idx : Members) {
-      const ConversionRequest &R = Requests[Idx];
-      Counts.Submitted.fetch_add(1, std::memory_order_relaxed);
-      const Deadline &D = Deadlines[Idx];
-      Status Admitted = admit(D);
-      if (!Admitted.ok()) {
-        // Shed / queue-deadline service counters recorded in admit(); the
-        // member fails alone, the batch continues.
-        NoteFailure(Admitted);
-        Results[Idx] = Admitted;
-        continue;
-      }
-      struct SlotReleaser {
-        ConversionService *S;
-        ~SlotReleaser() { S->release(); }
-      } Releaser{this};
-
-      auto deadlineExpired = [&](const char *Where) {
-        Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-        B.DeadlineExpired++;
-        DegradationLog::instance().record(
-            Degradation::DeadlineExceeded,
-            strfmt("%s -> %s: %s (batch member)", R.Source.Name.c_str(),
-                   R.Target.Name.c_str(), Where));
-        return Status::error(
-            ErrorCode::DeadlineExceeded,
-            strfmt("service: request deadline expired %s", Where));
-      };
-      if (D.expired()) {
-        Results[Idx] = deadlineExpired("entering execution");
-        continue;
-      }
-      if (!Handle) {
-        codegen::Options Opts = codegen::optionsForDims(
-            R.Source, R.Target, R.Opts, R.Input->Dims, R.Input->storedSize());
-        StatusOr<std::shared_ptr<jit::JitConversion>> H =
-            PlanCache::instance().tryJit(R.Source, R.Target, Opts, "",
-                                         GroupD);
-        if (!H.ok()) {
-          if (H.status().code() == ErrorCode::DeadlineExceeded)
-            Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
-          else
-            Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-          NoteFailure(H.status());
-          Results[Idx] = H.status();
-          continue; // The next member retries the acquisition.
-        }
-        Handle = *H;
-        B.HandleAcquisitions++;
-      }
-      if (D.expired()) {
-        Results[Idx] = deadlineExpired("after plan/JIT acquisition");
-        continue;
-      }
-      StatusOr<tensor::SparseTensor> Out = Handle->tryRun(*R.Input);
-      if (!Out.ok()) {
-        Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
-        NoteFailure(Out.status());
-        Results[Idx] = std::move(Out);
-        continue;
-      }
-      if (Handle->degraded()) {
-        Counts.DegradedRuns.fetch_add(1, std::memory_order_relaxed);
-        B.DegradedRuns++;
-      }
-      Counts.Completed.fetch_add(1, std::memory_order_relaxed);
-      B.Completed++;
-      Results[Idx] = std::move(Out);
-    }
-  }
-
-  std::vector<StatusOr<tensor::SparseTensor>> Out;
-  Out.reserve(Requests.size());
-  for (auto &R : Results) {
-    CONVGEN_ASSERT(R.has_value(), "batch member left without an outcome");
-    Out.push_back(std::move(*R));
-  }
-  return Out;
+  return Results;
 }
 
 std::future<StatusOr<tensor::SparseTensor>>
@@ -404,10 +317,10 @@ ConversionService::submit(ConversionRequest Request) {
   }
   std::thread([this, Task] {
     (*Task)();
-    {
-      std::lock_guard<std::mutex> Lock(AsyncMu);
-      --AsyncOutstanding;
-    }
+    // Notify under the lock: once the destructor sees zero it destroys the
+    // condition variable, so this thread must be done with it by then.
+    std::lock_guard<std::mutex> Lock(AsyncMu);
+    --AsyncOutstanding;
     AsyncDrained.notify_all();
   }).detach();
   return Fut;

@@ -52,6 +52,7 @@
 #define CONVGEN_SERVICE_CONVERSIONSERVICE_H
 
 #include "codegen/Generator.h"
+#include "jit/Jit.h"
 #include "support/Deadline.h"
 #include "support/Status.h"
 #include "tensor/SparseTensor.h"
@@ -176,14 +177,15 @@ public:
   /// convert(). Semantics:
   ///
   ///  * Groups execute in first-appearance order; within a group, members
-  ///    run FIFO on the calling thread, each under its own admission slot
-  ///    and its own deadline — a batch never bypasses shedding, and a shed
-  ///    or expired member fails alone while the batch continues.
+  ///    run FIFO on the calling thread through convert()'s path, each
+  ///    under its own admission slot and its own deadline, resolved at
+  ///    batch entry — a batch never bypasses shedding, and a shed or
+  ///    expired member fails alone while the batch continues.
   ///  * The group's one handle acquisition is bounded by the *most
   ///    patient* member's deadline (the handle outlives any one member);
   ///    each member then still honors its own deadline before running.
   ///  * ForceInterpreter and malformed (null-input) requests are not
-  ///    grouped; they execute individually in position order.
+  ///    grouped; each is its own singleton group.
   ///
   /// \p Stats (optional) receives the per-call breakout; the service-wide
   /// counters are updated either way.
@@ -210,6 +212,24 @@ public:
   const ServiceLimits &limits() const { return Limits; }
 
 private:
+  /// A batch member's context: its group's one JIT handle (acquired by
+  /// the first member that needs it, by AcquireBy) and the call's stats.
+  struct BatchGroup {
+    support::Deadline AcquireBy;
+    std::shared_ptr<jit::JitConversion> Handle;
+    BatchStats *Stats;
+  };
+
+  /// The one request path of convert() and every submitBatch() member:
+  /// admission, deadline checks against the already resolved \p D, handle
+  /// acquisition under the already routed \p Opts (or the interpreter),
+  /// the run, and the outcome counters. \p Group is null outside a batch.
+  StatusOr<tensor::SparseTensor> execute(const ConversionRequest &Request,
+                                         const support::Deadline &D,
+                                         const codegen::Options &Opts,
+                                         BatchGroup *Group);
+  /// \p DeadlineMs (or the service default) as a Deadline starting now.
+  support::Deadline resolveDeadline(int64_t DeadlineMs) const;
   /// Blocks until a slot frees (bounded by \p Deadline) or sheds.
   Status admit(const support::Deadline &Deadline);
   void release();

@@ -32,6 +32,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -134,6 +136,40 @@ void resetBooks() {
   support::resetFaultCounters();
   DegradationLog::instance().reset();
 }
+
+/// A healthy but slow toolchain for the scope: CONVGEN_CC runs a wrapper
+/// that sleeps \p Seconds before each conversion compile and then runs the
+/// real compiler, so a compile outlasts a short request deadline every
+/// time. The availability probes skip the sleep and are warmed here,
+/// outside any deadline.
+class SlowCompiler {
+public:
+  explicit SlowCompiler(const std::string &Seconds)
+      : Script(writeScript(Seconds)), Cc("CONVGEN_CC", "sh " + Script) {
+    jit::jitAvailable();
+    jit::jitOpenMPAvailable();
+  }
+  ~SlowCompiler() { std::remove(Script.c_str()); }
+
+private:
+  static std::string writeScript(const std::string &Seconds) {
+    const char *Tmp = std::getenv("TMPDIR");
+    std::string Path =
+        std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/convgen-slowcc-XXXXXX";
+    int Fd = mkstemp(Path.data());
+    EXPECT_GE(Fd, 0) << "cannot create " << Path;
+    if (std::FILE *F = fdopen(Fd, "w")) {
+      std::fprintf(F,
+                   "case \"$*\" in *conv.so*) sleep %s;; esac\n"
+                   "exec %s \"$@\"\n",
+                   Seconds.c_str(), jit::compilerSpec().c_str());
+      std::fclose(F);
+    }
+    return Path;
+  }
+  std::string Script;
+  ScopedEnv Cc;
+};
 
 /// Spin barrier: threads park until go() so a miss storm actually storms.
 struct StartGate {
@@ -428,6 +464,64 @@ TEST(Deadlines, DeadlineBoundDegradedHandleIsNotCached) {
   PlanCacheStats After = PlanCache::instance().stats();
   EXPECT_EQ(After.JitMisses - Before.JitMisses, 2u)
       << "the deadline-bound handle was cached and shadowed the retry";
+}
+
+TEST(Deadlines, PatientWaiterCompilesRatherThanTakeAnImpatientLeadersHandle) {
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no C compiler; there is no in-flight compile to join";
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+  ScopedEnv NoFaults("CONVGEN_FAULT", "");
+  ScopedEnv Timeout("CONVGEN_COMPILE_TIMEOUT_MS", "60000");
+  SlowCompiler Slow("1");
+  resetBooks();
+  WorkItem W = makeItem("coo", "csc", smallMatrix());
+  PlanCache::instance().clearMemory();
+  PlanCacheStats Before = PlanCache::instance().stats();
+
+  // Leader: 300ms of patience against a compile of over a second, so its
+  // handle degrades by its own deadline.
+  std::shared_ptr<jit::JitConversion> Impatient;
+  std::thread Leader([&] {
+    StatusOr<std::shared_ptr<jit::JitConversion>> H =
+        PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts, "",
+                                     Deadline::afterMillis(300));
+    ASSERT_TRUE(H.ok()) << H.status().toString();
+    Impatient = H.value();
+  });
+  // The leader generates the plan inside its flight: once that plan
+  // lands, the flight is open and its compile has begun.
+  auto GiveUp = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (PlanCache::instance().stats().PlanMisses == Before.PlanMisses &&
+         std::chrono::steady_clock::now() < GiveUp)
+    std::this_thread::yield();
+
+  // Waiter: unbounded, coalesces onto the leader's flight. The leader's
+  // deadline-degraded handle is not its answer: it compiles for real.
+  StatusOr<std::shared_ptr<jit::JitConversion>> Patient =
+      PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts, "",
+                                   Deadline::never());
+  Leader.join();
+  ASSERT_TRUE(Impatient != nullptr);
+  EXPECT_TRUE(Impatient->degradedByRequestDeadline());
+  ASSERT_TRUE(Patient.ok()) << Patient.status().toString();
+  EXPECT_FALSE(Patient.value()->degraded())
+      << Patient.value()->degradationReason();
+  EXPECT_GE(DegradationLog::instance().snapshot()
+                [Degradation::SingleFlightCoalesce],
+            1u)
+      << "the waiter never joined the leader's flight";
+  PlanCacheStats After = PlanCache::instance().stats();
+  EXPECT_EQ(After.JitMisses - Before.JitMisses, 2u)
+      << "exactly one more compile: the waiter's";
+
+  // The waiter's native handle is the one the cache now serves.
+  StatusOr<std::shared_ptr<jit::JitConversion>> Again =
+      PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts);
+  ASSERT_TRUE(Again.ok());
+  EXPECT_EQ(Again.value().get(), Patient.value().get());
+  StatusOr<tensor::SparseTensor> Out = Patient.value()->tryRun(W.In);
+  ASSERT_TRUE(Out.ok());
+  expectBitIdentical(W.Want, *Out, W.Label);
 }
 
 //===------------------------------------------------------------------===//
@@ -934,6 +1028,44 @@ TEST(Batch, MemberDeadlineExpiresMidBatchWhileOthersComplete) {
   EXPECT_EQ(BS.Completed, 1u);
   EXPECT_EQ(BS.DeadlineExpired, 1u);
   EXPECT_EQ(BS.HandleAcquisitions, 1u);
+}
+
+TEST(Batch, UngroupedMemberDeadlinesAlsoStartAtBatchEntry) {
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "needs a real compile ahead of the member";
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+  ScopedEnv NoFaults("CONVGEN_FAULT", "");
+  SlowCompiler Slow("0.5");
+  resetBooks();
+  WorkItem W = makeItem("coo", "csr", smallMatrix());
+  PlanCache::instance().clearMemory();
+
+  ServiceLimits Limits;
+  Limits.MaxInflight = 2;
+  ConversionService Service(Limits);
+
+  // Member 0 is unbounded and pays a cold 500ms compile. Member 1 is
+  // interpreter traffic with a 100ms budget, resolved at batch entry like
+  // every member's: the compile ahead of it exhausts that budget.
+  std::vector<ConversionRequest> Requests(2);
+  for (ConversionRequest &R : Requests) {
+    R.Source = W.Src;
+    R.Target = W.Dst;
+    R.Input = &W.In;
+  }
+  Requests[1].ForceInterpreter = true;
+  Requests[1].DeadlineMs = 100;
+
+  convert::BatchStats BS;
+  std::vector<StatusOr<tensor::SparseTensor>> Results =
+      Service.submitBatch(Requests, &BS);
+  ASSERT_TRUE(Results[0].ok()) << Results[0].status().toString();
+  expectBitIdentical(W.Want, *Results[0], W.Label);
+  ASSERT_FALSE(Results[1].ok());
+  EXPECT_EQ(Results[1].status().code(), ErrorCode::DeadlineExceeded);
+  EXPECT_EQ(BS.Completed, 1u);
+  EXPECT_EQ(BS.DeadlineExpired, 1u);
+  EXPECT_EQ(Service.stats().DeadlineExpired, 1u);
 }
 
 TEST(Batch, ForceInterpreterAndInvalidRequestsRunUngrouped) {
