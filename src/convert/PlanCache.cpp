@@ -25,7 +25,6 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/utsname.h>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -140,31 +139,28 @@ bool checksumMatches(const std::string &SoPath) {
 
 /// Warm-start manifest format version. Bumped whenever the line layout
 /// changes; a preloader seeing another version drops the whole file.
-const char kManifestHeader[] = "convgen-manifest-v1";
+const char kManifestHeader[] = "convgen-manifest-v2";
 
 /// Everything outside the emitted C that determines the compiled binary:
-/// the full effective flag string (strategy knobs and CONVGEN_JIT_FLAGS
-/// baked in), the compiler identity, and the host ISA (-march=native
-/// bakes it into the object).
-std::string toolchainKey(const std::string &EffectiveFlags) {
-  return EffectiveFlags + "\n" + convgen::jit::compilerSpec() + "\n" +
-         hostIsaFingerprint();
+/// the full effective flag string (CONVGEN_JIT_FLAGS baked in), the
+/// compiler identity, and the host ISA (-march=native bakes it into the
+/// object).
+std::string toolchainKey() {
+  return convgen::jit::jitEffectiveFlags() + "\n" +
+         convgen::jit::compilerSpec() + "\n" + hostIsaFingerprint();
 }
 
 /// Hash of the toolchain key. A preloader whose hash differs from the
 /// manifest writer's is version-skewed and must evict, not serve.
-std::string environmentHash(const std::string &ExtraFlags) {
-  return convgen::convert::contentHash(
-      toolchainKey(convgen::jit::jitEffectiveFlags(ExtraFlags)));
+std::string environmentHash() {
+  return convgen::convert::contentHash(toolchainKey());
 }
 
 /// The disk-cache object for \p Plan: keyed on its emitted C and the
 /// toolchain key of the flags it compiles with.
 std::string diskObjectPath(const std::string &Dir,
-                           const convgen::codegen::Conversion &Plan,
-                           const std::string &ExtraFlags) {
-  std::string Key = Plan.cSource() + "\n" +
-                    toolchainKey(convgen::jit::jitEffectiveFlags(ExtraFlags));
+                           const convgen::codegen::Conversion &Plan) {
+  std::string Key = Plan.cSource() + "\n" + toolchainKey();
   return Dir + "/" + Plan.Func.Name + "-" +
          convgen::convert::contentHash(Key) + ".so";
 }
@@ -553,7 +549,7 @@ PlanCache::tryPlan(const formats::Format &Source,
 
 StatusOr<std::shared_ptr<jit::JitConversion>>
 PlanCache::tryJit(const formats::Format &Source, const formats::Format &Target,
-                  const codegen::Options &Opts, const std::string &ExtraFlags,
+                  const codegen::Options &Opts,
                   const support::Deadline &Deadline) {
   Status Gate = precheck("jit", Source, Target, Opts, Deadline);
   if (!Gate.ok())
@@ -562,14 +558,14 @@ PlanCache::tryJit(const formats::Format &Source, const formats::Format &Target,
   // (which then interprets) rather than surfacing as a Status: the handle
   // the caller gets always converts. Only a finite deadline can turn this
   // into an error (DeadlineExceeded).
-  return jitImpl(Source, Target, Opts, ExtraFlags, Deadline);
+  return jitImpl(Source, Target, Opts, Deadline);
 }
 
 std::shared_ptr<jit::JitConversion>
 PlanCache::jit(const formats::Format &Source, const formats::Format &Target,
-               const codegen::Options &Opts, const std::string &ExtraFlags) {
+               const codegen::Options &Opts) {
   StatusOr<JitPtr> R =
-      jitImpl(Source, Target, Opts, ExtraFlags, support::Deadline::never());
+      jitImpl(Source, Target, Opts, support::Deadline::never());
   // Infinite deadline: jitImpl cannot fail (unsupported pairs abort inside
   // codegen on this unchecked path, as they always have).
   return R.take();
@@ -579,7 +575,6 @@ StatusOr<PlanCache::JitPtr>
 PlanCache::jitImpl(const formats::Format &Source,
                    const formats::Format &Target,
                    const codegen::Options &Opts,
-                   const std::string &ExtraFlags,
                    const support::Deadline &Deadline) {
   // A handle degraded by the leader's own deadline is not cached: the
   // environment did not fail, that caller just ran out of time, and the
@@ -588,17 +583,16 @@ PlanCache::jitImpl(const formats::Format &Source,
   // request would pay the full retry ladder every time.
   return lookupOrBuild(
       &Shard::Jits, &Shard::JitFlights, Stats.Jit,
-      planKey(Source, Target, Opts) + " !" + ExtraFlags,
-      Source.Name + " -> " + Target.Name, Deadline, [&] {
+      planKey(Source, Target, Opts), Source.Name + " -> " + Target.Name, Deadline, [&] {
         // plan() is itself single-flight, so a concurrent Converter
         // construction for the same triple shares the generation too.
         std::shared_ptr<const codegen::Conversion> Plan =
             plan(Source, Target, Opts);
         std::string Dir = diskCacheDir();
         std::string SoPath =
-            Dir.empty() ? "" : diskObjectPath(Dir, *Plan, ExtraFlags);
-        auto Compiled = std::make_shared<jit::JitConversion>(
-            *Plan, ExtraFlags, SoPath, Deadline);
+            Dir.empty() ? "" : diskObjectPath(Dir, *Plan);
+        auto Compiled =
+            std::make_shared<jit::JitConversion>(*Plan, SoPath, Deadline);
         if (Compiled->loadedFromCache())
           Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
         return Compiled;
@@ -639,11 +633,12 @@ std::string PlanCache::manifestFilePath() {
 }
 
 Status PlanCache::exportManifest(const std::string &Path) {
-  std::string Resolved = Path.empty() ? manifestFilePath() : Path;
-  if (Resolved.empty())
+  // Without a disk cache this process has no objects to describe; writing
+  // its empty view would wipe a manifest other processes share.
+  if (diskCacheDir().empty())
     return Status::error(ErrorCode::Unavailable,
-                         "manifest: disk cache disabled and no "
-                         "CONVGEN_MANIFEST path set");
+                         "manifest: disk cache disabled");
+  std::string Resolved = Path.empty() ? manifestFilePath() : Path;
   // Warm-start material: every healthy native handle with a disk-cache
   // slot (degraded handles have no object to preload). Forced-sorted plans
   // cannot round-trip through the manifest's compact option encoding
@@ -651,24 +646,19 @@ Status PlanCache::exportManifest(const std::string &Path) {
   std::map<std::string, JitPtr> Snapshot;
   for (Shard &S : Shards) {
     std::shared_lock<std::shared_mutex> Read(S.Mu);
-    for (const auto &[JitKey, Handle] : S.Jits)
+    for (const auto &[Key, Handle] : S.Jits)
       if (!Handle->degraded() && !Handle->cachedSoPath().empty() &&
           !Handle->conversion().Opts.ForceSortedRanking)
-        Snapshot.emplace(JitKey, Handle);
+        Snapshot.emplace(Key, Handle);
   }
   std::string Out = std::string(kManifestHeader) + "\n";
-  for (const auto &[JitKey, Handle] : Snapshot) {
+  for (const auto &[PlanKey, Handle] : Snapshot) {
     const codegen::Conversion &Conv = Handle->conversion();
-    const std::string &ExtraFlags = Handle->extraFlags();
     const std::string &SoPath = Handle->cachedSoPath();
     // Only entries a fresh process can rebuild from names make the file:
     // the formats must round-trip through the standard registry onto the
     // same plan key (custom formats and knob drift since the build fail
-    // this and are skipped, not exported broken). The plan key is the JIT
-    // key minus its " !" + ExtraFlags suffix (planKey runs the assembly
-    // planner per call; stripping is free).
-    std::string PlanKey =
-        JitKey.substr(0, JitKey.size() - ExtraFlags.size() - 2);
+    // this and are skipped, not exported broken).
     std::optional<formats::Format> Src =
         formats::standardFormat(Conv.Source.Name);
     std::optional<formats::Format> Dst =
@@ -676,9 +666,6 @@ Status PlanCache::exportManifest(const std::string &Path) {
     if (!Src || !Dst)
       continue;
     if (planKey(*Src, *Dst, Conv.Opts) != PlanKey)
-      continue;
-    if (ExtraFlags.find('\t') != std::string::npos ||
-        ExtraFlags.find('\n') != std::string::npos)
       continue;
     // The object digest comes from the entry's own checksum manifest; an
     // entry whose object (or .sum) is already gone is not exportable.
@@ -688,9 +675,8 @@ Status PlanCache::exportManifest(const std::string &Path) {
     std::string Line = Conv.Source.Name + "\t" + Conv.Target.Name + "\t" +
                        serializeOptBits(Conv.Opts) + "\t" +
                        serializeDims(Conv.Opts.DimsHint) + "\t" +
-                       ExtraFlags + "\t" + environmentHash(ExtraFlags) +
-                       "\t" + contentHash(PlanKey) + "\t" + SoPath + "\t" +
-                       trim(Digest);
+                       environmentHash() + "\t" + contentHash(PlanKey) +
+                       "\t" + SoPath + "\t" + trim(Digest);
     Out += Line + "\t" + contentHash(Line) + "\n";
   }
   EntryLock Lock(Resolved);
@@ -700,11 +686,16 @@ Status PlanCache::exportManifest(const std::string &Path) {
   return Status();
 }
 
-PreloadStats PlanCache::preloadEager(
-    const std::string &ManifestPath) {
+PreloadStats PlanCache::preload(const std::string &Path, PreloadMode) {
   PreloadStats S;
+  // Without a disk cache no entry could load, and rewriting the file
+  // without them would cold-boot every process sharing it.
+  std::string Dir = diskCacheDir();
+  if (Dir.empty())
+    return S;
+  std::string ManifestPath = Path.empty() ? manifestFilePath() : Path;
   std::string Contents;
-  if (ManifestPath.empty() || !readWholeFile(ManifestPath, &Contents))
+  if (!readWholeFile(ManifestPath, &Contents))
     return S; // No manifest: a cold boot, not an error.
   std::vector<std::string> Kept;
   bool Dropped = false;
@@ -740,12 +731,12 @@ PreloadStats PlanCache::preloadEager(
                                         "manifest entry evicted: " + Why);
     };
     std::vector<std::string> F = splitTabs(Line);
-    if (F.size() != 10) {
+    if (F.size() != 9) {
       Evict("malformed line (" + std::to_string(F.size()) + " fields)");
       continue;
     }
     std::string Prefix = Line.substr(0, Line.rfind('\t'));
-    if (F[9] != contentHash(Prefix)) {
+    if (F[8] != contentHash(Prefix)) {
       Evict("line integrity hash mismatch");
       continue;
     }
@@ -760,23 +751,21 @@ PreloadStats PlanCache::preloadEager(
       Evict("malformed options for " + F[0] + " -> " + F[1]);
       continue;
     }
-    const std::string &ExtraFlags = F[4];
-    if (F[5] != environmentHash(ExtraFlags)) {
+    if (F[4] != environmentHash()) {
       Evict(F[0] + " -> " + F[1] +
             ": environment skew (compiler/ISA/flags changed)");
       continue;
     }
     std::string Key = planKey(*Src, *Dst, Opts);
-    if (F[6] != contentHash(Key)) {
+    if (F[5] != contentHash(Key)) {
       Evict(F[0] + " -> " + F[1] +
             ": plan key drift (strategy knobs or codegen changed)");
       continue;
     }
-    std::string JitKey = Key + " !" + ExtraFlags;
-    Shard &Sh = shardFor(JitKey);
+    Shard &Sh = shardFor(Key);
     {
       std::shared_lock<std::shared_mutex> Read(Sh.Mu);
-      if (Sh.Jits.count(JitKey)) {
+      if (Sh.Jits.count(Key)) {
         S.Skipped++;
         Kept.push_back(Line);
         continue;
@@ -787,13 +776,8 @@ PreloadStats PlanCache::preloadEager(
       Evict(F[0] + " -> " + F[1] + ": " + Plan.status().message());
       continue;
     }
-    std::string Dir = diskCacheDir();
-    if (Dir.empty()) {
-      Evict("disk cache disabled");
-      continue;
-    }
-    std::string SoPath = diskObjectPath(Dir, **Plan, ExtraFlags);
-    if (SoPath != F[7]) {
+    std::string SoPath = diskObjectPath(Dir, **Plan);
+    if (SoPath != F[6]) {
       Evict(F[0] + " -> " + F[1] +
             ": recorded object path does not match this environment");
       continue;
@@ -804,29 +788,26 @@ PreloadStats PlanCache::preloadEager(
     }
     std::string Digest;
     if (!readWholeFile(manifestPath(SoPath), &Digest) ||
-        trim(Digest) != F[8]) {
+        trim(Digest) != F[7]) {
       Evict(F[0] + " -> " + F[1] + ": object digest mismatch");
       continue;
     }
-    JitPtr Handle =
-        jit::JitConversion::loadCachedOnly(**Plan, SoPath, ExtraFlags);
+    JitPtr Handle = jit::JitConversion::loadCachedOnly(**Plan, SoPath);
     if (!Handle) {
       Evict(F[0] + " -> " + F[1] + ": cached object failed to load");
       continue;
     }
     {
       std::unique_lock<std::shared_mutex> Write(Sh.Mu);
-      if (Sh.Jits.count(JitKey)) {
+      if (Sh.Jits.count(Key)) {
         // A request raced the preload and built the entry first; its
         // handle wins, ours is discarded.
         S.Skipped++;
         Kept.push_back(Line);
         continue;
       }
-      Sh.Jits[JitKey] = Handle;
+      Sh.Jits[Key] = Handle;
     }
-    DegradationLog::instance().record(Degradation::PreloadHit,
-                                      F[0] + " -> " + F[1]);
     S.Loaded++;
     Kept.push_back(Line);
   }
@@ -840,56 +821,4 @@ PreloadStats PlanCache::preloadEager(
     writeFileAtomic(ManifestPath, Out);
   }
   return S;
-}
-
-PreloadStats PlanCache::preload(
-    const std::string &ManifestPath, PreloadMode Mode) {
-  if (Mode == PreloadMode::Off)
-    return PreloadStats();
-  std::string Resolved =
-      ManifestPath.empty() ? manifestFilePath() : ManifestPath;
-  {
-    std::lock_guard<std::mutex> Lock(PreloadMu);
-    PreloadStarted = true;
-    PreloadDone = false;
-  }
-  auto Pass = [this, Resolved] {
-    PreloadStats S = preloadEager(Resolved);
-    {
-      std::lock_guard<std::mutex> Lock(PreloadMu);
-      PreloadResult = S;
-      PreloadDone = true;
-    }
-    PreloadCv.notify_all();
-    return S;
-  };
-  if (Mode == PreloadMode::Eager)
-    return Pass();
-  // Background: a detached warmer thread runs the same pass. Detached
-  // because PlanCache is deliberately leaked — there is no destructor to
-  // join from; waitForPreload() synchronizes on the done flag instead.
-  std::thread(Pass).detach();
-  return PreloadStats();
-}
-
-PreloadStats PlanCache::waitForPreload() {
-  std::unique_lock<std::mutex> Lock(PreloadMu);
-  if (!PreloadStarted)
-    return PreloadStats();
-  PreloadCv.wait(Lock, [this] { return PreloadDone; });
-  return PreloadResult;
-}
-
-void PlanCache::maybePreloadFromEnv() {
-  std::call_once(PreloadOnce, [this] {
-    const char *Env = std::getenv("CONVGEN_PRELOAD");
-    if (!Env || !*Env)
-      return;
-    std::string Mode = Env;
-    if (Mode == "eager")
-      preload("", PreloadMode::Eager);
-    else if (Mode == "background")
-      preload("", PreloadMode::Background);
-    // Anything else (including "off") boots cold.
-  });
 }

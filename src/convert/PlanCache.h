@@ -12,12 +12,13 @@
 ///   * codegen::generateConversion results are memoized under a stable
 ///     fingerprint of the formats and options — repeated Converter
 ///     construction skips remapping, query compilation, and assembly;
-///   * live jit::JitConversion handles are shared under the same key plus
-///     the compile flags — repeated JIT requests skip the external C
-///     compiler within the process;
+///   * live jit::JitConversion handles are shared under the same key —
+///     repeated JIT requests skip the external C compiler within the
+///     process;
 ///   * compiled shared objects are additionally installed in an on-disk
-///     cache keyed by a hash of the emitted C source, the compile flags,
-///     and the compiler, so *new* processes skip the external compiler too.
+///     cache keyed by a hash of the emitted C source, the effective compile
+///     flags, and the compiler, so *new* processes skip the external
+///     compiler too.
 ///
 /// The on-disk cache is crash-safe under concurrent writers: objects are
 /// staged in the cache directory and installed with an atomic rename while
@@ -33,7 +34,9 @@
 ///                                $HOME/.cache/convgen, then
 ///                                /tmp/convgen-cache)
 ///   CONVGEN_DISABLE_DISK_CACHE   any non-"0" value keeps the cache
-///                                in-memory only
+///                                in-memory only (and turns off
+///                                warm-start preload and export)
+///   CONVGEN_MANIFEST             warm-start manifest path override
 ///   CONVGEN_FAULT                fault injection at the cache-read /
 ///                                cache-write sites (support/Fault.h)
 ///
@@ -49,7 +52,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -81,19 +83,16 @@ struct PlanCacheStats {
   uint64_t DiskHits = 0;
 };
 
-/// How preload() acquires the manifest's entries.
-enum class PreloadMode {
-  Off,        ///< Do nothing (the CONVGEN_PRELOAD=off default).
-  Eager,      ///< Validate and dlopen every entry before returning.
-  Background, ///< Return immediately; a detached warmer thread validates
-              ///< and dlopens. waitForPreload() joins the result.
-};
+/// How preload() acquires the manifest's entries. Eager, the one mode,
+/// validates and dlopens every entry before returning; the enum stays only
+/// because perfbench spells PreloadMode::Eager.
+enum class PreloadMode { Eager };
 
 /// Outcome counters of one preload() pass.
 struct PreloadStats {
   uint64_t Entries = 0; ///< Manifest lines examined.
   uint64_t Loaded = 0;  ///< Entries revalidated, dlopen'd, and installed
-                        ///< into the in-memory cache (preload-hit).
+                        ///< into the in-memory cache.
   uint64_t Evicted = 0; ///< Entries that failed revalidation — corrupt
                         ///< line, env/version skew, checksum mismatch,
                         ///< failed load — dropped, never served
@@ -141,8 +140,7 @@ public:
   /// to bit-exact interpreter execution (JitConversion::degraded()).
   std::shared_ptr<jit::JitConversion>
   jit(const formats::Format &Source, const formats::Format &Target,
-      const codegen::Options &Opts = codegen::Options(),
-      const std::string &ExtraFlags = "");
+      const codegen::Options &Opts = codegen::Options());
 
   /// Checked JIT acquisition: Unsupported pairs come back as a Status;
   /// environment failures come back as an OK but degraded handle (which
@@ -160,7 +158,6 @@ public:
   StatusOr<std::shared_ptr<jit::JitConversion>>
   tryJit(const formats::Format &Source, const formats::Format &Target,
          const codegen::Options &Opts = codegen::Options(),
-         const std::string &ExtraFlags = "",
          const support::Deadline &Deadline = {});
 
   /// A consistent-enough snapshot for concurrent readers (see
@@ -187,38 +184,30 @@ public:
   static std::string manifestFilePath();
 
   /// Persists a warm-start manifest describing every standard-format JIT
-  /// entry this process compiled or loaded: plan key + strategy bits,
-  /// extra compile flags, an environment hash (effective flags, compiler
-  /// identity, host ISA), the cached object's path and content digest, and
-  /// a per-line integrity hash. Written atomically under the entry flock
-  /// (crash-safe, like object installs). Entries whose formats are not in
-  /// the standard registry, or whose plan key no longer matches the
-  /// current strategy knobs, are skipped — preload could never revalidate
-  /// them. \p Path defaults to manifestFilePath().
+  /// entry this process compiled or loaded: plan key + strategy bits, an
+  /// environment hash (effective flags, compiler identity, host ISA), the
+  /// cached object's path and content digest, and a per-line integrity
+  /// hash. Written atomically under the entry flock (crash-safe, like
+  /// object installs). Entries whose formats are not in the standard
+  /// registry, or whose plan key no longer matches the current strategy
+  /// knobs, are skipped — preload could never revalidate them. \p Path
+  /// defaults to manifestFilePath(). Returns Unavailable, writing nothing,
+  /// when the disk cache is disabled.
   Status exportManifest(const std::string &Path = "");
 
   /// Re-validates and dlopens every manifest entry so a restarted server's
-  /// first requests hit warm. Per entry, in order: line integrity hash,
-  /// environment hash (compiler/ISA/flags — version skew), plan-key
-  /// recomputation from the current strategy knobs, object checksum, and
-  /// recorded-vs-actual object digest must all pass before
-  /// jit::JitConversion::loadCachedOnly installs the handle; any failure
-  /// evicts the entry (DegradationLog preload-evict), never serves it, and
-  /// the external compiler is never invoked. The manifest is rewritten
-  /// without the evicted lines. Background mode returns immediately with
-  /// Entries=0 and runs the same pass on a detached warmer thread;
-  /// waitForPreload() joins it.
+  /// first requests hit warm; a server calls it once before serving. Per
+  /// entry, in order: line integrity hash, environment hash
+  /// (compiler/ISA/flags — version skew), plan-key recomputation from the
+  /// current strategy knobs, object checksum, and recorded-vs-actual
+  /// object digest must all pass before jit::JitConversion::loadCachedOnly
+  /// installs the handle; any failure evicts the entry (DegradationLog
+  /// preload-evict), never serves it, and the external compiler is never
+  /// invoked. The manifest is rewritten
+  /// without the evicted lines. With the disk cache disabled it returns
+  /// zero stats without reading or rewriting the manifest.
   PreloadStats preload(const std::string &ManifestPath = "",
                        PreloadMode Mode = PreloadMode::Eager);
-
-  /// Blocks until a Background preload (if any was started) finishes and
-  /// returns its stats; returns zeroes immediately when none was started.
-  PreloadStats waitForPreload();
-
-  /// One-shot boot hook honoring CONVGEN_PRELOAD=off|eager|background
-  /// (default off): the first call may run preload(), every later call is
-  /// a no-op. ConversionService construction invokes this.
-  void maybePreloadFromEnv();
 
   /// No-op, kept for callers built against the removed measured-outcome
   /// store; strategy choice no longer records or reads measurements.
@@ -286,23 +275,9 @@ private:
   StatusOr<JitPtr> jitImpl(const formats::Format &Source,
                            const formats::Format &Target,
                            const codegen::Options &Opts,
-                           const std::string &ExtraFlags,
                            const support::Deadline &Deadline);
 
   mutable std::array<Shard, kNumShards> Shards;
-
-  /// Result slot of the background warmer thread (the thread is detached —
-  /// PlanCache is deliberately leaked, so joinable members would terminate
-  /// at exit).
-  std::mutex PreloadMu;
-  std::condition_variable PreloadCv;
-  bool PreloadStarted = false;
-  bool PreloadDone = false;
-  PreloadStats PreloadResult;
-  std::once_flag PreloadOnce;
-
-  /// The eager validation pass preload() and the warmer thread share.
-  PreloadStats preloadEager(const std::string &ManifestPath);
 
   struct Counters {
     FlightCounters Plan;

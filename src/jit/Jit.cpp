@@ -296,7 +296,7 @@ bool jit::jitOpenMPAvailable() {
 #endif
 }
 
-std::string jit::jitEffectiveFlags(const std::string &ExtraFlags) {
+std::string jit::jitEffectiveFlags() {
   std::string Flags = "-O3 -march=native -std=c11 -shared -fPIC";
   if (jitOpenMPAvailable())
     Flags += " -fopenmp";
@@ -311,8 +311,6 @@ std::string jit::jitEffectiveFlags(const std::string &ExtraFlags) {
       Flags += Env;
     }
   }
-  if (!ExtraFlags.empty())
-    Flags += " " + ExtraFlags;
   return Flags;
 }
 
@@ -379,10 +377,9 @@ static void backoffSleep(int Attempt) {
 }
 
 JitConversion::JitConversion(const codegen::Conversion &Conversion,
-                             const std::string &ExtraFlags,
                              const std::string &CachedSoPath,
                              support::Deadline RequestDeadline)
-    : Conv(Conversion), ExtraFlags(ExtraFlags), CachedSoPath(CachedSoPath) {
+    : Conv(Conversion), CachedSoPath(CachedSoPath) {
   Status S = initialize(RequestDeadline);
   if (S.ok())
     return;
@@ -400,11 +397,10 @@ JitConversion::JitConversion(const codegen::Conversion &Conversion,
 
 std::shared_ptr<JitConversion>
 JitConversion::loadCachedOnly(const codegen::Conversion &Conversion,
-                              const std::string &CachedSoPath,
-                              const std::string &ExtraFlags) {
+                              const std::string &CachedSoPath) {
   // The constructor's cached load minus the compile fallback.
   std::shared_ptr<JitConversion> J(
-      new JitConversion(Conversion, ExtraFlags, CachedSoPath, nullptr));
+      new JitConversion(Conversion, CachedSoPath, nullptr));
   return J->loadVerifiedCached() ? J : nullptr;
 }
 
@@ -503,7 +499,7 @@ JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
   }
 
   std::vector<std::string> Args = splitTokens(compilerSpec());
-  for (const std::string &F : splitTokens(jitEffectiveFlags(ExtraFlags)))
+  for (const std::string &F : splitTokens(jitEffectiveFlags()))
     Args.push_back(F);
   Args.push_back("-o");
   Args.push_back(SoPath);

@@ -104,9 +104,10 @@ bool jitAvailable();
 /// the emitted pragmas are then ignored and the code stays valid C.
 bool jitOpenMPAvailable();
 
-/// The complete flag string JitConversion hands the compiler for the given
-/// extra flags (exposed so the plan cache can key shared objects on it).
-std::string jitEffectiveFlags(const std::string &ExtraFlags);
+/// The complete flag string JitConversion hands the compiler: the fixed
+/// base flags, -fopenmp when available, and CONVGEN_JIT_FLAGS (exposed so
+/// the plan cache can key shared objects on it).
+std::string jitEffectiveFlags();
 
 /// The hung-compiler watchdog bound in milliseconds
 /// (CONVGEN_COMPILE_TIMEOUT_MS, default 120000; 0 or negative disables the
@@ -135,7 +136,6 @@ public:
   /// PlanCache declines to cache such handles, since a more patient caller
   /// could still compile successfully.
   explicit JitConversion(const codegen::Conversion &Conv,
-                         const std::string &ExtraFlags = "",
                          const std::string &CachedSoPath = "",
                          support::Deadline RequestDeadline = {});
   ~JitConversion();
@@ -150,15 +150,13 @@ public:
   /// cache exactly as on the regular path.
   static std::shared_ptr<JitConversion>
   loadCachedOnly(const codegen::Conversion &Conv,
-                 const std::string &CachedSoPath,
-                 const std::string &ExtraFlags = "");
+                 const std::string &CachedSoPath);
 
   /// True when the shared object came from the on-disk cache.
   bool loadedFromCache() const { return FromCache; }
 
-  /// The extra flags and disk-cache slot (empty: disk cache off) this
-  /// handle was built with; the warm-start manifest reads them.
-  const std::string &extraFlags() const { return ExtraFlags; }
+  /// The disk-cache slot (empty: disk cache off) this handle was built
+  /// with; the warm-start manifest reads it.
   const std::string &cachedSoPath() const { return CachedSoPath; }
 
   /// True when the native object could not be built or loaded and runs
@@ -213,9 +211,8 @@ private:
   /// Bare handle for loadCachedOnly: no initialize(), no degradation — the
   /// factory loads the cached object itself or discards the handle.
   JitConversion(const codegen::Conversion &Conversion,
-                const std::string &ExtraFlags,
                 const std::string &CachedSoPath, std::nullptr_t)
-      : Conv(Conversion), ExtraFlags(ExtraFlags), CachedSoPath(CachedSoPath) {}
+      : Conv(Conversion), CachedSoPath(CachedSoPath) {}
 
   /// The one cached load (constructor and loadCachedOnly): the verified
   /// object at CachedSoPath, or false (an object that fails to load is
@@ -233,7 +230,6 @@ private:
   tensor::SparseTensor interpretRun(const tensor::SparseTensor &In) const;
 
   codegen::Conversion Conv;
-  std::string ExtraFlags;
   std::string CachedSoPath;
   void *Handle = nullptr;
   void (*Fn)(const CTensor *, CTensor *) = nullptr;

@@ -63,11 +63,6 @@ ConversionService::ConversionService(ServiceLimits L) : Limits(L) {
     Limits.MaxInflight = 1;
   if (Limits.QueueDepth < 0)
     Limits.QueueDepth = 0;
-  // Warm-start hook: under CONVGEN_PRELOAD=eager|background the shared
-  // PlanCache revalidates and dlopens the manifest's entries now, so the
-  // first requests hit warm. One-shot per process — a second service
-  // instance does not re-preload.
-  PlanCache::instance().maybePreloadFromEnv();
 }
 
 ConversionService::~ConversionService() {
@@ -76,13 +71,6 @@ ConversionService::~ConversionService() {
   // (shared state is owned by the future/promise pair, not the service).
   std::unique_lock<std::mutex> Lock(AsyncMu);
   AsyncDrained.wait(Lock, [this] { return AsyncOutstanding == 0; });
-}
-
-ConversionService &ConversionService::instance() {
-  // Leaked like PlanCache::instance(): request threads may outlive static
-  // destruction in exotic shutdown orders.
-  static ConversionService *S = new ConversionService();
-  return *S;
 }
 
 Status ConversionService::admit(const Deadline &D) {
@@ -199,7 +187,7 @@ ConversionService::execute(const ConversionRequest &Request, const Deadline &D,
     if (!Handle) {
       StatusOr<std::shared_ptr<jit::JitConversion>> H =
           PlanCache::instance().tryJit(Request.Source, Request.Target, Opts,
-                                       "", Group ? Group->AcquireBy : D);
+                                       Group ? Group->AcquireBy : D);
       if (!H.ok())
         return H.status();
       Handle = H.take();

@@ -30,10 +30,10 @@
 /// Beyond per-request convert(), the service offers submitBatch() — plan-
 /// key-grouped execution where one JIT-handle acquisition serves a queue
 /// of same-plan tensors — and an async submit() returning a future, both
-/// composing with the same admission/shedding/deadline discipline.
-/// Construction also triggers the cache warm-start hook
-/// (PlanCache::maybePreloadFromEnv), so a restarted server's first
-/// requests can hit preloaded handles instead of cold compiles.
+/// composing with the same admission/shedding/deadline discipline. A
+/// restarted server calls PlanCache::preload() before constructing the
+/// service, so its first requests hit preloaded handles instead of cold
+/// compiles.
 ///
 /// Environment knobs (read once at construction; see ServiceLimits):
 ///   CONVGEN_MAX_INFLIGHT        concurrent request cap (default 2x the
@@ -42,9 +42,6 @@
 ///                               shedding (default 2x MaxInflight)
 ///   CONVGEN_DEFAULT_DEADLINE_MS deadline applied to requests that do not
 ///                               carry their own (default 0 = none)
-///   CONVGEN_PRELOAD             off|eager|background warm-start at boot
-///                               (default off; see PlanCache::preload)
-///   CONVGEN_MANIFEST            warm-start manifest path override
 ///
 //===----------------------------------------------------------------------===//
 
@@ -150,10 +147,6 @@ struct ConversionRequest {
 class ConversionService {
 public:
   explicit ConversionService(ServiceLimits Limits = ServiceLimits::fromEnv());
-
-  /// The process-wide instance, env-configured. All methods thread-safe;
-  /// tests build their own instances with explicit limits instead.
-  static ConversionService &instance();
 
   ConversionService(const ConversionService &) = delete;
   ConversionService &operator=(const ConversionService &) = delete;

@@ -42,8 +42,6 @@ const char *support::degradationName(Degradation Kind) {
     return "single-flight-coalesce";
   case Degradation::PreloadEviction:
     return "preload-evict";
-  case Degradation::PreloadHit:
-    return "preload-hit";
   }
   return "unknown";
 }

@@ -61,12 +61,8 @@ enum class Degradation {
   /// line, compiler/ISA/flags skew, plan-key drift, or a checksum mismatch
   /// on the referenced object — and was evicted, never served.
   PreloadEviction,
-  /// Informational: a warm-start preload installed a revalidated cached
-  /// object into the in-memory cache, so the entry's first request hits
-  /// warm with no compiler invocation.
-  PreloadHit,
 };
-constexpr int kNumDegradations = 14;
+constexpr int kNumDegradations = 13;
 
 /// Stable lowercase name ("jit-compile-failure", ...).
 const char *degradationName(Degradation Kind);
@@ -86,15 +82,13 @@ struct DegradationCounters {
   }
 
   /// Sum of the counters that mean an execution actually degraded.
-  /// Excludes the service-flow kinds — coalesced waits, load sheds,
-  /// request-deadline expiries, and warm-start preload hits — which are
-  /// normal under concurrent load and never turn a native timing into an
-  /// interpreter timing.
+  /// Excludes the service-flow kinds — coalesced waits, load sheds, and
+  /// request-deadline expiries — which are normal under concurrent load
+  /// and never turn a native timing into an interpreter timing.
   uint64_t degradedTotal() const {
     return total() - (*this)[Degradation::SingleFlightCoalesce] -
            (*this)[Degradation::LoadShed] -
-           (*this)[Degradation::DeadlineExceeded] -
-           (*this)[Degradation::PreloadHit];
+           (*this)[Degradation::DeadlineExceeded];
   }
 };
 

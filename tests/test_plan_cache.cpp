@@ -166,7 +166,7 @@ TEST(PlanCacheKeys, ForcedSortedRankingIsOneKeyBit) {
   std::string Base = "-O3 -march=native -std=c11 -shared -fPIC";
   if (jit::jitOpenMPAvailable())
     Base += " -fopenmp";
-  EXPECT_EQ(jit::jitEffectiveFlags(""), Base);
+  EXPECT_EQ(jit::jitEffectiveFlags(), Base);
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
   codegen::Options Opts;

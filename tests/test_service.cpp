@@ -354,7 +354,7 @@ TEST(Deadlines, ExpiredDeadlineFailsFastBeforeAnyWork) {
   Deadline Expired = Deadline::afterMillis(0);
 
   StatusOr<std::shared_ptr<jit::JitConversion>> H =
-      PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts, "", Expired);
+      PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts, Expired);
   ASSERT_FALSE(H.ok());
   EXPECT_EQ(H.status().code(), ErrorCode::DeadlineExceeded);
   EXPECT_FALSE(H.status().isEnvironmentError())
@@ -407,7 +407,7 @@ TEST(Deadlines, WaiterOnAnInFlightCompileTimesOutWithoutKillingTheFlight) {
   // patience — it must time out quickly, while the flight continues.
   auto Begin = std::chrono::steady_clock::now();
   StatusOr<std::shared_ptr<jit::JitConversion>> Impatient =
-      PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts, "",
+      PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts,
                                    Deadline::afterMillis(150));
   double Secs = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - Begin)
@@ -445,7 +445,7 @@ TEST(Deadlines, DeadlineBoundDegradedHandleIsNotCached) {
     // handle must NOT enter the shared cache.
     ScopedEnv Hang("CONVGEN_FAULT", "compile-hang");
     StatusOr<std::shared_ptr<jit::JitConversion>> H =
-        PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts, "",
+        PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts,
                                      Deadline::afterMillis(50));
     ASSERT_TRUE(H.ok()) << H.status().toString();
     EXPECT_TRUE(H.value()->degraded());
@@ -457,6 +457,7 @@ TEST(Deadlines, DeadlineBoundDegradedHandleIsNotCached) {
   }
   // Hang injection gone: a patient retry must compile for real — which it
   // can only do if the impatient handle was not cached.
+  ScopedEnv NoFault("CONVGEN_FAULT", "");
   StatusOr<std::shared_ptr<jit::JitConversion>> H2 =
       PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts);
   ASSERT_TRUE(H2.ok());
@@ -483,7 +484,7 @@ TEST(Deadlines, PatientWaiterCompilesRatherThanTakeAnImpatientLeadersHandle) {
   std::shared_ptr<jit::JitConversion> Impatient;
   std::thread Leader([&] {
     StatusOr<std::shared_ptr<jit::JitConversion>> H =
-        PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts, "",
+        PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts,
                                      Deadline::afterMillis(300));
     ASSERT_TRUE(H.ok()) << H.status().toString();
     Impatient = H.value();
@@ -498,7 +499,7 @@ TEST(Deadlines, PatientWaiterCompilesRatherThanTakeAnImpatientLeadersHandle) {
   // Waiter: unbounded, coalesces onto the leader's flight. The leader's
   // deadline-degraded handle is not its answer: it compiles for real.
   StatusOr<std::shared_ptr<jit::JitConversion>> Patient =
-      PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts, "",
+      PlanCache::instance().tryJit(W.Src, W.Dst, W.Opts,
                                    Deadline::never());
   Leader.join();
   ASSERT_TRUE(Impatient != nullptr);
@@ -586,6 +587,7 @@ TEST(Service, OverloadShedsWithResourceExhaustedAndRecovers) {
   }
 
   // Capacity freed: the same request now completes.
+  ScopedEnv NoFault("CONVGEN_FAULT", "");
   StatusOr<tensor::SparseTensor> Again = Service.convert(R);
   ASSERT_TRUE(Again.ok()) << Again.status().toString();
   expectBitIdentical(Fast.Want, *Again, Fast.Label);
@@ -768,6 +770,7 @@ TEST(Service, DefaultDeadlineFromLimitsApplies) {
   }
   // Injection gone: an explicitly unbounded request compiles for real —
   // which it can only do if the deadline-bound handle was not cached.
+  ScopedEnv NoFault("CONVGEN_FAULT", "");
   ConversionRequest R;
   R.Source = W.Src;
   R.Target = W.Dst;

@@ -9,9 +9,11 @@
 /// entries, PlanCache::preload revalidates and dlopens them in a "fresh
 /// process" (clearMemory stands in for the restart). The contract under
 /// test: a valid manifest preloads every entry with zero compiler
-/// invocations; any skew — compile flags, corrupt line, corrupt object —
-/// evicts the entry (never serves it) and leaves the rest loadable; the
-/// DegradationLog reconciles exactly with the preload stats.
+/// invocations; any skew — compile flags, manifest version, corrupt line,
+/// corrupt object — evicts the entry (never serves it) and leaves the rest
+/// loadable; the DegradationLog's preload-evict count reconciles exactly
+/// with the preload stats; and a process without a disk cache leaves the
+/// shared manifest alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +40,6 @@
 using namespace convgen;
 using convert::PlanCache;
 using convert::PlanCacheStats;
-using convert::PreloadMode;
 using convert::PreloadStats;
 using support::Degradation;
 using support::DegradationLog;
@@ -135,8 +136,6 @@ TEST(WarmStart, ExportPreloadRoundTripLoadsEveryEntryWithoutCompiling) {
   EXPECT_EQ(S.Entries, pairPool().size());
   EXPECT_EQ(S.Loaded, pairPool().size());
   EXPECT_EQ(S.Evicted, 0u);
-  EXPECT_EQ(After[Degradation::PreloadHit] - Before[Degradation::PreloadHit],
-            pairPool().size());
   EXPECT_EQ(After[Degradation::PreloadEviction],
             Before[Degradation::PreloadEviction]);
   // Preload never runs the compiler and never degrades.
@@ -200,7 +199,6 @@ TEST(WarmStart, FlagSkewEvictsEveryEntryThenRecompilesCleanly) {
   EXPECT_EQ(After[Degradation::PreloadEviction] -
                 Before[Degradation::PreloadEviction],
             pairPool().size());
-  EXPECT_EQ(After[Degradation::PreloadHit], Before[Degradation::PreloadHit]);
 
   // The rewritten manifest dropped the skewed lines: a second preload
   // sees an empty (but well-formed) file.
@@ -294,7 +292,7 @@ TEST(WarmStart, CorruptObjectEvictsAtPreloadAndNeverServes) {
   EXPECT_EQ(S.Loaded, pairPool().size() - 1);
 }
 
-TEST(WarmStart, BackgroundPreloadJoinsWithTheSameResult) {
+TEST(WarmStart, OtherManifestVersionIsDroppedWholeAndObjectsStillServe) {
   if (skipWithoutJit())
     GTEST_SKIP() << "needs a native compiler without injected faults";
   ScopedCacheDir Scope;
@@ -302,26 +300,65 @@ TEST(WarmStart, BackgroundPreloadJoinsWithTheSameResult) {
   PlanCache &Cache = PlanCache::instance();
   Cache.clearMemory();
   ASSERT_EQ(populate(Cache), static_cast<int>(pairPool().size()));
+  std::string ManifestPath = PlanCache::manifestFilePath();
   ASSERT_TRUE(Cache.exportManifest().ok());
   Cache.clearMemory();
 
-  // Background mode returns immediately; the warmer thread does the same
-  // pass and waitForPreload() hands back its stats. Capture the manifest
-  // path before launching — the warmer runs concurrently with this
-  // thread, and the ScopedEnv teardown must not race it (waitForPreload
-  // synchronizes before this scope unwinds).
-  PreloadStats Immediate =
-      Cache.preload(PlanCache::manifestFilePath(), PreloadMode::Background);
-  EXPECT_EQ(Immediate.Entries, 0u);
-  PreloadStats Joined = Cache.waitForPreload();
-  EXPECT_EQ(Joined.Entries, pairPool().size());
-  EXPECT_EQ(Joined.Loaded, pairPool().size());
-  EXPECT_EQ(Joined.Evicted, 0u);
+  // A manifest written under the previous line layout (v1 carried a
+  // per-entry compile-flags field): no line of it can be trusted.
+  std::string Contents = readFile(ManifestPath);
+  std::string::size_type HeaderEnd = Contents.find('\n');
+  ASSERT_NE(HeaderEnd, std::string::npos);
+  std::string Header = Contents.substr(0, HeaderEnd);
+  writeFile(ManifestPath, "convgen-manifest-v1" + Contents.substr(HeaderEnd));
 
-  for (const auto &[Src, Dst] : pairPool()) {
-    auto H = Cache.jit(formats::standardFormatOrDie(Src),
-                       formats::standardFormatOrDie(Dst));
-    EXPECT_FALSE(H->degraded());
-    EXPECT_TRUE(H->loadedFromCache());
+  auto Before = DegradationLog::instance().snapshot();
+  PreloadStats S = Cache.preload();
+  auto After = DegradationLog::instance().snapshot();
+  EXPECT_EQ(S.Entries, 0u);
+  EXPECT_EQ(S.Loaded, 0u);
+  EXPECT_EQ(After[Degradation::PreloadEviction] -
+                Before[Degradation::PreloadEviction],
+            1u);
+  EXPECT_EQ(readFile(ManifestPath), Header + "\n");
+
+  // The objects themselves are still valid disk-cache entries.
+  PlanCacheStats Mid = Cache.stats();
+  auto H = Cache.jit(formats::standardFormatOrDie("coo"),
+                     formats::standardFormatOrDie("csr"));
+  EXPECT_FALSE(H->degraded());
+  EXPECT_TRUE(H->loadedFromCache());
+  EXPECT_EQ(Cache.stats().DiskHits - Mid.DiskHits, 1u);
+}
+
+TEST(WarmStart, ProcessWithoutDiskCacheNeitherPreloadsNorExports) {
+  if (skipWithoutJit())
+    GTEST_SKIP() << "needs a native compiler without injected faults";
+  ScopedCacheDir Scope;
+  ASSERT_FALSE(Scope.Dir.empty());
+  ScopedEnv Manifest("CONVGEN_MANIFEST", Scope.Dir + "/shared-manifest.txt");
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  ASSERT_EQ(populate(Cache), static_cast<int>(pairPool().size()));
+  ASSERT_TRUE(Cache.exportManifest().ok());
+  std::string Exported = readFile(PlanCache::manifestFilePath());
+  Cache.clearMemory();
+
+  {
+    // A process without a disk cache could load none of the entries and
+    // has none to describe: it must neither evict them nor replace the
+    // shared file with an empty one.
+    ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+    PreloadStats S = Cache.preload();
+    EXPECT_EQ(S.Entries, 0u);
+    EXPECT_EQ(S.Loaded, 0u);
+    EXPECT_EQ(S.Evicted, 0u);
+    EXPECT_EQ(readFile(PlanCache::manifestFilePath()), Exported);
+    EXPECT_EQ(Cache.exportManifest().code(), ErrorCode::Unavailable);
+    EXPECT_EQ(readFile(PlanCache::manifestFilePath()), Exported);
   }
+
+  // The next process with a disk cache still boots warm.
+  PreloadStats S = Cache.preload();
+  EXPECT_EQ(S.Loaded, pairPool().size());
 }

@@ -153,8 +153,7 @@ int runPopulate(int SleepMs) {
 int runVerify(bool RequireWarm, long ExpectEvict) {
   auto Items = workload();
   convert::PlanCache &Cache = convert::PlanCache::instance();
-  convert::PreloadStats PS =
-      Cache.preload("", convert::PreloadMode::Eager);
+  convert::PreloadStats PS = Cache.preload();
   std::printf("PRELOAD entries=%llu loaded=%llu evicted=%llu skipped=%llu\n",
               (unsigned long long)PS.Entries, (unsigned long long)PS.Loaded,
               (unsigned long long)PS.Evicted,
