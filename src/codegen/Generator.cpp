@@ -705,10 +705,8 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
       Widths.push_back(W);
       TotalBits += W;
     }
-    if (Fits && TotalBits <= 64) {
-      Plan.PackedSort = true;
+    if (Fits && TotalBits <= 64)
       Plan.PackWidths = std::move(Widths);
-    }
   }
 
   // The sequenced workspace survives only where neither ranked nor sorted
@@ -896,7 +894,6 @@ Conversion Generator::run() {
 
   Ctx.Fmt = &Dst;
   Ctx.Bounds = Shape.Bounds;
-  Ctx.ForceUnseqEdges = Opts.ForceUnseqEdges;
   Ctx.Result = [&](int Level, const std::string &Label) {
     auto It = Compiled.Refs.find(strfmt("q%d_%s", Level, Label.c_str()));
     CONVGEN_ASSERT(It != Compiled.Refs.end(), "missing query result");
@@ -1109,7 +1106,6 @@ Conversion Generator::run() {
   Out.Target = Dst;
   Out.Opts = Opts;
   Out.Asm = Plan;
-  Out.LexCheckLevels = Plan.LexCheckLevels;
   Out.Func.Name = "convert_" + Src.Name + "_to_" + Dst.Name;
   Out.Func.Params = SrcIt.params();
   Out.Func.Body = Fn.build();

@@ -38,9 +38,6 @@ struct Options {
   /// Reuse a scalar for counters whose index variables are bound by the
   /// source's ordered outer loops (§4.2); otherwise counter arrays.
   bool CounterReuse = true;
-  /// Use unsequenced edge insertion (scatter + prefix sum) even where the
-  /// sequenced variant applies (§6.1); exercised by tests/ablations.
-  bool ForceUnseqEdges = false;
   /// Materialize remapped coordinates in a separate pre-pass instead of
   /// fusing remapping into assembly (§3's discussion of complex orderings).
   bool MaterializeRemap = false;
@@ -86,15 +83,13 @@ struct AssemblyPlan {
   /// grouping tuples nest). 0 when at most one level sorts (it builds its
   /// own list).
   int SharedSortAnchor = 0;
-  /// Sorted levels lower their tuple sorts through the packed-key radix
-  /// sort: every destination extent is known, the full-order coordinate
-  /// tuple packs into one uint64_t (sum of per-dim ceil(log2(extent))
-  /// widths <= 64). Otherwise they merge-sort. The sorted output is the
-  /// identical pure function of the input either way, so results never
-  /// depend on the bit.
-  bool PackedSort = false;
-  /// PackedSort only: the per-destination-dim bit widths (dimension
-  /// order); empty otherwise.
+  /// Nonempty when sorted levels lower their tuple sorts through the
+  /// packed-key radix sort: every destination extent is known and the
+  /// full-order coordinate tuple packs into one uint64_t (sum of per-dim
+  /// ceil(log2(extent)) widths <= 64). Holds those per-destination-dim bit
+  /// widths in dimension order. Empty: they merge-sort. The sorted output
+  /// is the identical pure function of the input either way, so results
+  /// never depend on the choice.
   std::vector<int64_t> PackWidths;
   /// Per level: entries of the dense rank array a ranked level allocates
   /// at the hinted dims (the product of its grouping extents, the figure
@@ -179,13 +174,6 @@ struct Conversion {
   ir::Function Func;
   /// Optimized attribute queries, for inspection and golden tests.
   std::vector<std::pair<std::string, query::CinStmt>> Queries;
-  /// Leading source levels whose lexicographic order the routine's
-  /// sequenced dedup assembly trusts but the format cannot guarantee
-  /// structurally (a coo tensor's crd arrays may legally be unsorted, e.g.
-  /// csc -> coo output is column-major). The conversion runners validate
-  /// these levels per input tensor and reject unsorted sources instead of
-  /// assembling garbage; 0 means no check is needed.
-  int LexCheckLevels = 0;
 
   /// Complete C99 translation unit (JIT input).
   std::string cSource() const;

@@ -113,10 +113,10 @@ convert::collectTargetTensor(const formats::Format &Target,
 
 Status convert::checkSourceOrder(const codegen::Conversion &Conv,
                                  const tensor::SparseTensor &In) {
-  if (Conv.LexCheckLevels <= 0)
+  if (Conv.Asm.LexCheckLevels <= 0)
     return Status();
   std::string Why;
-  if (!In.lexOrderedUpTo(Conv.LexCheckLevels, &Why))
+  if (!In.lexOrderedUpTo(Conv.Asm.LexCheckLevels, &Why))
     return Status::error(
         ErrorCode::InvalidArgument,
         strfmt("conversion %s -> %s requires a lexicographically sorted "

@@ -85,7 +85,7 @@ private:
 /// naming convention (shared with the JIT runner's marshalling).
 void bindSourceTensor(ir::Interpreter &Interp, const tensor::SparseTensor &In);
 
-/// Enforces the plan's source-order requirement (Conversion's
+/// Enforces the plan's source-order requirement (the assembly plan's
 /// LexCheckLevels): returns ErrorCode::InvalidArgument with a diagnostic
 /// when \p In's leading levels are not lexicographically sorted but the
 /// routine's dedup assembly assumes they are. Shared by the interpreter

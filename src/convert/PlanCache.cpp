@@ -139,7 +139,7 @@ bool checksumMatches(const std::string &SoPath) {
 
 /// Warm-start manifest format version. Bumped whenever the line layout
 /// changes; a preloader seeing another version drops the whole file.
-const char kManifestHeader[] = "convgen-manifest-v2";
+const char kManifestHeader[] = "convgen-manifest-v3";
 
 /// Everything outside the emitted C that determines the compiled binary:
 /// the full effective flag string (CONVGEN_JIT_FLAGS baked in), the
@@ -211,18 +211,17 @@ bool parseDims(const std::string &Field, std::vector<int64_t> *Dims) {
   return !Dims->empty();
 }
 
-/// "q1c1u0m0" <-> option bits.
+/// "q1c1m0" <-> option bits.
 std::string serializeOptBits(const convgen::codegen::Options &Opts) {
-  return convgen::strfmt("q%dc%du%dm%d", Opts.OptimizeQueries ? 1 : 0,
+  return convgen::strfmt("q%dc%dm%d", Opts.OptimizeQueries ? 1 : 0,
                          Opts.CounterReuse ? 1 : 0,
-                         Opts.ForceUnseqEdges ? 1 : 0,
                          Opts.MaterializeRemap ? 1 : 0);
 }
 
 bool parseOptBits(const std::string &Field,
                   convgen::codegen::Options *Opts) {
-  if (Field.size() != 8 || Field[0] != 'q' || Field[2] != 'c' ||
-      Field[4] != 'u' || Field[6] != 'm')
+  if (Field.size() != 6 || Field[0] != 'q' || Field[2] != 'c' ||
+      Field[4] != 'm')
     return false;
   auto Bit = [](char C, bool *Out) {
     if (C != '0' && C != '1')
@@ -232,8 +231,7 @@ bool parseOptBits(const std::string &Field,
   };
   return Bit(Field[1], &Opts->OptimizeQueries) &&
          Bit(Field[3], &Opts->CounterReuse) &&
-         Bit(Field[5], &Opts->ForceUnseqEdges) &&
-         Bit(Field[7], &Opts->MaterializeRemap);
+         Bit(Field[5], &Opts->MaterializeRemap);
 }
 
 } // namespace
@@ -340,9 +338,8 @@ std::string convert::planKey(const formats::Format &Source,
                              const codegen::Options &Opts) {
   std::string Key =
       formatFingerprint(Source) + " => " + formatFingerprint(Target) +
-      strfmt(" [q%dc%du%dm%d]", Opts.OptimizeQueries ? 1 : 0,
-             Opts.CounterReuse ? 1 : 0, Opts.ForceUnseqEdges ? 1 : 0,
-             Opts.MaterializeRemap ? 1 : 0);
+      strfmt(" [q%dc%dm%d]", Opts.OptimizeQueries ? 1 : 0,
+             Opts.CounterReuse ? 1 : 0, Opts.MaterializeRemap ? 1 : 0);
   // A dims hint changes the generated code only through the assembly
   // strategy it selects (which levels go sorted/ranked/dedup, whether they
   // share one full-arity sort, and the packed-sort widths), so the key
@@ -362,10 +359,10 @@ std::string convert::planKey(const formats::Format &Source,
       Key += Plan.Sorted[K] ? '1' : (Plan.Ranked[K] ? 'r' : '0');
     if (Plan.SharedSortAnchor > 0)
       Key += ":g" + std::to_string(Plan.SharedSortAnchor);
-    // The packed-sort bit alone is not enough: the per-dim bit widths are
+    // A packed-sort marker alone is not enough: the per-dim bit widths are
     // baked into the emitted pack/unpack code, so dims with different
     // widths must not share an entry.
-    if (Plan.PackedSort) {
+    if (!Plan.PackWidths.empty()) {
       Key += ":p";
       for (int64_t W : Plan.PackWidths)
         Key += "." + std::to_string(W);
@@ -642,7 +639,7 @@ Status PlanCache::exportManifest(const std::string &Path) {
   // Warm-start material: every healthy native handle with a disk-cache
   // slot (degraded handles have no object to preload). Forced-sorted plans
   // cannot round-trip through the manifest's compact option encoding
-  // (q/c/u/m bits only); a fresh process re-plans them on demand instead.
+  // (q/c/m bits only); a fresh process re-plans them on demand instead.
   std::map<std::string, JitPtr> Snapshot;
   for (Shard &S : Shards) {
     std::shared_lock<std::shared_mutex> Read(S.Mu);

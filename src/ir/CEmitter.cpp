@@ -31,87 +31,48 @@ std::string ir::cTensorStructDecl() {
                 kMaxLevels + 1);
 }
 
-/// Whether the function body uses any sorted-ranking construct, so the
-/// prelude helpers (and their OpenMP pragma) are emitted only into
-/// routines that need them — keeping every other routine's emitted C (and
-/// its exact parallel-loop census, which tests pin) unchanged.
-static bool exprUsesSortedRanking(const Expr &E) {
-  if (!E)
-    return false;
-  if (E->Kind == ExprKind::LowerBound)
-    return true;
-  for (const Expr &Arg : E->Args)
-    if (exprUsesSortedRanking(Arg))
-      return true;
-  return exprUsesSortedRanking(E->A) || exprUsesSortedRanking(E->B) ||
-         exprUsesSortedRanking(E->C);
-}
+namespace {
+/// The prelude helpers a routine body calls, found in one walk over it, so
+/// each helper is emitted only into routines that need it — keeping every
+/// other routine's emitted C (and its exact parallel-loop census, which
+/// tests pin) unchanged.
+struct PreludeNeeds {
+  bool Sorted = false;       ///< Any sorted-ranking construct.
+  bool MergeSort = false;    ///< An unpacked SortTuples.
+  bool RadixSort = false;    ///< A packed SortTuples.
+  bool PackedSearch = false; ///< A packed LowerBound.
 
-static bool stmtUsesSortedRanking(const Stmt &S) {
-  if (!S)
-    return false;
-  if (S->Kind == StmtKind::SortTuples || S->Kind == StmtKind::UniqueTuples ||
-      S->Kind == StmtKind::UniquePrefix)
-    return true;
-  if (exprUsesSortedRanking(S->A) || exprUsesSortedRanking(S->B))
-    return true;
-  for (const Stmt &Sub : S->Stmts)
-    if (stmtUsesSortedRanking(Sub))
-      return true;
-  return stmtUsesSortedRanking(S->Body) || stmtUsesSortedRanking(S->Else);
-}
+  void visit(const Expr &E) {
+    if (!E)
+      return;
+    if (E->Kind == ExprKind::LowerBound) {
+      Sorted = true;
+      PackedSearch = PackedSearch || !E->PackWidths.empty();
+    }
+    for (const Expr &Arg : E->Args)
+      visit(Arg);
+    visit(E->A);
+    visit(E->B);
+    visit(E->C);
+  }
 
-/// Whether the body contains a packed SortTuples, so cvg_radix_sort_packed
-/// is emitted only into routines that call it — merge-sorting routines'
-/// emitted C stays byte-identical to what the goldens pin.
-static bool stmtUsesPackedSort(const Stmt &S) {
-  if (!S)
-    return false;
-  if (S->Kind == StmtKind::SortTuples && !S->PackWidths.empty())
-    return true;
-  for (const Stmt &Sub : S->Stmts)
-    if (stmtUsesPackedSort(Sub))
-      return true;
-  return stmtUsesPackedSort(S->Body) || stmtUsesPackedSort(S->Else);
-}
-
-/// Whether the body contains an unpacked SortTuples — only those call the
-/// merge-sort helpers, so packed-only routines skip them.
-static bool stmtUsesUnpackedSort(const Stmt &S) {
-  if (!S)
-    return false;
-  if (S->Kind == StmtKind::SortTuples && S->PackWidths.empty())
-    return true;
-  for (const Stmt &Sub : S->Stmts)
-    if (stmtUsesUnpackedSort(Sub))
-      return true;
-  return stmtUsesUnpackedSort(S->Body) || stmtUsesUnpackedSort(S->Else);
-}
-
-/// Whether the body contains a packed LowerBound, so cvg_lower_bound_packed
-/// is emitted only into routines that call it.
-static bool exprUsesPackedSearch(const Expr &E) {
-  if (!E)
-    return false;
-  if (E->Kind == ExprKind::LowerBound && !E->PackWidths.empty())
-    return true;
-  for (const Expr &Arg : E->Args)
-    if (exprUsesPackedSearch(Arg))
-      return true;
-  return exprUsesPackedSearch(E->A) || exprUsesPackedSearch(E->B) ||
-         exprUsesPackedSearch(E->C);
-}
-
-static bool stmtUsesPackedSearch(const Stmt &S) {
-  if (!S)
-    return false;
-  if (exprUsesPackedSearch(S->A) || exprUsesPackedSearch(S->B))
-    return true;
-  for (const Stmt &Sub : S->Stmts)
-    if (stmtUsesPackedSearch(Sub))
-      return true;
-  return stmtUsesPackedSearch(S->Body) || stmtUsesPackedSearch(S->Else);
-}
+  void visit(const Stmt &S) {
+    if (!S)
+      return;
+    if (S->Kind == StmtKind::SortTuples)
+      (S->PackWidths.empty() ? MergeSort : RadixSort) = true;
+    if (S->Kind == StmtKind::SortTuples || S->Kind == StmtKind::UniqueTuples ||
+        S->Kind == StmtKind::UniquePrefix)
+      Sorted = true;
+    visit(S->A);
+    visit(S->B);
+    for (const Stmt &Sub : S->Stmts)
+      visit(Sub);
+    visit(S->Body);
+    visit(S->Else);
+  }
+};
+} // namespace
 
 /// Emits the prologue line that binds one function parameter to a local
 /// variable named exactly as the IR references it.
@@ -170,8 +131,9 @@ std::string ir::emitC(const Function &F) {
   // interpreter's serial oracle — produce bit-identical buffers), a serial
   // adjacent-duplicate compaction, and a binary search returning the rank
   // of a key tuple. Tuples are `arity` consecutive int32 elements.
-  bool UsesSorted = stmtUsesSortedRanking(F.Body);
-  if (UsesSorted)
+  PreludeNeeds Needs;
+  Needs.visit(F.Body);
+  if (Needs.Sorted)
     Out += R"(static int cvg_tuple_cmp(const int32_t *a, const int32_t *b,
                          int64_t arity) {
   for (int64_t i = 0; i < arity; i++) {
@@ -183,7 +145,7 @@ std::string ir::emitC(const Function &F) {
 )";
   // The comparison merge sort: only unpacked SortTuples call it, so a
   // routine whose every sort is packed carries no dead merge machinery.
-  if (stmtUsesUnpackedSort(F.Body))
+  if (Needs.MergeSort)
     Out += R"(static void cvg_merge_tuples(int32_t *dst, const int32_t *src, int64_t lo,
                              int64_t mid, int64_t hi, int64_t arity) {
   int64_t i = lo, j = mid, k = lo;
@@ -223,7 +185,7 @@ static void cvg_sort_tuples(int32_t *buf, int64_t n, int64_t arity) {
   free(tmp);
 }
 )";
-  if (UsesSorted)
+  if (Needs.Sorted)
     Out += R"(static int64_t cvg_unique_tuples(int32_t *buf, int64_t n, int64_t arity) {
   int64_t u = 0;
   for (int64_t i = 0; i < n; i++) {
@@ -326,7 +288,7 @@ static int64_t cvg_unique_prefix(const int32_t *src, int64_t n,
   // position after the final pass — and therefore its dedup rank — is the
   // unique stable-sort position: rank_out is deterministic too, equal to
   // a binary search of the slot's tuple in the deduped list.
-  if (stmtUsesPackedSort(F.Body))
+  if (Needs.RadixSort)
     Out += R"(static int64_t cvg_radix_sort_packed(int32_t *restrict buf, int64_t n,
                                      int64_t arity,
                                      const int64_t *restrict widths,
@@ -492,7 +454,7 @@ static int64_t cvg_unique_prefix(const int32_t *src, int64_t n,
   // order whenever every stored coordinate fits its width (the same
   // contract as cvg_radix_sort_packed), so the result index is identical
   // to cvg_lower_bound's.
-  if (stmtUsesPackedSearch(F.Body))
+  if (Needs.PackedSearch)
     Out += R"(static int64_t cvg_lower_bound_packed(const int32_t *restrict buf,
                                        int64_t n, int64_t arity,
                                        const int64_t *restrict widths,

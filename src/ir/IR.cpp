@@ -359,14 +359,6 @@ Stmt ir::forRange(const std::string &Var, Expr Lo, Expr Hi, Stmt Body) {
   return S;
 }
 
-Stmt ir::whileLoop(Expr Cond, Stmt Body) {
-  Stmt S = makeStmt(StmtKind::While);
-  StmtNode &N = const_cast<StmtNode &>(*S);
-  N.A = std::move(Cond);
-  N.Body = std::move(Body);
-  return S;
-}
-
 Stmt ir::ifThen(Expr Cond, Stmt Then, Stmt Else) {
   Stmt S = makeStmt(StmtKind::If);
   StmtNode &N = const_cast<StmtNode &>(*S);
@@ -428,18 +420,14 @@ Stmt ir::yieldScalar(const std::string &Slot, Expr Value) {
   return S;
 }
 
-Stmt ir::scan(const std::string &Buffer, Expr Length, ScanKind Kind,
-              ReduceOp Op) {
+Stmt ir::scan(const std::string &Buffer, Expr Length, ReduceOp Op) {
   CONVGEN_ASSERT(Length != nullptr, "scan requires a length");
   CONVGEN_ASSERT(Op == ReduceOp::Add || Op == ReduceOp::Max,
                  "scan combines with Add or Max only");
-  CONVGEN_ASSERT(Op == ReduceOp::Add || Kind == ScanKind::Inclusive,
-                 "max scans are inclusive (identity 0 over non-negatives)");
   Stmt S = makeStmt(StmtKind::Scan);
   StmtNode &N = const_cast<StmtNode &>(*S);
   N.Name = Buffer;
   N.A = std::move(Length);
-  N.Scan = Kind;
   N.Reduce = Op;
   return S;
 }
@@ -661,25 +649,18 @@ static const char *cElemType(ScalarKind Kind) {
 /// locals live in their own braces, so nested scans cannot collide.
 static void printScanC(const Stmt &S, const std::string &Pad,
                        std::string &Out) {
-  bool Incl = S->Scan == ScanKind::Inclusive;
   bool IsMax = S->Reduce == ReduceOp::Max;
   const std::string &X = S->Name;
-  std::string Body =
-      IsMax ? "cvg_acc = cvg_max(cvg_acc, " + X + "[cvg_k]); " + X +
-                  "[cvg_k] = cvg_acc;"
-      : Incl ? "cvg_acc += " + X + "[cvg_k]; " + X + "[cvg_k] = cvg_acc;"
-             : "int32_t cvg_v = " + X + "[cvg_k]; " + X +
-                   "[cvg_k] = cvg_acc; cvg_acc += cvg_v;";
   std::string Accumulate =
       IsMax ? "cvg_acc = cvg_max(cvg_acc, " + X + "[cvg_k]);"
             : "cvg_acc += " + X + "[cvg_k];";
+  std::string Body = Accumulate + " " + X + "[cvg_k] = cvg_acc;";
   std::string Carry =
       IsMax ? "cvg_sums[cvg_b] = cvg_carry; "
               "cvg_carry = cvg_max(cvg_carry, cvg_t);"
             : "cvg_sums[cvg_b] = cvg_carry; cvg_carry += cvg_t;";
-  Out += Pad + "{ // " + (Incl ? "inclusive" : "exclusive") +
-         (IsMax ? " max scan of " : " scan of ") + X + "[0:" +
-         printExpr(S->A) + "]\n";
+  Out += Pad + "{ // inclusive" + (IsMax ? " max scan of " : " scan of ") +
+         X + "[0:" + printExpr(S->A) + "]\n";
   std::string In = Pad + "  ";
   Out += In + "int64_t cvg_n = " + printExpr(S->A) + ";\n";
   Out += In + "int64_t cvg_p = cvg_nparts();\n";
@@ -847,11 +828,6 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
     Out += Pad + "}\n";
     return;
   }
-  case StmtKind::While:
-    Out += Pad + "while (" + printExpr(S->A) + ") {\n";
-    printStmtInto(S->Body, Indent + 1, Out, CMode);
-    Out += Pad + "}\n";
-    return;
   case StmtKind::If:
     Out += Pad + "if (" + printExpr(S->A) + ") {\n";
     printStmtInto(S->Body, Indent + 1, Out, CMode);
@@ -919,11 +895,8 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
       printScanC(S, Pad, Out);
     } else {
       // Figure 6 view: a compact pseudo-op keeps the routine readable.
-      const char *Op = S->Reduce == ReduceOp::Max
-                           ? "inclusive_max_scan("
-                           : (S->Scan == ScanKind::Inclusive
-                                  ? "inclusive_scan("
-                                  : "exclusive_scan(");
+      const char *Op = S->Reduce == ReduceOp::Max ? "inclusive_max_scan("
+                                                  : "inclusive_scan(";
       Out += Pad + Op + S->Name + ", " + printExpr(S->A) + ");\n";
     }
     return;

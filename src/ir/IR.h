@@ -177,7 +177,6 @@ enum class StmtKind : uint8_t {
   Assign, ///< Name = A;
   Store,  ///< Buffer[A] = B;  (or reduction, see ReduceOp)
   For,    ///< for (Name = A; Name < B; Name++) Body
-  While,  ///< while (A) Body
   If,     ///< if (A) Body else Else
   Alloc,  ///< Buffer = malloc/calloc(A elements)
   Free,
@@ -193,10 +192,6 @@ enum class StmtKind : uint8_t {
 
 /// Reduction applied by a Store: Buffer[I] op= V.
 enum class ReduceOp : uint8_t { None, Add, Or, Max, Min };
-
-/// Whether a Scan writes sums including the current element (inclusive) or
-/// only the elements before it (exclusive).
-enum class ScanKind : uint8_t { Inclusive, Exclusive };
 
 /// A buffer a parallel For reduces into: each thread accumulates into a
 /// private zero/identity-initialized copy of Buffer[0:Length] which the
@@ -223,8 +218,7 @@ struct StmtNode {
   Expr A, B;
   Stmt Body, Else;
   ReduceOp Reduce = ReduceOp::None; ///< Store reduction; Scan combiner.
-  ScanKind Scan = ScanKind::Inclusive; ///< Scan only.
-  int64_t Phase = 0;                   ///< PhaseMark only: phase index.
+  int64_t Phase = 0;                ///< PhaseMark only: phase index.
   int64_t Arity = 1; ///< Tuple ops only: ints per (source) tuple.
   /// SortTuples only: when non-empty, one bit width per tuple component
   /// (size() == Arity) selecting the packed-key radix lowering — each tuple
@@ -259,7 +253,6 @@ Stmt assign(const std::string &Name, Expr Value);
 Stmt store(const std::string &Buffer, Expr Index, Expr Value,
            ReduceOp Reduce = ReduceOp::None);
 Stmt forRange(const std::string &Var, Expr Lo, Expr Hi, Stmt Body);
-Stmt whileLoop(Expr Cond, Stmt Body);
 Stmt ifThen(Expr Cond, Stmt Then, Stmt Else = nullptr);
 Stmt alloc(const std::string &Buffer, ScalarKind Elem, Expr Size,
            bool ZeroInit);
@@ -269,21 +262,20 @@ Stmt yieldBuffer(const std::string &Slot, const std::string &Buffer,
                  Expr Length);
 Stmt yieldScalar(const std::string &Slot, Expr Value);
 
-/// In-place integer prefix combine of Buffer[0:Length]: after execution,
-/// element k holds the combination of elements 0..k (inclusive) or 0..k-1
-/// (exclusive) of the original contents, in int32 arithmetic. \p Op picks
-/// the combiner: Add (the default prefix sum) or Max (prefix maximum; only
-/// the inclusive kind, with identity 0, so buffers must be non-negative —
-/// how sorted-ranking assembly closes the gaps of empty parents in its pos
-/// arrays without a serial forward fill). The interpreter runs the obvious
-/// serial loop (the bit-exact oracle); the C emitter lowers to a two-pass
-/// blocked scan that parallelizes under OpenMP and degenerates to the
-/// serial loop at one partition. Both agree bit-for-bit for any partition
-/// count because int32 addition (mod 2^32) and max are associative. This
-/// is how generated routines express the pos-array accumulation of
-/// unsequenced edge insertion (§6.1) without baking in a serial loop.
+/// In-place inclusive integer prefix combine of Buffer[0:Length]: after
+/// execution, element k holds the combination of elements 0..k of the
+/// original contents, in int32 arithmetic. \p Op picks the combiner: Add
+/// (the default prefix sum) or Max (prefix maximum with identity 0, so
+/// buffers must be non-negative). The interpreter runs the obvious serial
+/// loop (the bit-exact oracle); the C emitter lowers to a two-pass blocked
+/// scan that parallelizes under OpenMP and degenerates to the serial loop
+/// at one partition. Both agree bit-for-bit for any partition count
+/// because int32 addition (mod 2^32) and max are associative. Sorted
+/// ranking uses both: an additive scan over its prefix-change flags ranks
+/// a CSF chain's parents, and a max scan closes the gaps of empty parents
+/// in its pos arrays without a serial forward fill.
 Stmt scan(const std::string &Buffer, Expr Length,
-          ScanKind Kind = ScanKind::Inclusive, ReduceOp Op = ReduceOp::Add);
+          ReduceOp Op = ReduceOp::Add);
 
 /// Sorts the \p Count tuples of \p Buffer in place into lexicographic
 /// order. Tuples are \p Arity consecutive int32 elements each (row-major,

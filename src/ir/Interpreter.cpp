@@ -354,10 +354,6 @@ void ExecState::exec(const Stmt &S) {
       Env.erase(S->Name);
     return;
   }
-  case StmtKind::While:
-    while (eval(S->A).asBool())
-      exec(S->Body);
-    return;
   case StmtKind::If:
     if (eval(S->A).asBool())
       exec(S->Body);
@@ -399,7 +395,7 @@ void ExecState::exec(const Stmt &S) {
     return;
   case StmtKind::Scan: {
     // The serial oracle for the C emitter's blocked parallel scan: a plain
-    // in-place prefix sum in int32 arithmetic.
+    // in-place inclusive prefix sum (or max) in int32 arithmetic.
     RuntimeBuffer &Buf = buffer(S->Name);
     if (Buf.Elem != ScalarKind::Int)
       fail("scan over a non-integer buffer '" + S->Name + "'");
@@ -411,16 +407,9 @@ void ExecState::exec(const Stmt &S) {
     int32_t Acc = 0;
     for (int64_t K = 0; K < Len; ++K) {
       int32_t V = Buf.Ints[static_cast<size_t>(K)];
-      if (S->Reduce == ReduceOp::Max) {
-        Acc = Acc > V ? Acc : V;
-        Buf.Ints[static_cast<size_t>(K)] = Acc;
-      } else if (S->Scan == ScanKind::Inclusive) {
-        Acc = static_cast<int32_t>(Acc + V);
-        Buf.Ints[static_cast<size_t>(K)] = Acc;
-      } else {
-        Buf.Ints[static_cast<size_t>(K)] = Acc;
-        Acc = static_cast<int32_t>(Acc + V);
-      }
+      Acc = S->Reduce == ReduceOp::Max ? (Acc > V ? Acc : V)
+                                       : static_cast<int32_t>(Acc + V);
+      Buf.Ints[static_cast<size_t>(K)] = Acc;
     }
     return;
   }

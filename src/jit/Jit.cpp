@@ -771,16 +771,6 @@ JitConversion::tryRun(const tensor::SparseTensor &In) const {
     return Order;
   if (Degraded)
     return interpretRun(In);
-  if (support::faultInjected(FaultSite::AllocProbe)) {
-    // The native path's allocation probe reported exhaustion (injected):
-    // serve this run through the interpreter rather than letting the
-    // routine's mallocs fail mid-assembly.
-    DegradationLog::instance().record(
-        Degradation::AllocProbeFailure,
-        strfmt("%s -> %s", Conv.Source.Name.c_str(),
-               Conv.Target.Name.c_str()));
-    return interpretRun(In);
-  }
   CTensor A, B;
   marshalInput(In, &A);
   Fn(&A, &B);

@@ -58,6 +58,24 @@ LevelFormat::~LevelFormat() = default;
 
 namespace {
 
+/// Sequenced edge insertion (§6.1), the one pos build of count-driven
+/// levels: parent positions are enumerated in order, so level K's pos
+/// array is a running sum, pos[p+1] = pos[p] + Count(parent coords).
+void emitSequencedPos(
+    AsmCtx &Ctx, int K, ir::Expr ParentSize,
+    const std::function<ir::Expr(const std::vector<ir::Expr> &)> &Count,
+    ir::BlockBuilder &Out) {
+  std::string Pos = Ctx.posName(K);
+  Out.add(ir::alloc(Pos, ir::ScalarKind::Int,
+                    ir::add(ParentSize, ir::intImm(1)), false));
+  Out.add(ir::store(Pos, ir::intImm(0), ir::intImm(0)));
+  Out.add(Ctx.ParentLoop(
+      K, [&](ir::Expr P, const std::vector<ir::Expr> &Coords) {
+        return ir::store(Pos, ir::add(P, ir::intImm(1)),
+                         ir::add(ir::load(Pos, P), Count(Coords)));
+      }));
+}
+
 //===----------------------------------------------------------------------===//
 // dense
 //===----------------------------------------------------------------------===//
@@ -167,34 +185,15 @@ public:
       emitSortedInit(Ctx, ParentSize, Out);
       return;
     }
-    std::string Pos = Ctx.posName(K);
     QueryResultRef Count = Ctx.Result(K, "nir");
-    if (!Ctx.ForceUnseqEdges) {
-      // Sequenced edge insertion: parent positions are enumerated in order.
-      Out.add(ir::alloc(Pos, ir::ScalarKind::Int,
-                        ir::add(ParentSize, ir::intImm(1)), false));
-      Out.add(ir::store(Pos, ir::intImm(0), ir::intImm(0)));
-      Out.add(Ctx.ParentLoop(
-          K, [&](ir::Expr P, const std::vector<ir::Expr> &Coords) {
-            return ir::store(
-                Pos, ir::add(P, ir::intImm(1)),
-                ir::add(ir::load(Pos, P), readQueryRaw(Count, Coords)));
-          }));
-    } else {
-      // Unsequenced: scatter per-parent counts, then prefix-sum through
-      // ir::Scan — serial in the oracle, a blocked parallel scan in C.
-      Out.add(ir::alloc(Pos, ir::ScalarKind::Int,
-                        ir::add(ParentSize, ir::intImm(1)), true));
-      Out.add(Ctx.ParentLoop(
-          K, [&](ir::Expr P, const std::vector<ir::Expr> &Coords) {
-            return ir::store(Pos, ir::add(P, ir::intImm(1)),
-                             readQueryRaw(Count, Coords));
-          }));
-      Out.add(ir::scan(Pos, ir::add(ParentSize, ir::intImm(1)),
-                       ir::ScanKind::Inclusive));
-    }
+    emitSequencedPos(
+        Ctx, K, ParentSize,
+        [&](const std::vector<ir::Expr> &Coords) {
+          return readQueryRaw(Count, Coords);
+        },
+        Out);
     Out.add(ir::alloc(Ctx.crdName(K), ir::ScalarKind::Int,
-                      ir::load(Pos, ParentSize), false));
+                      ir::load(Ctx.posName(K), ParentSize), false));
     if (Ranked)
       emitRankBuild(Ctx, Out);
   }
@@ -427,8 +426,7 @@ public:
                      ir::store(Flg, ir::var(UV),
                                ir::select(PrevDiffers, ir::intImm(1),
                                           ir::intImm(0)))))));
-      Out.add(ir::scan(Flg, ir::var(U), ir::ScanKind::Inclusive,
-                       ir::ReduceOp::Add));
+      Out.add(ir::scan(Flg, ir::var(U)));
     }
     {
       std::string UV = "u" + std::to_string(K);
@@ -472,7 +470,7 @@ public:
     // stays 0: an inclusive prefix max over non-negative end markers,
     // lowered to the blocked parallel scan.
     Out.add(ir::scan(Pos, ir::add(ParentSize, ir::intImm(1)),
-                     ir::ScanKind::Inclusive, ir::ReduceOp::Max));
+                     ir::ReduceOp::Max));
     Out.add(ir::phaseMark(6, "pos build"));
     Out.add(ir::alloc(Ctx.crdName(K), ir::ScalarKind::Int,
                       ir::load(Pos, ParentSize), false));
@@ -868,7 +866,6 @@ public:
     // pos[p+1] = pos[p] + max(i - w + 1, 0): stores all components between
     // the first nonzero (w) and the diagonal (Figure 11, banded). Rows
     // without nonzeros decode w past the diagonal, so the count is 0.
-    std::string Pos = Ctx.posName(K);
     QueryResultRef W = Ctx.Result(K, "w");
     auto rowCount = [&](const std::vector<ir::Expr> &Coords) {
       ir::Expr I = Coords.back();
@@ -876,26 +873,7 @@ public:
           ir::add(ir::sub(I, readQueryValue(W, Coords)), ir::intImm(1)),
           ir::intImm(0));
     };
-    if (!Ctx.ForceUnseqEdges) {
-      Out.add(ir::alloc(Pos, ir::ScalarKind::Int,
-                        ir::add(ParentSize, ir::intImm(1)), false));
-      Out.add(ir::store(Pos, ir::intImm(0), ir::intImm(0)));
-      Out.add(Ctx.ParentLoop(
-          K, [&](ir::Expr P, const std::vector<ir::Expr> &Coords) {
-            return ir::store(Pos, ir::add(P, ir::intImm(1)),
-                             ir::add(ir::load(Pos, P), rowCount(Coords)));
-          }));
-    } else {
-      Out.add(ir::alloc(Pos, ir::ScalarKind::Int,
-                        ir::add(ParentSize, ir::intImm(1)), true));
-      Out.add(Ctx.ParentLoop(
-          K, [&](ir::Expr P, const std::vector<ir::Expr> &Coords) {
-            return ir::store(Pos, ir::add(P, ir::intImm(1)),
-                             rowCount(Coords));
-          }));
-      Out.add(ir::scan(Pos, ir::add(ParentSize, ir::intImm(1)),
-                       ir::ScanKind::Inclusive));
-    }
+    emitSequencedPos(Ctx, K, ParentSize, rowCount, Out);
   }
 
   ir::Expr emitPos(AsmCtx &Ctx, const PosEnv &Env,

@@ -7,12 +7,12 @@
 /// \file
 /// The coordinate-hierarchy level formats and the paper's assembly
 /// abstraction (§6.1, Figures 7, 11, 12). Each level format implements a
-/// fixed static interface of *level functions* — get_size, edge insertion
-/// (sequenced and unsequenced), init_coords, get_pos / yield_pos,
-/// insert_coord, and finalizers — as IR *emitters*: the conversion code
-/// generator calls them to splice specialized code into the routine it is
-/// building, which is exactly how the paper's compiler inlines level
-/// function implementations (§6.2).
+/// fixed static interface of *level functions* — get_size, sequenced edge
+/// insertion (parents are enumerated in order), init_coords, get_pos /
+/// yield_pos, insert_coord, and finalizers — as IR *emitters*: the
+/// conversion code generator calls them to splice specialized code into the
+/// routine it is building, which is exactly how the paper's compiler
+/// inlines level function implementations (§6.2).
 ///
 /// Each level format also declares the attribute queries its assembly
 /// requires (a compressed level needs per-parent nonzero counts, a squeezed
@@ -146,8 +146,8 @@ struct AsmCtx {
   /// SharedSortAnchor. 0 when each sorted level builds independently.
   int SharedSortAnchor = 0;
 
-  /// Packed-key radix sort (set by the generator when the plan records
-  /// PackedSort): bit width per destination dimension, in dimension order.
+  /// Packed-key radix sort (copied from the plan's PackWidths): bit width
+  /// per destination dimension, in dimension order.
   /// Non-empty only when every extent is known and the full-order tuple
   /// packs into 64 bits, so any grouping prefix fits too; sorted levels
   /// then lower their sorts through ir::sortUniqueTuplesPacked. Empty
@@ -172,10 +172,6 @@ struct AsmCtx {
   /// Empty when unavailable (unpacked or partial-arity list).
   std::string RankBuffer;
   int RankLevel = 0;
-
-  /// Use unsequenced edge insertion (calloc + scatter + prefix sum) even
-  /// where sequenced insertion is available; exercised by tests/ablations.
-  bool ForceUnseqEdges = false;
 
   // Naming helpers (1-based levels, matching the "B1_pos" ABI convention).
   std::string posName(int K) const { return "B" + std::to_string(K) + "_pos"; }

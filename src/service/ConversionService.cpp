@@ -11,12 +11,14 @@
 #include "jit/Jit.h"
 #include "support/Assert.h"
 #include "support/DegradationLog.h"
+#include "support/Fault.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -299,18 +301,42 @@ ConversionService::submit(ConversionRequest Request) {
       std::packaged_task<StatusOr<tensor::SparseTensor>()>>(
       [this, Request = std::move(Request)] { return convert(Request); });
   std::future<StatusOr<tensor::SparseTensor>> Fut = Task->get_future();
+  auto Finished = [this] {
+    // Notify under the lock: once the destructor sees zero it destroys the
+    // condition variable, so the worker must be done with it by then.
+    std::lock_guard<std::mutex> Lock(AsyncMu);
+    --AsyncOutstanding;
+    AsyncDrained.notify_all();
+  };
   {
     std::lock_guard<std::mutex> Lock(AsyncMu);
     ++AsyncOutstanding;
   }
-  std::thread([this, Task] {
-    (*Task)();
-    // Notify under the lock: once the destructor sees zero it destroys the
-    // condition variable, so this thread must be done with it by then.
-    std::lock_guard<std::mutex> Lock(AsyncMu);
-    --AsyncOutstanding;
-    AsyncDrained.notify_all();
-  }).detach();
+  try {
+    if (support::faultInjected(support::FaultSite::ThreadSpawn))
+      throw std::system_error(
+          std::make_error_code(std::errc::resource_unavailable_try_again),
+          "injected thread-spawn fault");
+    std::thread([Task, Finished] {
+      (*Task)();
+      Finished();
+    }).detach();
+  } catch (const std::system_error &E) {
+    // No worker will ever run the task or drop the count: undo both here,
+    // and shed the request instead of leaking the exception.
+    Finished();
+    Counts.Submitted.fetch_add(1, std::memory_order_relaxed);
+    Counts.Shed.fetch_add(1, std::memory_order_relaxed);
+    DegradationLog::instance().record(
+        Degradation::LoadShed,
+        strfmt("submit: cannot start a worker thread (%s)", E.what()));
+    std::promise<StatusOr<tensor::SparseTensor>> Shed;
+    Shed.set_value(Status::error(
+        ErrorCode::ResourceExhausted,
+        strfmt("service: cannot start a worker thread (%s); retry later",
+               E.what())));
+    return Shed.get_future();
+  }
   return Fut;
 }
 

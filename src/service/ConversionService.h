@@ -91,7 +91,8 @@ struct ServiceLimits {
 struct ServiceStats {
   uint64_t Submitted = 0;
   uint64_t Completed = 0;
-  /// Rejected at admission with ResourceExhausted (queue full).
+  /// Rejected with ResourceExhausted: at admission (queue full), or by
+  /// submit() when it could not start a worker thread.
   uint64_t Shed = 0;
   /// Returned DeadlineExceeded anywhere on the request path.
   uint64_t DeadlineExpired = 0;
@@ -107,7 +108,7 @@ struct ServiceStats {
   /// Distinct plan-key groups across all batches.
   uint64_t BatchGroups = 0;
   /// submit() futures handed out (their requests also count in Submitted
-  /// when the worker runs them).
+  /// when the worker runs them, or when no worker could be started).
   uint64_t AsyncSubmitted = 0;
 };
 
@@ -191,7 +192,9 @@ public:
   /// worker thread through the same admission/shedding/deadline path as
   /// convert() — a saturated service sheds async requests identically.
   /// The borrowed Request.Input must stay alive and unmodified until the
-  /// future is ready (not merely until submit() returns). The destructor
+  /// future is ready (not merely until submit() returns). When no worker
+  /// thread can be started, the future is ready at once with
+  /// ResourceExhausted and the request counts as Shed. The destructor
   /// drains outstanding async requests before the service dies.
   std::future<StatusOr<tensor::SparseTensor>> submit(ConversionRequest Request);
 

@@ -30,8 +30,6 @@ const char *support::degradationName(Degradation Kind) {
     return "cache-read-failure";
   case Degradation::CacheWriteFailure:
     return "cache-write-failure";
-  case Degradation::AllocProbeFailure:
-    return "alloc-probe-failure";
   case Degradation::CompileTimeout:
     return "compile-timeout";
   case Degradation::DeadlineExceeded:

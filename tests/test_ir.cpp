@@ -182,11 +182,11 @@ TEST(IrInterp, EmptyLoopBounds) {
   EXPECT_EQ(R.Buffers["B1_pos"].Ints[0], 0);
 }
 
-TEST(IrInterp, WhileAndAssign) {
+TEST(IrInterp, AssignInsideALoop) {
   BlockBuilder B;
   B.add(decl("x", intImm(1)));
-  B.add(whileLoop(lt(var("x"), intImm(100)),
-                  assign("x", mul(var("x"), intImm(2)))));
+  B.add(forRange("i", intImm(0), intImm(7),
+                 assign("x", mul(var("x"), intImm(2)))));
   B.add(yieldScalar("out", var("x")));
   Function F{"pow2", {}, B.build()};
   Interpreter Interp;
@@ -273,13 +273,13 @@ TEST(IrInterp, BoolBufferOrReduce) {
 namespace {
 
 /// Runs a Scan over the given contents and returns the transformed buffer.
-std::vector<int32_t> runScan(std::vector<int32_t> Data, ScanKind Kind) {
+std::vector<int32_t> runScan(std::vector<int32_t> Data) {
   int64_t N = static_cast<int64_t>(Data.size());
   BlockBuilder B;
   B.add(alloc("buf", ScalarKind::Int, intImm(N), true));
   B.add(forRange("i", intImm(0), intImm(N),
                  store("buf", var("i"), load("in", var("i")))));
-  B.add(scan("buf", intImm(N), Kind));
+  B.add(scan("buf", intImm(N)));
   B.add(yieldBuffer("B1_pos", "buf", intImm(N)));
   Function F{"doscan", {{"in", ScalarKind::Int, true}}, B.build()};
   Interpreter Interp;
@@ -290,29 +290,18 @@ std::vector<int32_t> runScan(std::vector<int32_t> Data, ScanKind Kind) {
 } // namespace
 
 TEST(IrScan, InterpreterInclusive) {
-  EXPECT_EQ(runScan({3, 0, 2, 5}, ScanKind::Inclusive),
-            (std::vector<int32_t>{3, 3, 5, 10}));
-}
-
-TEST(IrScan, InterpreterExclusive) {
-  EXPECT_EQ(runScan({3, 0, 2, 5}, ScanKind::Exclusive),
-            (std::vector<int32_t>{0, 3, 3, 5}));
+  EXPECT_EQ(runScan({3, 0, 2, 5}), (std::vector<int32_t>{3, 3, 5, 10}));
 }
 
 TEST(IrScan, EmptyAndSingleElementBuffers) {
-  EXPECT_EQ(runScan({}, ScanKind::Inclusive), (std::vector<int32_t>{}));
-  EXPECT_EQ(runScan({}, ScanKind::Exclusive), (std::vector<int32_t>{}));
-  EXPECT_EQ(runScan({7}, ScanKind::Inclusive), (std::vector<int32_t>{7}));
-  EXPECT_EQ(runScan({7}, ScanKind::Exclusive), (std::vector<int32_t>{0}));
+  EXPECT_EQ(runScan({}), (std::vector<int32_t>{}));
+  EXPECT_EQ(runScan({7}), (std::vector<int32_t>{7}));
 }
 
 TEST(IrScan, PrettyPrintsAsPseudoOp) {
-  Stmt S = scan("B2_pos", add(var("n"), intImm(1)), ScanKind::Inclusive);
+  Stmt S = scan("B2_pos", add(var("n"), intImm(1)));
   EXPECT_EQ(printStmt(S), "inclusive_scan(B2_pos, n + 1);\n");
-  EXPECT_EQ(printStmt(scan("w", intImm(4), ScanKind::Exclusive)),
-            "exclusive_scan(w, 4);\n");
-  EXPECT_EQ(printStmt(scan("B1_pos", intImm(4), ScanKind::Inclusive,
-                           ReduceOp::Max)),
+  EXPECT_EQ(printStmt(scan("B1_pos", intImm(4), ReduceOp::Max)),
             "inclusive_max_scan(B1_pos, 4);\n");
 }
 
@@ -325,7 +314,7 @@ std::vector<int32_t> runMaxScan(std::vector<int32_t> Data) {
   B.add(alloc("buf", ScalarKind::Int, intImm(N), true));
   B.add(forRange("i", intImm(0), intImm(N),
                  store("buf", var("i"), load("in", var("i")))));
-  B.add(scan("buf", intImm(N), ScanKind::Inclusive, ReduceOp::Max));
+  B.add(scan("buf", intImm(N), ReduceOp::Max));
   B.add(yieldBuffer("B1_pos", "buf", intImm(N)));
   Function F{"domaxscan", {{"in", ScalarKind::Int, true}}, B.build()};
   Interpreter Interp;
@@ -345,8 +334,7 @@ TEST(IrScan, InterpreterInclusiveMax) {
 }
 
 TEST(IrScan, MaxCLoweringIsTheBlockedTwoPassScan) {
-  std::string C = printStmtAsC(
-      scan("B2_pos", var("n"), ScanKind::Inclusive, ReduceOp::Max));
+  std::string C = printStmtAsC(scan("B2_pos", var("n"), ReduceOp::Max));
   EXPECT_NE(C.find("// inclusive max scan of B2_pos[0:n]"),
             std::string::npos)
       << C;
@@ -370,7 +358,7 @@ TEST(IrScan, CLoweringIsTheBlockedTwoPassScan) {
   // Golden structure of the C lowering: partition-local sums, the serial
   // carry pass over partitions, the rewrite pass, and the one-partition
   // serial fallback — with both loops annotated for OpenMP.
-  std::string C = printStmtAsC(scan("B2_pos", var("n"), ScanKind::Inclusive));
+  std::string C = printStmtAsC(scan("B2_pos", var("n")));
   EXPECT_NE(C.find("// inclusive scan of B2_pos[0:n]"), std::string::npos)
       << C;
   EXPECT_NE(C.find("int64_t cvg_p = cvg_nparts();"), std::string::npos) << C;
@@ -384,11 +372,6 @@ TEST(IrScan, CLoweringIsTheBlockedTwoPassScan) {
        At = C.find("#pragma omp parallel for", At + 1))
     ++Pragmas;
   EXPECT_EQ(Pragmas, 2u) << C;
-  // Exclusive variant stores before accumulating.
-  std::string X = printStmtAsC(scan("w", var("n"), ScanKind::Exclusive));
-  EXPECT_NE(X.find("w[cvg_k] = cvg_acc; cvg_acc += cvg_v;"),
-            std::string::npos)
-      << X;
 }
 
 TEST(IrInterp, NumPartsIsOneInTheOracle) {

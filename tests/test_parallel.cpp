@@ -158,22 +158,30 @@ TEST(ParallelAnnotation, CsrToCsrInsertionIsMonotone) {
   EXPECT_EQ(Code.find("B2_pos[i] = pB2 + 1"), std::string::npos) << Code;
 }
 
-TEST(ParallelAnnotation, UnseqEdgeInsertionLowersThroughScan) {
-  // With unsequenced edge insertion the pos accumulation is an ir::Scan:
-  // the C lowering is the two-pass blocked parallel scan, and the old
-  // serial in-place prefix loop is gone.
-  codegen::Options Opts;
-  Opts.ForceUnseqEdges = true;
-  codegen::Conversion Conv = codegen::generateConversion(
-      formats::makeCOO(), formats::makeCSR(), Opts);
-  EXPECT_NE(Conv.pretty().find("inclusive_scan(B2_pos, szB1 + 1);"),
+TEST(ParallelAnnotation, SortedChainPosBuildLowersThroughScans) {
+  // The routed sorted coo3 -> csf plan builds each chained level's parent
+  // ranks with an additive ir::Scan over its prefix-change flags and
+  // closes empty parents' gaps with a max scan; both lower to the
+  // two-pass blocked parallel scan.
+  formats::Format Coo3 = formats::makeCOO(3), Csf = formats::makeCSF(3);
+  codegen::Options Opts = codegen::optionsForDims(
+      Coo3, Csf, codegen::Options(), {2048, 2048, 64}, 40000);
+  ASSERT_TRUE(Opts.ForceSortedRanking);
+  codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
+  std::string Pretty = Conv.pretty();
+  EXPECT_NE(Pretty.find("inclusive_scan(B2_pfx, uB2);"), std::string::npos)
+      << Pretty;
+  EXPECT_NE(Pretty.find("inclusive_max_scan(B2_pos, szB1 + 1);"),
             std::string::npos)
-      << Conv.pretty();
+      << Pretty;
   std::string Code = Conv.cSource();
-  EXPECT_NE(Code.find("// inclusive scan of B2_pos[0:szB1 + 1]"),
+  EXPECT_NE(Code.find("{ // inclusive scan of B2_pfx[0:uB2]"),
             std::string::npos)
       << Code;
-  EXPECT_EQ(Code.find("B2_pos[s2 + 1] = B2_pos[s2] + B2_pos[s2 + 1]"),
+  EXPECT_NE(Code.find("{ // inclusive max scan of B2_pos[0:szB1 + 1]"),
+            std::string::npos)
+      << Code;
+  EXPECT_NE(Code.find("cvg_acc += B2_pfx[cvg_k]; B2_pfx[cvg_k] = cvg_acc;"),
             std::string::npos)
       << Code;
 }

@@ -1153,6 +1153,46 @@ TEST(Async, SubmitResolvesFuturesBitExactThroughAdmission) {
   EXPECT_EQ(S.Completed, Futures.size());
 }
 
+TEST(Async, FailedWorkerSpawnShedsAndTheServiceStillDestructs) {
+  // The thread-spawn site fails submit()'s std::thread construction the
+  // way an exhausted OS does. The request must be shed through its future,
+  // not thrown, and the worker count it took must be given back, or the
+  // destructor at the end of this scope waits forever.
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
+  WorkItem W = makeItem("coo", "csr", smallMatrix());
+  resetBooks();
+  {
+    ConversionService Service;
+    ConversionRequest Req;
+    Req.Source = W.Src;
+    Req.Target = W.Dst;
+    Req.Input = &W.In;
+    std::future<StatusOr<tensor::SparseTensor>> Fut;
+    {
+      ScopedEnv Fault("CONVGEN_FAULT", "thread-spawn:1");
+      Fut = Service.submit(Req);
+    }
+    ASSERT_EQ(Fut.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    StatusOr<tensor::SparseTensor> Out = Fut.get();
+    ASSERT_FALSE(Out.ok());
+    EXPECT_EQ(Out.status().code(), ErrorCode::ResourceExhausted)
+        << Out.status().toString();
+    EXPECT_EQ(support::faultInjectionTotal(), 1u);
+    EXPECT_EQ(DegradationLog::instance().snapshot()[Degradation::LoadShed],
+              1u);
+    convert::ServiceStats S = Service.stats();
+    EXPECT_EQ(S.AsyncSubmitted, 1u);
+    EXPECT_EQ(S.Submitted, 1u);
+    EXPECT_EQ(S.Shed, 1u);
+
+    // The service keeps serving on the calling thread.
+    StatusOr<tensor::SparseTensor> Again = Service.convert(Req);
+    ASSERT_TRUE(Again.ok()) << Again.status().toString();
+    expectBitIdentical(W.Want, *Again, W.Label);
+  }
+}
+
 //===------------------------------------------------------------------===//
 // Stats monotonicity under concurrent batch + async submission.
 //===------------------------------------------------------------------===//

@@ -121,7 +121,7 @@ TEST(FaultSpec, AcceptsTheDocumentedGrammar) {
   EXPECT_TRUE(support::parseFaultSpec("dlopen:1,dlsym:0").ok());
   EXPECT_TRUE(support::parseFaultSpec(
                   "compile:1,dlopen:1,dlsym:1,cache-read:1,cache-write:1,"
-                  "alloc-probe:1")
+                  "thread-spawn:1,compile-hang:1")
                   .ok());
   EXPECT_TRUE(support::parseFaultSpec(" compile : 0.25 : 0x10 ").ok());
 }
@@ -129,6 +129,8 @@ TEST(FaultSpec, AcceptsTheDocumentedGrammar) {
 TEST(FaultSpec, RejectsMalformedClauses) {
   EXPECT_FALSE(support::parseFaultSpec("").ok());
   EXPECT_FALSE(support::parseFaultSpec("frobnicate").ok());
+  // The allocation-probe site was removed with the probe it faked.
+  EXPECT_FALSE(support::parseFaultSpec("alloc-probe").ok());
   EXPECT_FALSE(support::parseFaultSpec("compile:1.5").ok());
   EXPECT_FALSE(support::parseFaultSpec("compile:-0.1").ok());
   EXPECT_FALSE(support::parseFaultSpec("compile:rate").ok());

@@ -304,23 +304,27 @@ TEST(WarmStart, OtherManifestVersionIsDroppedWholeAndObjectsStillServe) {
   ASSERT_TRUE(Cache.exportManifest().ok());
   Cache.clearMemory();
 
-  // A manifest written under the previous line layout (v1 carried a
-  // per-entry compile-flags field): no line of it can be trusted.
+  // Manifests written under earlier line layouts (v1 carried a per-entry
+  // compile-flags field, v2 an unsequenced-edges option bit): no line of
+  // either can be trusted.
   std::string Contents = readFile(ManifestPath);
   std::string::size_type HeaderEnd = Contents.find('\n');
   ASSERT_NE(HeaderEnd, std::string::npos);
   std::string Header = Contents.substr(0, HeaderEnd);
-  writeFile(ManifestPath, "convgen-manifest-v1" + Contents.substr(HeaderEnd));
-
-  auto Before = DegradationLog::instance().snapshot();
-  PreloadStats S = Cache.preload();
-  auto After = DegradationLog::instance().snapshot();
-  EXPECT_EQ(S.Entries, 0u);
-  EXPECT_EQ(S.Loaded, 0u);
-  EXPECT_EQ(After[Degradation::PreloadEviction] -
-                Before[Degradation::PreloadEviction],
-            1u);
-  EXPECT_EQ(readFile(ManifestPath), Header + "\n");
+  EXPECT_EQ(Header, "convgen-manifest-v3");
+  for (const char *Old : {"convgen-manifest-v1", "convgen-manifest-v2"}) {
+    SCOPED_TRACE(Old);
+    writeFile(ManifestPath, Old + Contents.substr(HeaderEnd));
+    auto Before = DegradationLog::instance().snapshot();
+    PreloadStats S = Cache.preload();
+    auto After = DegradationLog::instance().snapshot();
+    EXPECT_EQ(S.Entries, 0u);
+    EXPECT_EQ(S.Loaded, 0u);
+    EXPECT_EQ(After[Degradation::PreloadEviction] -
+                  Before[Degradation::PreloadEviction],
+              1u);
+    EXPECT_EQ(readFile(ManifestPath), Header + "\n");
+  }
 
   // The objects themselves are still valid disk-cache entries.
   PlanCacheStats Mid = Cache.stats();
