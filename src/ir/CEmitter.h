@@ -32,8 +32,16 @@ constexpr int kMaxLevels = 7;
 /// runner, which lays out a bit-compatible struct in C++).
 std::string cTensorStructDecl();
 
+/// The C declaration of the prebuilt runtime's function table
+/// (`cvg_runtime_t`, bit-compatible with jit::RuntimeTable). Routines that
+/// scan, sort or dedup call through it; emitting it into their source puts
+/// the table layout inside the disk-cache content hash.
+std::string cRuntimeTableDecl();
+
 /// Emits a complete C99 translation unit defining
-/// `void <F.Name>(const cvg_tensor_t *A, cvg_tensor_t *B)`.
+/// `void <F.Name>(const cvg_tensor_t *A, cvg_tensor_t *B)`, plus
+/// `void <F.Name>_bind_runtime(const cvg_runtime_t *)` when the routine
+/// calls the prebuilt runtime.
 std::string emitC(const Function &F);
 
 } // namespace ir

@@ -641,61 +641,16 @@ static const char *cElemType(ScalarKind Kind) {
   convgen_unreachable("unknown scalar kind");
 }
 
-/// Emits the C lowering of a Scan: a two-pass blocked prefix sum that
-/// parallelizes under OpenMP and reduces to the canonical serial loop when
-/// there is a single partition (no OpenMP, short buffers). Deterministic
-/// for any partition count — int32 addition is associative mod 2^32 — so
-/// the result is bit-identical to the interpreter's serial scan. All
-/// locals live in their own braces, so nested scans cannot collide.
+/// Emits the C lowering of a Scan: one call of the prebuilt runtime's
+/// blocked two-pass scan (jit/Runtime.cpp), handed the routine's partition
+/// count. The runtime's scan equals the serial left-to-right scan for any
+/// partition count — int32 addition (mod 2^32) and max from 0 are
+/// associative — so the result is bit-identical to the interpreter's.
 static void printScanC(const Stmt &S, const std::string &Pad,
                        std::string &Out) {
-  bool IsMax = S->Reduce == ReduceOp::Max;
-  const std::string &X = S->Name;
-  std::string Accumulate =
-      IsMax ? "cvg_acc = cvg_max(cvg_acc, " + X + "[cvg_k]);"
-            : "cvg_acc += " + X + "[cvg_k];";
-  std::string Body = Accumulate + " " + X + "[cvg_k] = cvg_acc;";
-  std::string Carry =
-      IsMax ? "cvg_sums[cvg_b] = cvg_carry; "
-              "cvg_carry = cvg_max(cvg_carry, cvg_t);"
-            : "cvg_sums[cvg_b] = cvg_carry; cvg_carry += cvg_t;";
-  Out += Pad + "{ // inclusive" + (IsMax ? " max scan of " : " scan of ") +
-         X + "[0:" + printExpr(S->A) + "]\n";
-  std::string In = Pad + "  ";
-  Out += In + "int64_t cvg_n = " + printExpr(S->A) + ";\n";
-  Out += In + "int64_t cvg_p = cvg_nparts();\n";
-  Out += In + "if (cvg_p > cvg_n) cvg_p = cvg_n;\n";
-  Out += In + "if (cvg_p > 1) {\n";
-  Out += In + "  int32_t* cvg_sums = (int32_t*)malloc(cvg_p * "
-              "sizeof(int32_t));\n";
-  Out += In + "  #pragma omp parallel for\n";
-  Out += In + "  for (int64_t cvg_b = 0; cvg_b < cvg_p; cvg_b++) {\n";
-  Out += In + "    int32_t cvg_acc = 0;\n";
-  Out += In + "    for (int64_t cvg_k = cvg_n * cvg_b / cvg_p; "
-              "cvg_k < cvg_n * (cvg_b + 1) / cvg_p; cvg_k++)\n";
-  Out += In + "      " + Accumulate + "\n";
-  Out += In + "    cvg_sums[cvg_b] = cvg_acc;\n";
-  Out += In + "  }\n";
-  Out += In + "  int32_t cvg_carry = 0;\n";
-  Out += In + "  for (int64_t cvg_b = 0; cvg_b < cvg_p; cvg_b++) {\n";
-  Out += In + "    int32_t cvg_t = cvg_sums[cvg_b]; " + Carry + "\n";
-  Out += In + "  }\n";
-  Out += In + "  #pragma omp parallel for\n";
-  Out += In + "  for (int64_t cvg_b = 0; cvg_b < cvg_p; cvg_b++) {\n";
-  Out += In + "    int32_t cvg_acc = cvg_sums[cvg_b];\n";
-  Out += In + "    for (int64_t cvg_k = cvg_n * cvg_b / cvg_p; "
-              "cvg_k < cvg_n * (cvg_b + 1) / cvg_p; cvg_k++) {\n";
-  Out += In + "      " + Body + "\n";
-  Out += In + "    }\n";
-  Out += In + "  }\n";
-  Out += In + "  free(cvg_sums);\n";
-  Out += In + "} else {\n";
-  Out += In + "  int32_t cvg_acc = 0;\n";
-  Out += In + "  for (int64_t cvg_k = 0; cvg_k < cvg_n; cvg_k++) {\n";
-  Out += In + "    " + Body + "\n";
-  Out += In + "  }\n";
-  Out += In + "}\n";
-  Out += Pad + "}\n";
+  Out += Pad + "cvg_rt->" +
+         (S->Reduce == ReduceOp::Max ? "scan_max(" : "scan_sum(") + S->Name +
+         ", " + printExpr(S->A) + ", cvg_nparts());\n";
 }
 
 static const char *reduceOpName(ReduceOp Op) {
@@ -915,8 +870,8 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
       // count in Slot; a non-empty Buffer2 additionally scatters per-slot
       // ranks into that buffer.
       if (CMode) {
-        Out += Pad + strfmt("int64_t %s = cvg_radix_sort_packed(%s, %s, %lld, "
-                            "(const int64_t[]){%s}, %s);\n",
+        Out += Pad + strfmt("int64_t %s = cvg_rt->radix_sort_packed(%s, %s, "
+                            "%lld, (const int64_t[]){%s}, %s, cvg_nparts());\n",
                             S->Slot.c_str(), S->Name.c_str(),
                             printExpr(S->A).c_str(),
                             static_cast<long long>(S->Arity), Widths.c_str(),
@@ -934,7 +889,8 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
       return;
     }
     if (CMode) {
-      Out += Pad + strfmt("cvg_sort_tuples(%s, %s, %lld);\n", S->Name.c_str(),
+      Out += Pad + strfmt("cvg_rt->sort_tuples(%s, %s, %lld, cvg_nparts());\n",
+                          S->Name.c_str(),
                           printExpr(S->A).c_str(),
                           static_cast<long long>(S->Arity));
     } else {
@@ -946,7 +902,7 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
     return;
   case StmtKind::UniqueTuples:
     if (CMode) {
-      Out += Pad + strfmt("int64_t %s = cvg_unique_tuples(%s, %s, %lld);\n",
+      Out += Pad + strfmt("int64_t %s = cvg_rt->unique_tuples(%s, %s, %lld);\n",
                           S->Slot.c_str(), S->Name.c_str(),
                           printExpr(S->A).c_str(),
                           static_cast<long long>(S->Arity));
@@ -958,13 +914,14 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
     }
     return;
   case StmtKind::UniquePrefix:
-    Out += Pad + strfmt("int64_t %s = %s(%s, %s, %lld, %s, %lld);\n",
+    Out += Pad + strfmt("int64_t %s = %s(%s, %s, %lld, %s, %lld%s);\n",
                         S->Slot.c_str(),
-                        CMode ? "cvg_unique_prefix" : "unique_prefix",
+                        CMode ? "cvg_rt->unique_prefix" : "unique_prefix",
                         S->Name.c_str(), printExpr(S->A).c_str(),
                         static_cast<long long>(S->Arity),
                         S->Buffer2.c_str(),
-                        static_cast<long long>(S->Arity2));
+                        static_cast<long long>(S->Arity2),
+                        CMode ? ", cvg_nparts()" : "");
     return;
   case StmtKind::PhaseMark:
     if (!CMode) {

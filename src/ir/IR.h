@@ -97,7 +97,7 @@ struct ExprNode {
   /// LowerBound only; when non-empty, the searched tuples pack into a
   /// single uint64_t key (component d occupies PackWidths[d] bits,
   /// component 0 most significant) and the C lowering compares packed
-  /// keys instead of looping cvg_tuple_cmp — same lexicographic result,
+  /// keys instead of looping over the components — same lexicographic result,
   /// set via lowerBoundPacked. Empty means the generic tuple compare.
   std::vector<int64_t> PackWidths;
   BinOp BOp = BinOp::Add;
@@ -267,9 +267,10 @@ Stmt yieldScalar(const std::string &Slot, Expr Value);
 /// original contents, in int32 arithmetic. \p Op picks the combiner: Add
 /// (the default prefix sum) or Max (prefix maximum with identity 0, so
 /// buffers must be non-negative). The interpreter runs the obvious serial
-/// loop (the bit-exact oracle); the C emitter lowers to a two-pass blocked
-/// scan that parallelizes under OpenMP and degenerates to the serial loop
-/// at one partition. Both agree bit-for-bit for any partition count
+/// loop (the bit-exact oracle); the C emitter lowers to a call of the
+/// prebuilt runtime's two-pass blocked scan (jit/Runtime.h), which
+/// parallelizes under OpenMP and degenerates to the serial loop at one
+/// partition. Both agree bit-for-bit for any partition count
 /// because int32 addition (mod 2^32) and max are associative. Sorted
 /// ranking uses both: an additive scan over its prefix-change flags ranks
 /// a CSF chain's parents, and a max scan closes the gaps of empty parents
@@ -280,8 +281,8 @@ Stmt scan(const std::string &Buffer, Expr Length,
 /// Sorts the \p Count tuples of \p Buffer in place into lexicographic
 /// order. Tuples are \p Arity consecutive int32 elements each (row-major,
 /// tuple t at Buffer[t*Arity]). The interpreter is the serial oracle; the C
-/// emitter lowers to cvg_sort_tuples, a bottom-up merge sort whose per-width
-/// merge passes parallelize under OpenMP. The output is the fully sorted
+/// emitter lowers to the runtime's sort_tuples, a bottom-up merge sort
+/// whose per-width merge passes parallelize under OpenMP. The output is the fully sorted
 /// sequence — a pure function of the input multiset — so any thread count
 /// (and the interpreter) produce bit-identical buffers. This is the
 /// O(nnz)-memory replacement for dense rank arrays in sorted-ranking
@@ -292,8 +293,8 @@ Stmt sortTuples(const std::string &Buffer, Expr Count, int64_t Arity);
 /// drops duplicate tuples, and declares \p CountVar (int64) with the
 /// unique count. \p PackWidths gives the bit width of each tuple component
 /// (one per component, summing to at most 64), and every stored coordinate
-/// must satisfy 0 <= c < 2^width. The C emitter lowers to
-/// cvg_radix_sort_packed — pack each tuple into one uint64_t key
+/// must satisfy 0 <= c < 2^width. The C emitter lowers to the runtime's
+/// radix_sort_packed — pack each tuple into one uint64_t key
 /// (component 0 most significant), LSD radix sort (per-partition
 /// histograms + a serial digit-offset scan), deduplicate the packed keys
 /// BEFORE unpacking (one compare per adjacent pair instead of a
@@ -330,7 +331,7 @@ Stmt uniqueTuples(const std::string &Buffer, Expr Count, int64_t Arity,
 /// is how shared-sort assembly derives every ancestor level's unique list
 /// from the one full-arity sorted buffer instead of re-sorting per level.
 /// The interpreter runs the serial compaction (the bit-exact oracle); the C
-/// emitter lowers to cvg_unique_prefix, a blocked two-pass compaction
+/// emitter lowers to the runtime's unique_prefix, a blocked two-pass compaction
 /// (count first-of-prefix flags per partition, offset, copy) that
 /// parallelizes under OpenMP. The output is a pure function of the input,
 /// so any partition count produces bit-identical buffers.
@@ -417,10 +418,10 @@ std::string printExpr(const Expr &E);
 std::string printStmt(const Stmt &S, int Indent = 0);
 
 /// Renders \p S as compilable C99 (the JIT backend's lowering): identical
-/// to printStmt except Scan lowers to its two-pass blocked parallel
-/// implementation and PhaseMark to timing probes, instead of the compact
-/// pseudo-ops of the readable view. Requires the helpers the C emitter's
-/// prelude defines (cvg_nparts, cvg_now, cvg_phase_secs).
+/// to printStmt except that scans, sorts and dedups lower to calls through
+/// the runtime table `cvg_rt` and PhaseMark to timing probes, instead of
+/// the compact pseudo-ops of the readable view. Requires the names the C
+/// emitter's prelude defines (cvg_nparts, cvg_now, cvg_phase_secs, cvg_rt).
 std::string printStmtAsC(const Stmt &S, int Indent = 0);
 
 /// Renders the whole function (signature comment plus body) as C-like text.

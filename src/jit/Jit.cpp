@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "jit/Jit.h"
+#include "jit/Runtime.h"
 
 #include "convert/Converter.h"
 #include "convert/PlanCache.h"
@@ -314,7 +315,9 @@ std::string jit::jitEffectiveFlags() {
   return Flags;
 }
 
-/// Loads the conversion entry point out of an already compiled object.
+/// Loads the conversion entry point out of an already compiled object and
+/// binds the prebuilt runtime into it when the routine uses one (its
+/// `<fn>_bind_runtime`), so \p Fn is set only once the routine can run.
 /// Returns false (with \p Error set) instead of aborting, so callers can
 /// treat a stale or corrupt cached object as a miss. Honors the dlopen and
 /// dlsym fault-injection sites.
@@ -331,17 +334,21 @@ static bool loadConversion(const std::string &SoPath,
     *Error = "jit: dlopen failed: " + std::string(dlerror());
     return false;
   }
-  if (support::faultInjected(FaultSite::Dlsym))
-    *Fn = nullptr;
-  else
-    *Fn = reinterpret_cast<void (*)(const CTensor *, CTensor *)>(
+  void (*Entry)(const CTensor *, CTensor *) = nullptr;
+  if (!support::faultInjected(FaultSite::Dlsym))
+    Entry = reinterpret_cast<void (*)(const CTensor *, CTensor *)>(
         dlsym(*Handle, FnName.c_str()));
-  if (!*Fn) {
+  if (!Entry) {
     *Error = "jit: dlsym cannot find " + FnName;
     dlclose(*Handle);
     *Handle = nullptr;
     return false;
   }
+  using BindFn = void (*)(const RuntimeTable *);
+  if (BindFn Bind = reinterpret_cast<BindFn>(
+          dlsym(*Handle, (FnName + "_bind_runtime").c_str())))
+    Bind(&runtimeTable());
+  *Fn = Entry;
   return true;
 }
 

@@ -10,6 +10,8 @@
 /// dlopen — the same execution model taco uses for its generated kernels
 /// (paper §7.1). The benchmarks run conversions through this backend; the
 /// test suite checks it agrees bit-for-bit with the reference interpreter.
+/// A routine that sorts or scans calls the prebuilt runtime
+/// (jit/Runtime.h); every load binds it before the routine can run.
 ///
 /// Fault tolerance: environment failures (a missing or broken compiler, a
 /// failed dlopen/dlsym, an unwritable scratch directory) never abort.

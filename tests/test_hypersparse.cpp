@@ -119,10 +119,9 @@ TEST(SortedRankingPlan, SharedSortEmitsExactlyOneSortCall) {
   Opts.DimsHint = hugeDims();
   codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
   std::string Code = Conv.cSource();
-  // Counted textually like the no-extent-malloc assertion: call sites
-  // reference a B<k>_srt buffer, so "cvg_sort_tuples(B" never matches the
-  // helper definition. One shared full-arity sort; the two ancestor levels
-  // derive their lists by prefix compaction instead of re-sorting.
+  // Counted textually at the runtime call sites: one shared full-arity
+  // sort; the two ancestor levels derive their lists by prefix compaction
+  // instead of re-sorting.
   auto count = [&](const char *Needle) {
     size_t Hits = 0;
     for (size_t At = Code.find(Needle); At != std::string::npos;
@@ -130,12 +129,12 @@ TEST(SortedRankingPlan, SharedSortEmitsExactlyOneSortCall) {
       ++Hits;
     return Hits;
   };
-  EXPECT_EQ(count("cvg_sort_tuples(B"), 1u) << Code;
-  EXPECT_EQ(count("cvg_unique_prefix(B"), 2u) << Code;
-  // The pos construction's gap fill is the blocked parallel max scan, not
-  // the old serial forward loop (whose stores indexed pos by the fill
-  // variable f<k>).
-  EXPECT_NE(Code.find("max scan of"), std::string::npos) << Code;
+  EXPECT_EQ(count("cvg_rt->sort_tuples(B"), 1u) << Code;
+  EXPECT_EQ(count("cvg_rt->unique_prefix(B"), 2u) << Code;
+  // The pos construction's gap fill is the runtime's blocked parallel max
+  // scan, not the old serial forward loop (whose stores indexed pos by the
+  // fill variable f<k>).
+  EXPECT_NE(Code.find("cvg_rt->scan_max(B"), std::string::npos) << Code;
   EXPECT_EQ(Code.find("_pos[f"), std::string::npos) << Code;
 }
 
@@ -180,11 +179,10 @@ TEST(SortedRankingPlan, SingleSortedLevelNeedsNoSharing) {
   codegen::Conversion Conv = codegen::generateConversion(Coo, Csr, Opts);
   // At {100,100} the coordinate tuple packs into 14 bits, so auto lowers
   // the level's sort to the packed radix variant.
-  EXPECT_NE(Conv.cSource().find("cvg_radix_sort_packed(B2_srt"),
+  EXPECT_NE(Conv.cSource().find("cvg_rt->radix_sort_packed(B2_srt"),
             std::string::npos);
-  // No prefix derivation anywhere (the prelude always defines the helper;
-  // only call sites reference a B<k>_srt buffer).
-  EXPECT_EQ(Conv.cSource().find("cvg_unique_prefix(B"), std::string::npos);
+  // No prefix derivation anywhere.
+  EXPECT_EQ(Conv.cSource().find("cvg_rt->unique_prefix("), std::string::npos);
 }
 
 TEST(SortedRankingPlan, NoDimsHintKeepsTheDenseDefaultPlan) {
@@ -488,8 +486,8 @@ TEST(PackedSortCodegen, SharedSortLowersToOnePackedRadixCall) {
   };
   // One shared full-arity sort, lowered to the packed radix variant; the
   // comparison merge sort is not called anywhere.
-  EXPECT_EQ(count("cvg_radix_sort_packed(B3_srt"), 1u) << Code;
-  EXPECT_EQ(count("cvg_sort_tuples(B"), 0u) << Code;
+  EXPECT_EQ(count("cvg_rt->radix_sort_packed(B3_srt"), 1u) << Code;
+  EXPECT_EQ(count("cvg_rt->sort_tuples("), 0u) << Code;
   // The readable view names the (fused) lowering and the per-dim widths.
   EXPECT_NE(Conv.pretty().find("sort_unique_tuples_packed"),
             std::string::npos);
@@ -530,8 +528,8 @@ TEST(PackedSortCodegen, SortedChainPosBuildEmitsZeroSearches) {
     EXPECT_EQ(count("cvg_lower_bound(B3_srt"), Packed ? 0u : 1u) << Code;
     EXPECT_EQ(count("B3_rank[pA1]"), Packed ? 1u : 0u) << Code;
     // The flag + scan machinery is present for both derived levels.
-    EXPECT_EQ(count("inclusive scan of B2_pfx"), 1u) << Code;
-    EXPECT_EQ(count("inclusive scan of B3_pfx"), 1u) << Code;
+    EXPECT_EQ(count("cvg_rt->scan_sum(B2_pfx, "), 1u) << Code;
+    EXPECT_EQ(count("cvg_rt->scan_sum(B3_pfx, "), 1u) << Code;
   }
 }
 
@@ -551,7 +549,7 @@ TEST(PackedSortJit, RadixPathBitIdenticalAtOneAndFourThreads) {
   codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
   ASSERT_EQ(Opts.DimsHint, Dims);
   auto Native = convert::PlanCache::instance().jit(Coo3, Csf, Opts);
-  ASSERT_NE(Native->conversion().cSource().find("cvg_radix_sort_packed"),
+  ASSERT_NE(Native->conversion().cSource().find("cvg_rt->radix_sort_packed("),
             std::string::npos);
   for (int Threads : {1, 4}) {
     setenv("OMP_NUM_THREADS", std::to_string(Threads).c_str(), 1);
@@ -611,8 +609,8 @@ TEST(SortedRankingCodegen, AllAllocationsAreNnzSizedNotExtentSized) {
   codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
   std::string Code = Conv.cSource();
   // The sorted machinery is present; the dense ranking machinery is not.
-  EXPECT_NE(Code.find("cvg_sort_tuples"), std::string::npos) << Code;
-  EXPECT_NE(Code.find("cvg_unique_tuples"), std::string::npos) << Code;
+  EXPECT_NE(Code.find("cvg_rt->sort_tuples("), std::string::npos) << Code;
+  EXPECT_NE(Code.find("cvg_rt->unique_tuples("), std::string::npos) << Code;
   EXPECT_NE(Code.find("cvg_lower_bound"), std::string::npos) << Code;
   EXPECT_EQ(Code.find("_rnk"), std::string::npos) << Code;
   EXPECT_EQ(Code.find("present"), std::string::npos) << Code;
@@ -679,7 +677,7 @@ TEST(SortedRankingJit, Coo3ToCsfBitIdenticalAtOneAndFourThreads) {
   codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
   ASSERT_EQ(Opts.DimsHint, Dims);
   auto Native = convert::PlanCache::instance().jit(Coo3, Csf, Opts);
-  EXPECT_TRUE(Native->conversion().cSource().find("cvg_sort_tuples") !=
+  EXPECT_TRUE(Native->conversion().cSource().find("cvg_rt->sort_tuples(") !=
               std::string::npos);
   for (int Threads : {1, 4}) {
     setenv("OMP_NUM_THREADS", std::to_string(Threads).c_str(), 1);

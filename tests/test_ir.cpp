@@ -333,45 +333,17 @@ TEST(IrScan, InterpreterInclusiveMax) {
   EXPECT_EQ(runMaxScan({5}), (std::vector<int32_t>{5}));
 }
 
-TEST(IrScan, MaxCLoweringIsTheBlockedTwoPassScan) {
+TEST(IrScan, MaxCLoweringCallsTheRuntimeMaxScan) {
+  // The blocked two-pass scan is prebuilt runtime code (its semantics are
+  // pinned by test_jit's runtime tests); the routine makes one call with
+  // its partition count and opens no parallel region of its own.
   std::string C = printStmtAsC(scan("B2_pos", var("n"), ReduceOp::Max));
-  EXPECT_NE(C.find("// inclusive max scan of B2_pos[0:n]"),
-            std::string::npos)
-      << C;
-  EXPECT_NE(C.find("cvg_acc = cvg_max(cvg_acc, B2_pos[cvg_k]); "
-                   "B2_pos[cvg_k] = cvg_acc;"),
-            std::string::npos)
-      << C;
-  // The partition carry combines with max too, not addition.
-  EXPECT_NE(C.find("cvg_carry = cvg_max(cvg_carry, cvg_t);"),
-            std::string::npos)
-      << C;
-  size_t Pragmas = 0;
-  for (size_t At = C.find("#pragma omp parallel for");
-       At != std::string::npos;
-       At = C.find("#pragma omp parallel for", At + 1))
-    ++Pragmas;
-  EXPECT_EQ(Pragmas, 2u) << C;
+  EXPECT_EQ(C, "cvg_rt->scan_max(B2_pos, n, cvg_nparts());\n");
 }
 
-TEST(IrScan, CLoweringIsTheBlockedTwoPassScan) {
-  // Golden structure of the C lowering: partition-local sums, the serial
-  // carry pass over partitions, the rewrite pass, and the one-partition
-  // serial fallback — with both loops annotated for OpenMP.
-  std::string C = printStmtAsC(scan("B2_pos", var("n")));
-  EXPECT_NE(C.find("// inclusive scan of B2_pos[0:n]"), std::string::npos)
-      << C;
-  EXPECT_NE(C.find("int64_t cvg_p = cvg_nparts();"), std::string::npos) << C;
-  EXPECT_NE(C.find("cvg_sums[cvg_b] = cvg_acc;"), std::string::npos) << C;
-  EXPECT_NE(C.find("cvg_acc += B2_pos[cvg_k]; B2_pos[cvg_k] = cvg_acc;"),
-            std::string::npos)
-      << C;
-  size_t Pragmas = 0;
-  for (size_t At = C.find("#pragma omp parallel for");
-       At != std::string::npos;
-       At = C.find("#pragma omp parallel for", At + 1))
-    ++Pragmas;
-  EXPECT_EQ(Pragmas, 2u) << C;
+TEST(IrScan, CLoweringCallsTheRuntimeSumScan) {
+  std::string C = printStmtAsC(scan("B2_pos", add(var("n"), intImm(1))));
+  EXPECT_EQ(C, "cvg_rt->scan_sum(B2_pos, n + 1, cvg_nparts());\n");
 }
 
 TEST(IrInterp, NumPartsIsOneInTheOracle) {
@@ -520,26 +492,37 @@ TEST(IrSortedRanking, LowerBoundRanksSortedTuples) {
 TEST(IrSortedRanking, PrintingInBothViews) {
   Stmt Sort = sortTuples("B2_srt", var("n"), 2);
   EXPECT_EQ(printStmt(Sort), "sort_tuples(B2_srt, n, 2);\n");
-  EXPECT_EQ(printStmtAsC(Sort), "cvg_sort_tuples(B2_srt, n, 2);\n");
+  EXPECT_EQ(printStmtAsC(Sort),
+            "cvg_rt->sort_tuples(B2_srt, n, 2, cvg_nparts());\n");
   Stmt Uniq = uniqueTuples("B2_srt", var("n"), 2, "uB2");
   EXPECT_EQ(printStmtAsC(Uniq),
-            "int64_t uB2 = cvg_unique_tuples(B2_srt, n, 2);\n");
+            "int64_t uB2 = cvg_rt->unique_tuples(B2_srt, n, 2);\n");
   Expr Lb = lowerBound("B2_srt", var("uB2"), {var("i"), var("j")});
   EXPECT_EQ(printExpr(Lb),
             "cvg_lower_bound(B2_srt, uB2, 2, (const int64_t[]){i, j})");
 }
 
 TEST(IrSortedRanking, PreludeHelpersAreEmittedOnlyWhenUsed) {
+  // A routine that sorts carries the runtime table's declaration and its
+  // bind entry point, but no sort code: that is prebuilt in libconvgen.
   BlockBuilder With;
   With.add(alloc("b", ScalarKind::Int, intImm(4), false));
   With.add(sortTuples("b", intImm(2), 2));
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
-  EXPECT_NE(emitC(FWith).find("static void cvg_sort_tuples"),
-            std::string::npos);
+  std::string C = emitC(FWith);
+  EXPECT_NE(C.find(cRuntimeTableDecl()), std::string::npos) << C;
+  EXPECT_NE(C.find("static const cvg_runtime_t *cvg_rt;\n"
+                   "void f_bind_runtime(const cvg_runtime_t *rt) {"),
+            std::string::npos)
+      << C;
+  EXPECT_EQ(C.find("#pragma omp"), std::string::npos) << C;
+  EXPECT_EQ(C.find("cvg_merge"), std::string::npos) << C;
+  // A routine that neither scans, sorts nor dedups has no runtime binding.
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
   Function FWithout{"f", {{"dim0", ScalarKind::Int, false}}, Without.build()};
-  EXPECT_EQ(emitC(FWithout).find("cvg_sort_tuples"), std::string::npos);
+  EXPECT_EQ(emitC(FWithout).find("cvg_runtime_t"), std::string::npos);
+  EXPECT_EQ(emitC(FWithout).find("_bind_runtime"), std::string::npos);
 }
 
 TEST(IrInterpDeath, SortTuplesRangeOutOfBoundsAborts) {
@@ -676,8 +659,8 @@ TEST(IrPackedSort, PrintingInBothViews) {
             "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
             "bits=[24,20,20]);\n");
   EXPECT_EQ(printStmtAsC(Fused),
-            "int64_t u3 = cvg_radix_sort_packed(B3_srt, n, 3, "
-            "(const int64_t[]){24,20,20}, NULL);\n");
+            "int64_t u3 = cvg_rt->radix_sort_packed(B3_srt, n, 3, "
+            "(const int64_t[]){24,20,20}, NULL, cvg_nparts());\n");
   // With a rank buffer the payload variant is named in both views.
   Stmt Ranked = sortUniqueTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20},
                                        "u3", "B3_rank");
@@ -685,8 +668,8 @@ TEST(IrPackedSort, PrintingInBothViews) {
             "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
             "bits=[24,20,20], rank=B3_rank);\n");
   EXPECT_EQ(printStmtAsC(Ranked),
-            "int64_t u3 = cvg_radix_sort_packed(B3_srt, n, 3, "
-            "(const int64_t[]){24,20,20}, B3_rank);\n");
+            "int64_t u3 = cvg_rt->radix_sort_packed(B3_srt, n, 3, "
+            "(const int64_t[]){24,20,20}, B3_rank, cvg_nparts());\n");
 }
 
 TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
@@ -694,17 +677,15 @@ TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
   With.add(alloc("b", ScalarKind::Int, intImm(4), false));
   With.add(sortUniqueTuplesPacked("b", intImm(2), 2, {8, 8}, "u"));
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
-  EXPECT_NE(emitC(FWith).find("static int64_t cvg_radix_sort_packed"),
-            std::string::npos);
-  // The unpacked merge-sort helper is NOT dragged in by a packed sort.
-  EXPECT_EQ(emitC(FWith).find("static void cvg_sort_tuples"),
-            std::string::npos);
+  EXPECT_NE(emitC(FWith).find("void f_bind_runtime("), std::string::npos);
+  // The radix sort itself is runtime code, not routine code.
+  EXPECT_EQ(emitC(FWith).find("CVG_RADIX"), std::string::npos);
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
   Without.add(sortTuples("b", intImm(2), 2));
   Function FWithout{"f", {{"dim0", ScalarKind::Int, false}},
                     Without.build()};
-  EXPECT_EQ(emitC(FWithout).find("cvg_radix_sort_packed"),
+  EXPECT_EQ(emitC(FWithout).find("cvg_rt->radix_sort_packed("),
             std::string::npos);
 }
 
@@ -782,8 +763,14 @@ TEST(IrPackedSearch, PreludeHelperIsEmittedOnlyWhenUsed) {
   Function FPacked{"f", {{"dim0", ScalarKind::Int, false}}, bodyWith({8, 8})};
   EXPECT_NE(emitC(FPacked).find("static int64_t cvg_lower_bound_packed"),
             std::string::npos);
+  // Searches run once per nonzero, so they stay inline: each variant is
+  // emitted only where used, and neither needs the runtime.
+  EXPECT_EQ(emitC(FPacked).find("cvg_lower_bound("), std::string::npos);
+  EXPECT_EQ(emitC(FPacked).find("cvg_rt"), std::string::npos);
   Function FPlain{"f", {{"dim0", ScalarKind::Int, false}}, bodyWith({})};
   EXPECT_EQ(emitC(FPlain).find("cvg_lower_bound_packed"), std::string::npos);
+  EXPECT_NE(emitC(FPlain).find("static int64_t cvg_lower_bound("),
+            std::string::npos);
 }
 
 TEST(IrPackedSearchDeath, MismatchedWidthsAbort) {
@@ -850,7 +837,8 @@ TEST(IrSharedSort, PrintingInBothViews) {
   EXPECT_EQ(printStmt(P),
             "int64_t uB1 = unique_prefix(B3_srt, uB3, 3, B1_srt, 1);\n");
   EXPECT_EQ(printStmtAsC(P),
-            "int64_t uB1 = cvg_unique_prefix(B3_srt, uB3, 3, B1_srt, 1);\n");
+            "int64_t uB1 = cvg_rt->unique_prefix(B3_srt, uB3, 3, B1_srt, 1, "
+            "cvg_nparts());\n");
 }
 
 TEST(IrSharedSort, PreludeHelpersAreEmittedOnlyWhenUsed) {
@@ -860,11 +848,12 @@ TEST(IrSharedSort, PreludeHelpersAreEmittedOnlyWhenUsed) {
   With.add(uniquePrefix("a", intImm(2), 2, "b", 1, "u"));
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
   std::string C = emitC(FWith);
-  EXPECT_NE(C.find("static int64_t cvg_unique_prefix"), std::string::npos);
+  EXPECT_NE(C.find("void f_bind_runtime("), std::string::npos);
+  EXPECT_EQ(C.find("cvg_tuple_cmp"), std::string::npos);
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
   Function FWithout{"f", {{"dim0", ScalarKind::Int, false}}, Without.build()};
-  EXPECT_EQ(emitC(FWithout).find("cvg_unique_prefix"), std::string::npos);
+  EXPECT_EQ(emitC(FWithout).find("cvg_rt"), std::string::npos);
 }
 
 TEST(IrInterpDeath, UniquePrefixRangeOutOfBoundsAborts) {

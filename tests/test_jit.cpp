@@ -6,12 +6,17 @@
 #include "convert/Converter.h"
 #include "formats/Standard.h"
 #include "jit/Jit.h"
+#include "jit/Runtime.h"
 #include "support/Fault.h"
 #include "tensor/Corpus.h"
 #include "tensor/Generators.h"
 #include "tensor/Oracle.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <climits>
+#include <random>
 
 using namespace convgen;
 
@@ -209,4 +214,175 @@ TEST(Jit, RawInterfaceReusesBuffers) {
     EXPECT_EQ(B.params[1], 3); // three diagonals
     jit::freeOutput(&B);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The prebuilt sort/unique/scan runtime, entry by entry, against plain
+// serial references. The partition count is passed explicitly, so the
+// blocked multi-partition paths run whatever OMP_NUM_THREADS says.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const int64_t RuntimePartitions[] = {1, 2, 3, 8};
+
+/// The lengths each partition count is checked at: empty, tiny, one short
+/// of a block per partition, exactly one per partition, and large.
+std::vector<int64_t> runtimeLengths(int64_t P) {
+  return {0, 1, 2, P - 1, P, 10000};
+}
+
+/// \p N tuples of \p Arity components, component d drawn from
+/// \p Pools[d] (small pools make duplicates and shared prefixes common).
+std::vector<int32_t>
+randomTuples(int64_t N, const std::vector<std::vector<int32_t>> &Pools,
+             unsigned Seed) {
+  std::mt19937 Rng(Seed);
+  std::vector<int32_t> Out;
+  for (int64_t I = 0; I < N; ++I)
+    for (const std::vector<int32_t> &Pool : Pools)
+      Out.push_back(Pool[Rng() % Pool.size()]);
+  return Out;
+}
+
+std::vector<int32_t> iota(int32_t Count) {
+  std::vector<int32_t> Out(static_cast<size_t>(Count));
+  for (int32_t I = 0; I < Count; ++I)
+    Out[static_cast<size_t>(I)] = I;
+  return Out;
+}
+
+using Tuple = std::vector<int32_t>;
+
+std::vector<Tuple> split(const std::vector<int32_t> &Flat, int64_t Arity,
+                         int64_t N) {
+  std::vector<Tuple> Out;
+  for (int64_t I = 0; I < N; ++I)
+    Out.emplace_back(Flat.begin() + I * Arity, Flat.begin() + (I + 1) * Arity);
+  return Out;
+}
+
+/// Serial reference of sort + dedup.
+std::vector<Tuple> sortedUnique(std::vector<Tuple> Tuples) {
+  std::sort(Tuples.begin(), Tuples.end());
+  Tuples.erase(std::unique(Tuples.begin(), Tuples.end()), Tuples.end());
+  return Tuples;
+}
+
+} // namespace
+
+TEST(JitRuntime, ScansMatchTheSerialScan) {
+  const jit::RuntimeTable &Rt = jit::runtimeTable();
+  for (int64_t P : RuntimePartitions)
+    for (int64_t N : runtimeLengths(P)) {
+      SCOPED_TRACE("p=" + std::to_string(P) + " n=" + std::to_string(N));
+      std::vector<int32_t> In =
+          randomTuples(N, {{-3, -1, 0, 0, 2, 5, 9}}, 7 + unsigned(N + P));
+      std::vector<int32_t> Sum = In, Max = In;
+      Rt.scan_sum(Sum.data(), N, P);
+      Rt.scan_max(Max.data(), N, P);
+      int32_t SumAcc = 0, MaxAcc = 0; // the max scan starts from 0
+      for (int64_t K = 0; K < N; ++K) {
+        SumAcc += In[static_cast<size_t>(K)];
+        MaxAcc = std::max(MaxAcc, In[static_cast<size_t>(K)]);
+        ASSERT_EQ(Sum[static_cast<size_t>(K)], SumAcc) << K;
+        ASSERT_EQ(Max[static_cast<size_t>(K)], MaxAcc) << K;
+      }
+    }
+}
+
+TEST(JitRuntime, MergeSortAndUniqueMatchStdSortAndUnique) {
+  const jit::RuntimeTable &Rt = jit::runtimeTable();
+  // Arities 1 and 3 run fixed-length instantiations, 4 the generic one.
+  for (int64_t Arity : {1, 3, 4})
+    for (int64_t P : RuntimePartitions)
+      for (int64_t N : runtimeLengths(P)) {
+        SCOPED_TRACE("arity=" + std::to_string(Arity) +
+                     " p=" + std::to_string(P) + " n=" + std::to_string(N));
+        std::vector<std::vector<int32_t>> Pools(
+            static_cast<size_t>(Arity), {-7, 0, 3, 4, 50, INT32_MAX});
+        std::vector<int32_t> Buf = randomTuples(N, Pools, 11 + unsigned(N));
+        std::vector<Tuple> Expect = split(Buf, Arity, N);
+        std::sort(Expect.begin(), Expect.end());
+        Rt.sort_tuples(Buf.data(), N, Arity, P);
+        ASSERT_EQ(split(Buf, Arity, N), Expect);
+        Expect = sortedUnique(Expect);
+        int64_t U = Rt.unique_tuples(Buf.data(), N, Arity);
+        ASSERT_EQ(split(Buf, Arity, U), Expect);
+      }
+}
+
+TEST(JitRuntime, UniquePrefixMatchesTheSerialCompaction) {
+  const jit::RuntimeTable &Rt = jit::runtimeTable();
+  for (int64_t P : RuntimePartitions)
+    for (int64_t N : runtimeLengths(P))
+      for (int64_t DstArity : {1, 2, 3, 4}) {
+        SCOPED_TRACE("dst_arity=" + std::to_string(DstArity) +
+                     " p=" + std::to_string(P) + " n=" + std::to_string(N));
+        std::vector<Tuple> Sorted = sortedUnique(
+            split(randomTuples(N, {iota(4), iota(6), iota(3), iota(500)},
+                               5 + unsigned(N)),
+                  4, N));
+        int64_t Count = static_cast<int64_t>(Sorted.size());
+        std::vector<int32_t> Src;
+        for (const Tuple &T : Sorted)
+          Src.insert(Src.end(), T.begin(), T.end());
+        std::vector<Tuple> Expect;
+        for (const Tuple &T : Sorted) {
+          Tuple Prefix(T.begin(), T.begin() + DstArity);
+          if (Expect.empty() || Expect.back() != Prefix)
+            Expect.push_back(Prefix);
+        }
+        std::vector<int32_t> Dst(Src.size() + 1, -1);
+        int64_t U =
+            Rt.unique_prefix(Src.data(), Count, 4, Dst.data(), DstArity, P);
+        ASSERT_EQ(split(Dst, DstArity, U), Expect);
+      }
+}
+
+TEST(JitRuntime, RadixSortMatchesSortUniqueAndBinarySearchRanks) {
+  const jit::RuntimeTable &Rt = jit::runtimeTable();
+  struct WidthCase {
+    std::vector<int64_t> Widths;
+    std::vector<std::vector<int32_t>> Pools;
+  };
+  // Pools hold each width's extremes. The last three cases fill exactly
+  // 64 bits, so the top digit pass reads the key's most significant bits;
+  // the four-component one runs the generic-arity instantiation.
+  const std::vector<WidthCase> Cases = {
+      {{11, 11, 6}, {iota(40), {0, 1, 2047}, {0, 5, 63}}},
+      {{0, 9}, {{0}, {0, 7, 100, 511}}},
+      {{32, 32}, {{0, 1, 1 << 30, INT32_MAX}, {0, 12345, INT32_MAX}}},
+      {{24, 20, 20},
+       {{0, (1 << 24) - 1, 77}, {0, 3, (1 << 20) - 1}, iota(30)}},
+      {{16, 16, 16, 16},
+       {{0, 65535}, iota(5), {0, 9, 65535}, {1, 2, 65534, 65535}}},
+  };
+  for (const WidthCase &C : Cases)
+    for (int64_t P : RuntimePartitions)
+      for (int64_t N : runtimeLengths(P))
+        for (bool WithRank : {false, true}) {
+          int64_t Arity = static_cast<int64_t>(C.Widths.size());
+          SCOPED_TRACE("arity=" + std::to_string(Arity) +
+                       " p=" + std::to_string(P) + " n=" +
+                       std::to_string(N) + (WithRank ? " rank" : ""));
+          std::vector<int32_t> Buf = randomTuples(N, C.Pools, 3 + unsigned(N));
+          std::vector<Tuple> In = split(Buf, Arity, N);
+          std::vector<Tuple> Expect = sortedUnique(In);
+          std::vector<int32_t> Rank(static_cast<size_t>(N), -1);
+          int64_t U = Rt.radix_sort_packed(Buf.data(), N, Arity,
+                                           C.Widths.data(),
+                                           WithRank ? Rank.data() : nullptr,
+                                           P);
+          ASSERT_EQ(split(Buf, Arity, U), Expect);
+          for (int64_t I = 0; I < N; ++I) {
+            int32_t Want =
+                WithRank ? static_cast<int32_t>(
+                               std::lower_bound(Expect.begin(), Expect.end(),
+                                                In[static_cast<size_t>(I)]) -
+                               Expect.begin())
+                         : -1;
+            ASSERT_EQ(Rank[static_cast<size_t>(I)], Want) << I;
+          }
+        }
 }

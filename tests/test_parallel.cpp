@@ -161,8 +161,9 @@ TEST(ParallelAnnotation, CsrToCsrInsertionIsMonotone) {
 TEST(ParallelAnnotation, SortedChainPosBuildLowersThroughScans) {
   // The routed sorted coo3 -> csf plan builds each chained level's parent
   // ranks with an additive ir::Scan over its prefix-change flags and
-  // closes empty parents' gaps with a max scan; both lower to the
-  // two-pass blocked parallel scan.
+  // closes empty parents' gaps with a max scan; both lower to calls of the
+  // prebuilt runtime's blocked parallel scan, handed the routine's
+  // partition count.
   formats::Format Coo3 = formats::makeCOO(3), Csf = formats::makeCSF(3);
   codegen::Options Opts = codegen::optionsForDims(
       Coo3, Csf, codegen::Options(), {2048, 2048, 64}, 40000);
@@ -175,15 +176,19 @@ TEST(ParallelAnnotation, SortedChainPosBuildLowersThroughScans) {
             std::string::npos)
       << Pretty;
   std::string Code = Conv.cSource();
-  EXPECT_NE(Code.find("{ // inclusive scan of B2_pfx[0:uB2]"),
-            std::string::npos)
-      << Code;
-  EXPECT_NE(Code.find("{ // inclusive max scan of B2_pos[0:szB1 + 1]"),
-            std::string::npos)
-      << Code;
-  EXPECT_NE(Code.find("cvg_acc += B2_pfx[cvg_k]; B2_pfx[cvg_k] = cvg_acc;"),
-            std::string::npos)
-      << Code;
+  for (const char *Call :
+       {"cvg_rt->scan_sum(B2_pfx, uB2, cvg_nparts());",
+        "cvg_rt->scan_sum(B3_pfx, uB3, cvg_nparts());",
+        "cvg_rt->scan_max(B1_pos, 2, cvg_nparts());",
+        "cvg_rt->scan_max(B2_pos, szB1 + 1, cvg_nparts());",
+        "cvg_rt->scan_max(B3_pos, szB2 + 1, cvg_nparts());"})
+    EXPECT_NE(Code.find(Call), std::string::npos) << Call << "\n" << Code;
+  // The parallel-loop census of the sorted routine: the scans, the sort
+  // and the prefix compactions open their parallel regions inside the
+  // runtime, so the routine's own pragmas are its annotated loops alone —
+  // the tuple collect sweep, three block-end marks, two prefix-flag fills,
+  // three crd writes and coordinate insertion.
+  EXPECT_EQ(countPragmas(Code), 10u) << Code;
 }
 
 TEST(ParallelAnnotation, CsrToEllInsertionPrivatizesTheScalarCounter) {

@@ -12,11 +12,13 @@
 /// invocations; any skew — compile flags, manifest version, corrupt line,
 /// corrupt object — evicts the entry (never serves it) and leaves the rest
 /// loadable; the DegradationLog's preload-evict count reconciles exactly
-/// with the preload stats; and a process without a disk cache leaves the
-/// shared manifest alone.
+/// with the preload stats; a process without a disk cache leaves the
+/// shared manifest alone; and a sorted routine, which binds the prebuilt
+/// sort/scan runtime at load, runs from its disk object with no compiler.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Generator.h"
 #include "convert/Converter.h"
 #include "convert/PlanCache.h"
 #include "formats/Standard.h"
@@ -102,6 +104,16 @@ void writeFile(const std::string &Path, const std::string &Data) {
   Out << Data;
 }
 
+void expectSameStorage(const tensor::SparseTensor &Want,
+                       const tensor::SparseTensor &Got) {
+  ASSERT_EQ(Want.Levels.size(), Got.Levels.size());
+  for (size_t K = 0; K < Want.Levels.size(); ++K) {
+    EXPECT_EQ(Want.Levels[K].Pos, Got.Levels[K].Pos) << K;
+    EXPECT_EQ(Want.Levels[K].Crd, Got.Levels[K].Crd) << K;
+  }
+  EXPECT_EQ(Want.Vals, Got.Vals);
+}
+
 } // namespace
 
 TEST(WarmStart, ManifestPathHonorsEnvOverride) {
@@ -166,13 +178,7 @@ TEST(WarmStart, ExportPreloadRoundTripLoadsEveryEntryWithoutCompiling) {
   tensor::SparseTensor FromJit = H->run(In);
   convert::Converter Interp(formats::standardFormatOrDie("coo"),
                             formats::standardFormatOrDie("csr"));
-  tensor::SparseTensor FromInterp = Interp.run(In);
-  ASSERT_EQ(FromInterp.Levels.size(), FromJit.Levels.size());
-  for (size_t K = 0; K < FromInterp.Levels.size(); ++K) {
-    EXPECT_EQ(FromInterp.Levels[K].Pos, FromJit.Levels[K].Pos);
-    EXPECT_EQ(FromInterp.Levels[K].Crd, FromJit.Levels[K].Crd);
-  }
-  EXPECT_EQ(FromInterp.Vals, FromJit.Vals);
+  expectSameStorage(Interp.run(In), FromJit);
 }
 
 TEST(WarmStart, FlagSkewEvictsEveryEntryThenRecompilesCleanly) {
@@ -365,4 +371,49 @@ TEST(WarmStart, ProcessWithoutDiskCacheNeitherPreloadsNorExports) {
   // The next process with a disk cache still boots warm.
   PreloadStats S = Cache.preload();
   EXPECT_EQ(S.Loaded, pairPool().size());
+}
+
+TEST(WarmStart, SortedRoutineRunsFromItsDiskObjectWithoutACompiler) {
+  if (skipWithoutJit())
+    GTEST_SKIP() << "needs a native compiler without injected faults";
+  ScopedCacheDir Scope;
+  ASSERT_FALSE(Scope.Dir.empty());
+  // Hypersparse enough (5000 nnz in a 2048 x 2048 x 64 space) for the
+  // routing rule to pick sorted ranking, whose routine calls the runtime.
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  tensor::SparseTensor In = tensor::buildFromTriplets(
+      Coo3, tensor::genRandomTensor3(2048, 2048, 64, 5000, 13));
+  codegen::Options Opts =
+      codegen::optionsForDims(Coo3, Csf, {}, In.Dims, In.storedSize());
+  ASSERT_TRUE(Opts.ForceSortedRanking);
+  tensor::SparseTensor Reference = convert::Converter(Coo3, Csf).run(In);
+
+  // Compile-and-load binds the runtime before the handle is returned.
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  auto Compiled = Cache.jit(Coo3, Csf, Opts);
+  ASSERT_FALSE(Compiled->degraded());
+  ASSERT_FALSE(Compiled->loadedFromCache());
+  ASSERT_NE(Compiled->conversion().cSource().find("_bind_runtime("),
+            std::string::npos);
+  expectSameStorage(Reference, Compiled->run(In));
+  std::string SoPath = Compiled->cachedSoPath();
+  ASSERT_FALSE(SoPath.empty());
+
+  // With no compiler at all, both verified disk loads — a constructor whose
+  // slot holds the object, and the preloader's cache-only load of the same,
+  // already loaded object — bind the runtime and run bit-exact.
+  ScopedEnv NoCompiler("CONVGEN_CC", "/nonexistent");
+  ASSERT_FALSE(jit::jitAvailable());
+  jit::JitConversion Warm(Compiled->conversion(), SoPath);
+  EXPECT_FALSE(Warm.degraded()) << Warm.degradationReason();
+  EXPECT_TRUE(Warm.loadedFromCache());
+  EXPECT_EQ(Warm.compileSeconds(), 0.0);
+  expectSameStorage(Reference, Warm.run(In));
+  auto Preloaded =
+      jit::JitConversion::loadCachedOnly(Compiled->conversion(), SoPath);
+  ASSERT_NE(Preloaded, nullptr);
+  expectSameStorage(Reference, Preloaded->run(In));
+  Cache.clearMemory();
 }

@@ -10,8 +10,11 @@
 /// bit-identical results, and that a corrupted manifest entry is evicted
 /// (never served) while the rest of the suite still passes.
 ///
-/// Two modes over one fixed, deterministic workload (three format pairs,
-/// seeded generators, executed through ConversionService::submitBatch):
+/// Two modes over one fixed, deterministic workload (four plans, seeded
+/// generators, executed through ConversionService::submitBatch). The
+/// fourth is a hypersparse coo3 -> csf input that the service routes to
+/// sorted ranking, so the warm pass also proves that a routine bound to
+/// the prebuilt sort/scan runtime loads from disk and runs:
 ///
 ///   warm_restart_harness populate [--sleep-ms=N]
 ///     Runs the workload (JIT-compiling into CONVGEN_CACHE_DIR), exports
@@ -26,8 +29,10 @@
 ///     preload outcome:
 ///       --require-warm    every manifest entry must preload (no
 ///                         evictions) and the workload must then run with
-///                         ZERO PlanCache JIT misses — i.e. served
-///                         entirely from the preloaded handles. CI runs
+///                         ZERO PlanCache JIT misses beyond one disk-cache
+///                         load per sorted item (the manifest does not
+///                         carry sorted plans) — i.e. served entirely from
+///                         the preloaded handles and cached objects. CI runs
 ///                         this pass with a failing `cc` stub shadowing
 ///                         the real compiler on PATH (CONVGEN_CC itself is
 ///                         part of the cache key and the manifest's
@@ -44,6 +49,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Generator.h"
 #include "convert/PlanCache.h"
 #include "formats/Standard.h"
 #include "service/ConversionService.h"
@@ -67,9 +73,10 @@ struct WorkItem {
   formats::Format Source;
   formats::Format Target;
   tensor::SparseTensor Input;
+  bool Sorted = false; ///< Must route to the sorted-ranking plan.
 };
 
-/// The fixed workload: three distinct plan keys, seeded generators, small
+/// The fixed workload: four distinct plan keys, seeded generators, small
 /// enough that SparseTensor::dump() is a practical fingerprint.
 std::vector<WorkItem> workload() {
   std::vector<WorkItem> Items;
@@ -100,6 +107,18 @@ std::vector<WorkItem> workload() {
         W.Source, tensor::genRandomTensor3(8, 9, 7, 60, 11));
     Items.push_back(std::move(W));
   }
+  {
+    // 5000 nnz clears the sorted-ranking floor (codegen::kSortedRankMinNnz)
+    // and a 2048 x 2048 rank space is far above the ratio rule.
+    WorkItem W;
+    W.Label = "coo3-to-csf-sorted";
+    W.Source = formats::standardFormatOrDie("coo3");
+    W.Target = formats::standardFormatOrDie("csf");
+    W.Input = tensor::buildFromTriplets(
+        W.Source, tensor::genRandomTensor3(2048, 2048, 64, 5000, 13));
+    W.Sorted = true;
+    Items.push_back(std::move(W));
+  }
   return Items;
 }
 
@@ -113,6 +132,15 @@ int fail(const std::string &Why) {
 bool runWorkload(convert::ConversionService &Service,
                  const std::vector<WorkItem> &Items, int SleepMs) {
   for (const WorkItem &W : Items) {
+    std::string Why;
+    if (W.Sorted &&
+        !codegen::optionsForDims(W.Source, W.Target, {}, W.Input.Dims,
+                                 W.Input.storedSize(), &Why)
+             .ForceSortedRanking) {
+      std::fprintf(stderr, "FAIL: %s does not route to sorted ranking: %s\n",
+                   W.Label.c_str(), Why.c_str());
+      return false;
+    }
     if (SleepMs > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(SleepMs));
     std::vector<convert::ConversionRequest> Requests(1);
@@ -186,15 +214,24 @@ int runVerify(bool RequireWarm, long ExpectEvict) {
   convert::ServiceStats S = Service.stats();
 
   if (RequireWarm) {
-    // The strong form of "zero compiler invocations": the workload never
-    // even missed in the in-memory cache, so every request was served by
-    // a handle the preload installed. A degraded run would additionally
-    // mean something tried (and failed) to compile.
+    // The strong form of "zero compiler invocations": every manifest plan
+    // was served by a handle the preload installed, without even missing
+    // in the in-memory cache. The manifest does not carry sorted plans
+    // (see PlanCache::exportManifest), so each sorted item misses exactly
+    // once and must then load its object from the disk cache. A degraded
+    // run would additionally mean something tried (and failed) to compile.
     uint64_t Misses = After.JitMisses - Before.JitMisses;
-    if (Misses != 0)
-      return fail(std::to_string(Misses) +
-                  " JIT cache miss(es) during the warm run; the preload "
-                  "did not cover the workload");
+    uint64_t DiskHits = After.DiskHits - Before.DiskHits;
+    uint64_t SortedItems = 0;
+    for (const WorkItem &W : Items)
+      SortedItems += W.Sorted;
+    if (Misses != SortedItems || DiskHits != SortedItems)
+      return fail(std::to_string(Misses) + " JIT cache miss(es) and " +
+                  std::to_string(DiskHits) +
+                  " disk hit(s) during the warm run, expected " +
+                  std::to_string(SortedItems) +
+                  " of each (the sorted items); the preload and the disk "
+                  "cache did not cover the workload");
     if (S.DegradedRuns != 0)
       return fail(std::to_string(S.DegradedRuns) +
                   " degraded run(s) during the warm run; a compile was "
