@@ -14,10 +14,10 @@
 // codegen::optionsForDims at a hypersparse shape:
 //   <src> <dst> <default|routed|routed-wide> <contentHash of the emitted C>
 // (`unsupported` in place of the hash when the routed plan is refused).
-// routed-wide lines repeat the routing at extents whose coordinate tuples
-// do not pack into 64 bits, so sorted plans merge-sort instead of radix
-// sorting. Diffing the output of two builds shows whether any emitted
-// routine changed.
+// routed-wide lines repeat the routing at wider extents: order-3 tuples
+// there do not pack into 64 bits, so sorted plans merge-sort instead of
+// radix sorting (order-2 tuples, at 2^30 x 2^30, still pack). Diffing the
+// output of two builds shows whether any emitted routine changed.
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Generator.h"

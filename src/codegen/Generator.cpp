@@ -688,26 +688,11 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
   // too, so all sorted levels can radix-sort packed keys instead of
   // merge-sorting tuples. Packability is a property of the extents alone;
   // the sorted output is the identical pure function of the input either
-  // way.
-  if (Plan.anySorted()) {
-    std::vector<int64_t> Widths;
-    int64_t TotalBits = 0;
-    bool Fits = !Ext.empty();
-    for (int64_t E : Ext) {
-      if (E < 1) {
-        Fits = false;
-        break;
-      }
-      int64_t W = 0;
-      while (W < 33 && (int64_t(1) << W) < E)
-        ++W;
-      Fits = Fits && W <= 32;
-      Widths.push_back(W);
-      TotalBits += W;
-    }
-    if (Fits && TotalBits <= 64)
-      Plan.PackWidths = std::move(Widths);
-  }
+  // way. The widths recorded here are this shape's; the routine recomputes
+  // them from the extents at run time by the same rule (ir::bitWidth), so
+  // only the verdict "this shape packs" reaches the generated code.
+  if (Plan.anySorted())
+    Plan.PackWidths = packWidths(Dst, Dims);
 
   // The sequenced workspace survives only where neither ranked nor sorted
   // replaced it; note when its prefix spans non-dense source levels, whose
@@ -936,7 +921,10 @@ Conversion Generator::run() {
     }
     return P;
   };
-  Ctx.PackWidths = Plan.PackWidths;
+  // Packed plans compute their key widths from the extents at run time:
+  // the plan's widths are only the verdict that this shape packs.
+  for (size_t D = 0; D < Plan.PackWidths.size(); ++D)
+    Ctx.PackWidths.push_back(ir::bitWidth(Ctx.dimExtent(static_cast<int>(D))));
   // A sorted level whose parent is itself sorted (and so groups exactly one
   // dim fewer) can derive parent positions by prefix ranking (flag + scan
   // over its own sorted list) instead of per-block-end binary searches.
@@ -1147,6 +1135,26 @@ AssemblyPlan codegen::planAssembly(const formats::Format &Source,
   return planAssemblyImpl(Source, Target, SrcIt, Opts);
 }
 
+std::vector<int64_t> codegen::packWidths(const formats::Format &Target,
+                                         const std::vector<int64_t> &Dims) {
+  if (Dims.size() != static_cast<size_t>(Target.SrcOrder))
+    return {};
+  std::vector<int64_t> Widths;
+  int64_t TotalBits = 0;
+  for (const remap::NumericDimBounds &B :
+       remap::analyzeBoundsNumeric(Target.Remap, Dims)) {
+    if (!B.Known || B.extent() < 1)
+      return {};
+    Widths.push_back(ir::bitWidthOf(B.extent()));
+    if (Widths.back() > 32)
+      return {};
+    TotalBits += Widths.back();
+  }
+  if (Widths.empty() || TotalBits > 64)
+    return {};
+  return Widths;
+}
+
 Options codegen::optionsForDims(const formats::Format &Source,
                                 const formats::Format &Target,
                                 const Options &Opts,
@@ -1159,7 +1167,7 @@ Options codegen::optionsForDims(const formats::Format &Source,
   // the input moves the plan to sorted ranking, if that applies.
   size_t Level = 0;
   while (Level < Plan.RankSpace.size() &&
-         !(Nnz >= kSortedRankMinNnz && Plan.Unsupported.empty() &&
+         !(Nnz >= 0 && Plan.Unsupported.empty() &&
            Plan.RankSpace[Level] > kSortedRankRatio * Nnz))
     ++Level;
   bool Fires = Level < Plan.RankSpace.size();
@@ -1186,11 +1194,6 @@ Options codegen::optionsForDims(const formats::Format &Source,
                   static_cast<long long>(Nnz), Blocked.c_str());
   else if (Why && Nnz < 0)
     *Why = "default plan: nnz unknown";
-  else if (Why && Nnz < kSortedRankMinNnz)
-    *Why = strfmt("default plan: nnz (%lld) is below the sorted-ranking "
-                  "floor of %lld",
-                  static_cast<long long>(Nnz),
-                  static_cast<long long>(kSortedRankMinNnz));
   else if (Why)
     *Why = strfmt("default plan: no ranked level's dense rank space "
                   "exceeds %lld x nnz (%lld)",

@@ -56,10 +56,9 @@ struct Options {
   /// plan optionsForDims() picks when a dense rank array dwarfs nnz).
   /// planAssembly() reports Unsupported with a specific diagnostic when a
   /// level fails the strategy's preconditions instead of silently keeping
-  /// dense ranking. Participates in plan keys and JIT compile flags, so a
-  /// forced plan can never alias the default plan's cached object. Forced
-  /// plans are excluded from the warm-start manifest (its compact option
-  /// encoding carries only the paper-ablation bits).
+  /// dense ranking. Participates in plan keys and the warm-start manifest's
+  /// option bits, so a forced plan can never alias the default plan's
+  /// cached object.
   bool ForceSortedRanking = false;
 };
 
@@ -86,10 +85,13 @@ struct AssemblyPlan {
   /// Nonempty when sorted levels lower their tuple sorts through the
   /// packed-key radix sort: every destination extent is known and the
   /// full-order coordinate tuple packs into one uint64_t (sum of per-dim
-  /// ceil(log2(extent)) widths <= 64). Holds those per-destination-dim bit
-  /// widths in dimension order. Empty: they merge-sort. The sorted output
-  /// is the identical pure function of the input either way, so results
-  /// never depend on the choice.
+  /// ir::bitWidthOf(extent) widths <= 64). Holds those per-destination-dim
+  /// bit widths at the planned dims, in dimension order, but only the
+  /// verdict reaches the generated code: the routine computes its widths
+  /// from the extents at run time, so it serves every shape that packs
+  /// (JitConversion::tryRun refuses inputs that do not). Empty: they
+  /// merge-sort. The sorted output is the identical pure function of the
+  /// input either way, so results never depend on the choice.
   std::vector<int64_t> PackWidths;
   /// Per level: entries of the dense rank array a ranked level allocates
   /// at the hinted dims (the product of its grouping extents, the figure
@@ -119,6 +121,14 @@ AssemblyPlan planAssembly(const formats::Format &Source,
                           const formats::Format &Target,
                           const std::vector<int64_t> &Dims = {});
 
+/// The packed-key bit widths of \p Target's destination dimensions at
+/// these source \p Dims: one ir::bitWidthOf(extent) per dimension when
+/// every extent is known and at least 1, each fits an int32 coordinate
+/// and the full coordinate tuple packs into 64 bits; empty otherwise. The
+/// packing verdict planAssembly records for sorted plans (PackWidths).
+std::vector<int64_t> packWidths(const formats::Format &Target,
+                                const std::vector<int64_t> &Dims);
+
 /// Options-aware variant: reads the dims hint *and* the
 /// ForceSortedRanking field from \p Opts. The three-argument overload is
 /// equivalent to default options with DimsHint = Dims.
@@ -140,19 +150,15 @@ int64_t rankDenseMaxBytes();
 /// Calibrated on the JIT (see CHANGES.md).
 constexpr int64_t kSortedRankRatio = 5;
 
-/// The sorted-ranking rule's floor: inputs with fewer stored values keep
-/// the default plan. The sorted routine is a second compiled object per
-/// shape, about 0.4 s of compile with its sorts and scans in the prebuilt
-/// runtime (4 vCPUs, -fopenmp), which conversions this small (about a
-/// millisecond on either plan) do not win back.
-constexpr int64_t kSortedRankMinNnz = 4096;
-
 /// The one routing function every conversion runner calls per request.
 /// Returns \p Opts specialized to an input with these \p Dims and \p Nnz
 /// stored values (-1: unknown, which turns the sorted-ranking rule off):
-///  * ForceSortedRanking is set when Nnz is at least kSortedRankMinNnz,
-///    some ranked level's RankSpace exceeds kSortedRankRatio * Nnz, and
-///    the sorted plan is supported;
+///  * ForceSortedRanking is set when some ranked level's RankSpace exceeds
+///    kSortedRankRatio * Nnz and the sorted plan is supported, whatever
+///    the size of the input: a sorted routine is one compiled object per
+///    pair and packing verdict, shared by every shape (its packed-key
+///    widths are computed from the extents at run time), so even a tiny
+///    hypersparse input pays no per-shape compile for it;
 ///  * DimsHint is populated iff the resulting plan depends on the dims (a
 ///    sorted level or a size-grounds rejection), and cleared otherwise so
 ///    callers share the default cached plan.

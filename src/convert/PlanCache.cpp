@@ -139,7 +139,7 @@ bool checksumMatches(const std::string &SoPath) {
 
 /// Warm-start manifest format version. Bumped whenever the line layout
 /// changes; a preloader seeing another version drops the whole file.
-const char kManifestHeader[] = "convgen-manifest-v3";
+const char kManifestHeader[] = "convgen-manifest-v4";
 
 /// Everything outside the emitted C that determines the compiled binary:
 /// the full effective flag string (CONVGEN_JIT_FLAGS baked in), the
@@ -211,17 +211,18 @@ bool parseDims(const std::string &Field, std::vector<int64_t> *Dims) {
   return !Dims->empty();
 }
 
-/// "q1c1m0" <-> option bits.
+/// "q1c1m0s0" <-> option bits (s: forced sorted ranking).
 std::string serializeOptBits(const convgen::codegen::Options &Opts) {
-  return convgen::strfmt("q%dc%dm%d", Opts.OptimizeQueries ? 1 : 0,
+  return convgen::strfmt("q%dc%dm%ds%d", Opts.OptimizeQueries ? 1 : 0,
                          Opts.CounterReuse ? 1 : 0,
-                         Opts.MaterializeRemap ? 1 : 0);
+                         Opts.MaterializeRemap ? 1 : 0,
+                         Opts.ForceSortedRanking ? 1 : 0);
 }
 
 bool parseOptBits(const std::string &Field,
                   convgen::codegen::Options *Opts) {
-  if (Field.size() != 6 || Field[0] != 'q' || Field[2] != 'c' ||
-      Field[4] != 'm')
+  if (Field.size() != 8 || Field[0] != 'q' || Field[2] != 'c' ||
+      Field[4] != 'm' || Field[6] != 's')
     return false;
   auto Bit = [](char C, bool *Out) {
     if (C != '0' && C != '1')
@@ -231,7 +232,8 @@ bool parseOptBits(const std::string &Field,
   };
   return Bit(Field[1], &Opts->OptimizeQueries) &&
          Bit(Field[3], &Opts->CounterReuse) &&
-         Bit(Field[5], &Opts->MaterializeRemap);
+         Bit(Field[5], &Opts->MaterializeRemap) &&
+         Bit(Field[7], &Opts->ForceSortedRanking);
 }
 
 } // namespace
@@ -342,8 +344,8 @@ std::string convert::planKey(const formats::Format &Source,
              Opts.CounterReuse ? 1 : 0, Opts.MaterializeRemap ? 1 : 0);
   // A dims hint changes the generated code only through the assembly
   // strategy it selects (which levels go sorted/ranked/dedup, whether they
-  // share one full-arity sort, and the packed-sort widths), so the key
-  // carries those bits rather than the raw dims: every huge-dims tensor
+  // share one full-arity sort, and whether their sorts pack keys), so the
+  // key carries those bits rather than the raw dims: every huge-dims tensor
   // that lands on the same strategy shares one plan and one JIT object.
   // The bits are re-derived on every lookup, so flipping
   // CONVGEN_RANK_DENSE_MAX_BYTES can never hit a stale cached plan.
@@ -359,14 +361,10 @@ std::string convert::planKey(const formats::Format &Source,
       Key += Plan.Sorted[K] ? '1' : (Plan.Ranked[K] ? 'r' : '0');
     if (Plan.SharedSortAnchor > 0)
       Key += ":g" + std::to_string(Plan.SharedSortAnchor);
-    // A packed-sort marker alone is not enough: the per-dim bit widths are
-    // baked into the emitted pack/unpack code, so dims with different
-    // widths must not share an entry.
-    if (!Plan.PackWidths.empty()) {
+    // The packed sorts compute their key widths from the extents at run
+    // time, so every shape that packs shares one entry.
+    if (!Plan.PackWidths.empty())
       Key += ":p";
-      for (int64_t W : Plan.PackWidths)
-        Key += "." + std::to_string(W);
-    }
     if (!Plan.Unsupported.empty()) {
       // Unsupported-at-these-dims plans abort in codegen; keep their keys
       // distinct per dims so the diagnostic mentions the right sizes.
@@ -637,15 +635,12 @@ Status PlanCache::exportManifest(const std::string &Path) {
                          "manifest: disk cache disabled");
   std::string Resolved = Path.empty() ? manifestFilePath() : Path;
   // Warm-start material: every healthy native handle with a disk-cache
-  // slot (degraded handles have no object to preload). Forced-sorted plans
-  // cannot round-trip through the manifest's compact option encoding
-  // (q/c/m bits only); a fresh process re-plans them on demand instead.
+  // slot (degraded handles have no object to preload).
   std::map<std::string, JitPtr> Snapshot;
   for (Shard &S : Shards) {
     std::shared_lock<std::shared_mutex> Read(S.Mu);
     for (const auto &[Key, Handle] : S.Jits)
-      if (!Handle->degraded() && !Handle->cachedSoPath().empty() &&
-          !Handle->conversion().Opts.ForceSortedRanking)
+      if (!Handle->degraded() && !Handle->cachedSoPath().empty())
         Snapshot.emplace(Key, Handle);
   }
   std::string Out = std::string(kManifestHeader) + "\n";

@@ -58,14 +58,19 @@ struct PreludeNeeds {
   bool Runtime = false;      ///< A scan, sort or dedup statement.
   bool Search = false;       ///< A tuple-compare LowerBound.
   bool PackedSearch = false; ///< A packed LowerBound.
+  bool BitWidth = false;     ///< A run-time packed-key width.
 
   void visit(const Expr &E) {
     if (!E)
       return;
     if (E->Kind == ExprKind::LowerBound)
       (E->PackWidths.empty() ? Search : PackedSearch) = true;
+    if (E->Kind == ExprKind::Unary && E->UOp == UnOp::BitWidth)
+      BitWidth = true;
     for (const Expr &Arg : E->Args)
       visit(Arg);
+    for (const Expr &W : E->PackWidths)
+      visit(W);
     visit(E->A);
     visit(E->B);
     visit(E->C);
@@ -79,6 +84,8 @@ struct PreludeNeeds {
       Runtime = true;
     visit(S->A);
     visit(S->B);
+    for (const Expr &W : S->PackWidths)
+      visit(W);
     for (const Stmt &Sub : S->Stmts)
       visit(Sub);
     visit(S->Body);
@@ -190,6 +197,17 @@ std::string ir::emitC(const Function &F) {
       hi = mid;
   }
   return lo;
+}
+
+)";
+  // Packed-key widths are computed from the extents at run time (the rule
+  // of ir::bitWidthOf), so one object serves every shape that packs.
+  if (Needs.BitWidth)
+    Out += R"(static int64_t cvg_bit_width(int64_t extent) {
+  int64_t w = 0;
+  while (w < 63 && ((int64_t)1 << w) < extent)
+    w++;
+  return w;
 }
 
 )";

@@ -273,19 +273,53 @@ Expr ir::lowerBound(const std::string &Buffer, Expr Count,
   return E;
 }
 
-Expr ir::lowerBoundPacked(const std::string &Buffer, Expr Count,
-                          std::vector<Expr> Keys,
-                          std::vector<int64_t> PackWidths) {
-  if (PackWidths.size() != Keys.size())
-    fatalError("lowerBoundPacked requires one bit width per key component");
-  int64_t TotalBits = 0;
-  for (int64_t W : PackWidths) {
-    if (W < 0 || W > 32)
-      fatalError("lowerBoundPacked widths are int32 coordinate widths");
-    TotalBits += W;
+int64_t ir::bitWidthOf(int64_t Extent) {
+  int64_t W = 0;
+  while (W < 63 && (int64_t(1) << W) < Extent)
+    ++W;
+  return W;
+}
+
+Expr ir::bitWidth(Expr Extent) {
+  int64_t C = 0;
+  if (isIntConst(Extent, &C))
+    return intImm(bitWidthOf(C));
+  Expr E = makeExpr(ExprKind::Unary);
+  ExprNode &N = const_cast<ExprNode &>(*E);
+  N.UOp = UnOp::BitWidth;
+  N.Type = ScalarKind::Int;
+  N.A = std::move(Extent);
+  return E;
+}
+
+/// Hard errors even in release builds: a bad width vector would silently
+/// mis-sort (keys aliasing or truncating coordinates). Run-time widths are
+/// checked where they are known (the interpreter; JitConversion's guard).
+static void checkPackWidths(const char *Op, const std::vector<Expr> &Widths,
+                            size_t Arity, const char *Component) {
+  if (Widths.size() != Arity)
+    fatalError(
+        strfmt("%s requires one bit width per %s", Op, Component).c_str());
+  int64_t TotalBits = 0; // Of the immediate widths: a lower bound.
+  for (const Expr &W : Widths) {
+    int64_t V = 0;
+    if (!isIntConst(W, &V))
+      continue;
+    if (V < 0 || V > 32)
+      fatalError(
+          strfmt("%s widths are int32 coordinate widths", Op).c_str());
+    TotalBits += V;
   }
   if (TotalBits > 64)
-    fatalError("lowerBoundPacked requires the tuple to fit 64 bits");
+    fatalError(
+        strfmt("%s requires the tuple to fit 64 bits", Op).c_str());
+}
+
+Expr ir::lowerBoundPacked(const std::string &Buffer, Expr Count,
+                          std::vector<Expr> Keys,
+                          std::vector<Expr> PackWidths) {
+  checkPackWidths("lowerBoundPacked", PackWidths, Keys.size(),
+                  "key component");
   Expr E = lowerBound(Buffer, std::move(Count), std::move(Keys));
   const_cast<ExprNode &>(*E).PackWidths = std::move(PackWidths);
   return E;
@@ -445,23 +479,13 @@ Stmt ir::sortTuples(const std::string &Buffer, Expr Count, int64_t Arity) {
 
 Stmt ir::sortUniqueTuplesPacked(const std::string &Buffer, Expr Count,
                                 int64_t Arity,
-                                std::vector<int64_t> PackWidths,
+                                std::vector<Expr> PackWidths,
                                 const std::string &CountVar,
                                 const std::string &RankBuffer) {
-  // Hard errors even in release builds: a bad width vector would silently
-  // mis-sort (keys aliasing or truncating coordinates).
   if (CountVar.empty())
     fatalError("sortUniqueTuplesPacked requires a result name");
-  if (static_cast<int64_t>(PackWidths.size()) != Arity)
-    fatalError("sortUniqueTuplesPacked requires one bit width per component");
-  int64_t TotalBits = 0;
-  for (int64_t W : PackWidths) {
-    if (W < 0 || W > 32)
-      fatalError("sortUniqueTuplesPacked widths are int32 coordinate widths");
-    TotalBits += W;
-  }
-  if (TotalBits > 64)
-    fatalError("sortUniqueTuplesPacked requires the tuple to fit 64 bits");
+  checkPackWidths("sortUniqueTuplesPacked", PackWidths,
+                  static_cast<size_t>(Arity), "component");
   Stmt S = sortTuples(Buffer, std::move(Count), Arity);
   StmtNode &N = const_cast<StmtNode &>(*S);
   N.PackWidths = std::move(PackWidths);
@@ -594,6 +618,8 @@ std::string ir::printExpr(const Expr &E) {
     std::string A = printExpr(E->A);
     if (E->A->Kind == ExprKind::Binary || E->A->Kind == ExprKind::Select)
       A = "(" + A + ")";
+    if (E->UOp == UnOp::BitWidth)
+      return "cvg_bit_width(" + printExpr(E->A) + ")";
     return (E->UOp == UnOp::Neg ? "-" : "!") + A;
   }
   case ExprKind::Select:
@@ -614,8 +640,8 @@ std::string ir::printExpr(const Expr &E) {
     if (!E->PackWidths.empty()) {
       std::vector<std::string> Widths;
       Widths.reserve(E->PackWidths.size());
-      for (int64_t W : E->PackWidths)
-        Widths.push_back(std::to_string(W));
+      for (const Expr &W : E->PackWidths)
+        Widths.push_back(printExpr(W));
       return "cvg_lower_bound_packed(" + E->Name + ", " + printExpr(E->A) +
              ", " + std::to_string(E->Args.size()) + ", (const int64_t[]){" +
              join(Widths, ",") + "}, (const int64_t[]){" + join(Keys, ", ") +
@@ -861,10 +887,10 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
       // literal (like cvg_lower_bound keys); the readable view shows them
       // as a bits= annotation.
       std::string Widths;
-      for (int64_t W : S->PackWidths) {
+      for (const Expr &W : S->PackWidths) {
         if (!Widths.empty())
           Widths += ",";
-        Widths += std::to_string(W);
+        Widths += printExpr(W);
       }
       // Packed sorts always dedup the sorted keys and declare the unique
       // count in Slot; a non-empty Buffer2 additionally scatters per-slot

@@ -78,7 +78,7 @@ enum class BinOp : uint8_t {
   LOr,
 };
 
-enum class UnOp : uint8_t { Neg, LNot };
+enum class UnOp : uint8_t { Neg, LNot, BitWidth };
 
 struct ExprNode;
 /// Expressions are immutable and freely shared.
@@ -98,8 +98,9 @@ struct ExprNode {
   /// single uint64_t key (component d occupies PackWidths[d] bits,
   /// component 0 most significant) and the C lowering compares packed
   /// keys instead of looping over the components — same lexicographic result,
-  /// set via lowerBoundPacked. Empty means the generic tuple compare.
-  std::vector<int64_t> PackWidths;
+  /// set via lowerBoundPacked. The widths are run-time expressions (see
+  /// bitWidth). Empty means the generic tuple compare.
+  std::vector<Expr> PackWidths;
   BinOp BOp = BinOp::Add;
   UnOp UOp = UnOp::Neg;
 };
@@ -132,6 +133,21 @@ Expr neg(Expr A);
 Expr logicalNot(Expr A);
 Expr select(Expr Cond, Expr IfTrue, Expr IfFalse);
 
+/// The packed-key bit width of a coordinate component whose extent is
+/// \p Extent: the smallest W >= 0 with 2^W >= Extent (0 for extents up to
+/// 1), capped at 63. Every coordinate c in [0, Extent) then satisfies
+/// c < 2^W. The one rule behind the planner's packed-fit verdict
+/// (codegen::AssemblyPlan::PackWidths), the bitWidth expression and the
+/// emitted C helper cvg_bit_width.
+int64_t bitWidthOf(int64_t Extent);
+
+/// bitWidthOf(\p Extent) as an integer expression: folded for an
+/// immediate, otherwise evaluated at run time (the C lowering calls the
+/// prelude helper cvg_bit_width). Packed sorts and searches take their
+/// widths as such expressions over the destination extents, so one
+/// compiled routine serves every shape whose tuples pack into 64 bits.
+Expr bitWidth(Expr Extent);
+
 /// The number of partitions blocked parallel passes split their iteration
 /// space into. Generated code must be deterministic for *any* value >= 1:
 /// the C emitter lowers it to the OpenMP max thread count (1 without
@@ -156,16 +172,16 @@ bool isIntConst(const Expr &E, int64_t *Value = nullptr);
 Expr lowerBound(const std::string &Buffer, Expr Count, std::vector<Expr> Keys);
 
 /// lowerBound with the packed-key compare: \p PackWidths gives the bit
-/// width of each tuple component (one per key, each in [0, 32], total at
-/// most 64 — the same planner-proven fit as sortUniqueTuplesPacked), so
-/// the C lowering packs the key tuple and each probed tuple into single
-/// uint64_t values and compares those. Unsigned packed order equals
-/// lexicographic tuple order whenever every stored coordinate fits its
-/// width, so the result is identical to lowerBound — the interpreter
-/// evaluates both with the same tuple-wise binary search.
+/// width of each tuple component (one per key; at run time each must be in
+/// [0, 32] with a total of at most 64 — the same fit as
+/// sortUniqueTuplesPacked), so the C lowering packs the key tuple and each
+/// probed tuple into single uint64_t values and compares those. Unsigned
+/// packed order equals lexicographic tuple order whenever every stored
+/// coordinate fits its width, so the result is identical to lowerBound —
+/// the interpreter evaluates both with the same tuple-wise binary search,
+/// after checking the widths and the key against that contract.
 Expr lowerBoundPacked(const std::string &Buffer, Expr Count,
-                      std::vector<Expr> Keys,
-                      std::vector<int64_t> PackWidths);
+                      std::vector<Expr> Keys, std::vector<Expr> PackWidths);
 
 //===----------------------------------------------------------------------===//
 // Statements
@@ -220,13 +236,12 @@ struct StmtNode {
   ReduceOp Reduce = ReduceOp::None; ///< Store reduction; Scan combiner.
   int64_t Phase = 0;                ///< PhaseMark only: phase index.
   int64_t Arity = 1; ///< Tuple ops only: ints per (source) tuple.
-  /// SortTuples only: when non-empty, one bit width per tuple component
-  /// (size() == Arity) selecting the packed-key radix lowering — each tuple
-  /// packs into a single uint64_t key (component d occupies PackWidths[d]
-  /// bits, component 0 most significant, so key order == lexicographic
-  /// tuple order). The factory asserts the widths sum to <= 64. Empty
-  /// selects the comparison merge sort.
-  std::vector<int64_t> PackWidths;
+  /// SortTuples only: when non-empty, one bit width expression per tuple
+  /// component (size() == Arity) selecting the packed-key radix lowering —
+  /// each tuple packs into a single uint64_t key (component d occupies
+  /// PackWidths[d] bits, component 0 most significant, so key order ==
+  /// lexicographic tuple order). Empty selects the comparison merge sort.
+  std::vector<Expr> PackWidths;
   /// UniquePrefix only: the destination buffer.
   std::string Buffer2;
   /// UniquePrefix only: ints per destination tuple (the prefix length).
@@ -292,8 +307,11 @@ Stmt sortTuples(const std::string &Buffer, Expr Count, int64_t Arity);
 /// sortTuples + uniqueTuples with the packed-key radix lowering: sorts,
 /// drops duplicate tuples, and declares \p CountVar (int64) with the
 /// unique count. \p PackWidths gives the bit width of each tuple component
-/// (one per component, summing to at most 64), and every stored coordinate
-/// must satisfy 0 <= c < 2^width. The C emitter lowers to the runtime's
+/// as a run-time expression (one per component; at run time each must be
+/// in [0, 32] and they must sum to at most 64), and every stored coordinate
+/// must satisfy 0 <= c < 2^width; the interpreter checks both and fails the
+/// run otherwise. The factory checks immediate widths up front. The C
+/// emitter lowers to the runtime's
 /// radix_sort_packed — pack each tuple into one uint64_t key
 /// (component 0 most significant), LSD radix sort (per-partition
 /// histograms + a serial digit-offset scan), deduplicate the packed keys
@@ -314,7 +332,7 @@ Stmt sortTuples(const std::string &Buffer, Expr Count, int64_t Arity);
 /// index as a payload through the radix scatters (no searches); consumers
 /// can then resolve a stored nonzero's position with one load.
 Stmt sortUniqueTuplesPacked(const std::string &Buffer, Expr Count,
-                            int64_t Arity, std::vector<int64_t> PackWidths,
+                            int64_t Arity, std::vector<Expr> PackWidths,
                             const std::string &CountVar,
                             const std::string &RankBuffer = "");
 

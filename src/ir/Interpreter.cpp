@@ -97,6 +97,34 @@ private:
   void storeElem(const std::string &Name, int64_t Index, Value V,
                  ReduceOp Reduce);
 
+  /// Evaluates a packed sort's or search's run-time component widths and
+  /// holds them to the packing contract the C lowering relies on: each in
+  /// [0, 32], at most 64 bits in total.
+  std::vector<int64_t> evalPackWidths(const std::vector<Expr> &Widths,
+                                      const char *Op) {
+    std::vector<int64_t> Out;
+    int64_t Total = 0;
+    for (const Expr &W : Widths) {
+      Out.push_back(eval(W).asInt());
+      if (Out.back() < 0 || Out.back() > 32)
+        fail(strfmt("%s width %lld is not an int32 coordinate width", Op,
+                    static_cast<long long>(Out.back())));
+      Total += Out.back();
+    }
+    if (Total > 64)
+      fail(strfmt("%s widths need %lld bits, over the 64-bit key", Op,
+                  static_cast<long long>(Total)));
+    return Out;
+  }
+
+  /// The other half of the contract: 0 <= C < 2^Width.
+  void checkFits(int64_t C, int64_t Width, const char *Op) {
+    if (C < 0 || C >= (int64_t(1) << Width))
+      fail(strfmt("%s coordinate %lld does not fit its %lld-bit component",
+                  Op, static_cast<long long>(C),
+                  static_cast<long long>(Width)));
+  }
+
   int64_t NumParts;
   std::unordered_map<std::string, Value> Env;
   std::map<std::string, RuntimeBuffer> Buffers;
@@ -141,6 +169,13 @@ Value ExecState::eval(const Expr &E) {
     Key.reserve(E->Args.size());
     for (const Expr &K : E->Args)
       Key.push_back(eval(K).asInt());
+    if (!E->PackWidths.empty()) {
+      std::vector<int64_t> W =
+          evalPackWidths(E->PackWidths, "lower_bound_packed");
+      for (int64_t I = 0; I < R; ++I)
+        checkFits(Key[static_cast<size_t>(I)], W[static_cast<size_t>(I)],
+                  "lower_bound_packed key");
+    }
     int64_t Lo = 0, Hi = N;
     while (Lo < Hi) {
       int64_t Mid = Lo + (Hi - Lo) / 2;
@@ -162,6 +197,8 @@ Value ExecState::eval(const Expr &E) {
     Value A = eval(E->A);
     if (E->UOp == UnOp::LNot)
       return Value::makeBool(!A.asBool());
+    if (E->UOp == UnOp::BitWidth)
+      return Value::makeInt(bitWidthOf(A.asInt()));
     if (A.isFloat())
       return Value::makeFloat(-A.asFloat());
     return Value::makeInt(-A.asInt());
@@ -427,10 +464,18 @@ void ExecState::exec(const Stmt &S) {
                   "bounds for buffer %s (size %lld)",
                   static_cast<long long>(N), static_cast<long long>(R),
                   S->Name.c_str(), static_cast<long long>(Buf.size())));
+    const std::vector<int32_t> &Ints = Buf.Ints;
+    if (!S->PackWidths.empty()) {
+      std::vector<int64_t> W =
+          evalPackWidths(S->PackWidths, "sort_unique_tuples_packed");
+      for (int64_t I = 0; I < N * R; ++I)
+        checkFits(Ints[static_cast<size_t>(I)],
+                  W[static_cast<size_t>(I % R)],
+                  "sort_unique_tuples_packed");
+    }
     std::vector<int64_t> Order(static_cast<size_t>(N));
     for (int64_t I = 0; I < N; ++I)
       Order[static_cast<size_t>(I)] = I;
-    const std::vector<int32_t> &Ints = Buf.Ints;
     std::sort(Order.begin(), Order.end(), [&](int64_t A, int64_t B) {
       return std::lexicographical_compare(
           Ints.begin() + A * R, Ints.begin() + (A + 1) * R,

@@ -773,6 +773,17 @@ JitConversion::tryRun(const tensor::SparseTensor &In) const {
                  "opts, tensor.Dims)",
                  Conv.Source.Name.c_str(), Conv.Target.Name.c_str(), K + 1,
                  static_cast<long long>(codegen::rankDenseMaxBytes())));
+  // A packed object computes its key widths from the input's extents; an
+  // input whose coordinate tuple needs more than 64 bits would alias keys.
+  if (!Conv.Asm.PackWidths.empty() &&
+      codegen::packWidths(Conv.Target, In.Dims).empty())
+    return Status::error(
+        ErrorCode::InvalidArgument,
+        strfmt("jit: conversion %s -> %s was compiled with packed 64-bit "
+               "sort keys, but this input's extents do not pack into 64 "
+               "bits; rebuild the plan with codegen::optionsForDims(source, "
+               "target, opts, tensor.Dims)",
+               Conv.Source.Name.c_str(), Conv.Target.Name.c_str()));
   Status Order = convert::checkSourceOrder(Conv, In);
   if (!Order.ok())
     return Order;

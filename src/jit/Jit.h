@@ -184,7 +184,8 @@ public:
 
   /// Checked conversion: request errors (a tensor in the wrong format, an
   /// unsorted source where the plan requires order, dimensions this object
-  /// was not compiled for) come back as a Status instead of aborting.
+  /// was not compiled for — including extents too wide for a packed
+  /// object's 64-bit sort keys) come back as a Status instead of aborting.
   /// Environment trouble never surfaces here — a degraded handle serves
   /// through the interpreter, bit-exact.
   StatusOr<tensor::SparseTensor> tryRun(const tensor::SparseTensor &In) const;

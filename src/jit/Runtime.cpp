@@ -206,7 +206,8 @@ int64_t uniquePrefix(const int32_t *Src, int64_t N, int64_t SrcArity,
 }
 
 /// Packed-key LSD radix sort. Each tuple packs into one uint64 key
-/// (widths chosen by the planner so every coordinate fits its component),
+/// (widths the routine computes from the extents, so every coordinate fits
+/// its component),
 /// so unsigned key order is lexicographic tuple order and the tuples
 /// unpack exactly from the sorted keys. Digit counts are a pure function
 /// of the key multiset, so one upfront sweep prices every 11-bit pass (6

@@ -312,9 +312,7 @@ public:
       }
       Out.add(ir::sortUniqueTuplesPacked(
           Srt, Ctx.StoredSize, R,
-          std::vector<int64_t>(Ctx.PackWidths.begin(),
-                               Ctx.PackWidths.begin() + R),
-          U, Rank));
+          {Ctx.PackWidths.begin(), Ctx.PackWidths.begin() + R}, U, Rank));
     } else {
       Out.add(ir::sortTuples(Srt, Ctx.StoredSize, R));
       Out.add(ir::uniqueTuples(Srt, Ctx.StoredSize, R, U));
@@ -494,7 +492,7 @@ public:
       std::vector<ir::Expr> Keys;
       for (int D = 0; D <= Spec.Dim; ++D)
         Keys.push_back(Coords[static_cast<size_t>(D)]);
-      // The planner's packed-fit proof covers every prefix of the packed
+      // The planner's packed-fit verdict covers every prefix of the packed
       // tuple, so a packed plan searches with single-uint64 key compares
       // instead of the tuple-compare loop (same index by construction).
       size_t R = static_cast<size_t>(Spec.Dim) + 1;

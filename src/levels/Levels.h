@@ -146,13 +146,14 @@ struct AsmCtx {
   /// SharedSortAnchor. 0 when each sorted level builds independently.
   int SharedSortAnchor = 0;
 
-  /// Packed-key radix sort (copied from the plan's PackWidths): bit width
-  /// per destination dimension, in dimension order.
-  /// Non-empty only when every extent is known and the full-order tuple
-  /// packs into 64 bits, so any grouping prefix fits too; sorted levels
-  /// then lower their sorts through ir::sortUniqueTuplesPacked. Empty
-  /// keeps the comparison merge sort.
-  std::vector<int64_t> PackWidths;
+  /// Packed-key radix sort: bit width per destination dimension, in
+  /// dimension order, as run-time expressions over the extents
+  /// (ir::bitWidth), so the routine is the same for every shape that packs.
+  /// Non-empty only when the plan's PackWidths verdict says the full-order
+  /// tuple packs into 64 bits, so any grouping prefix fits too; sorted
+  /// levels then lower their sorts through ir::sortUniqueTuplesPacked.
+  /// Empty keeps the comparison merge sort.
+  std::vector<ir::Expr> PackWidths;
 
   /// 1-based levels whose parent position, inside the sorted pos build,
   /// equals the rank of the tuple's dims 0..Dim-1 prefix among the

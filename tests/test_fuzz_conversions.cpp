@@ -144,9 +144,8 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   std::vector<int64_t> Dims;
   bool Huge = false;
   // Rule cases: an order-3 shape large enough that the sorted-ranking rule
-  // (codegen::optionsForDims) can fire above its nnz floor. The dims are
-  // fixed so the packed-sort widths, and with them the JIT objects the
-  // cases compile, stay few.
+  // (codegen::optionsForDims) lands on either side of its ratio with
+  // thousands of nonzeros.
   bool Rule = false;
   if (Order3) {
     SrcName = Names3[Pick(4)];
@@ -229,9 +228,7 @@ void runFuzzCase(uint64_t CaseSeed, FuzzStats &Stats,
   if (Rule) {
     int Boundary = static_cast<int>(Dims[0] * Dims[1] /
                                     codegen::kSortedRankRatio);
-    int Floor = static_cast<int>(codegen::kSortedRankMinNnz);
-    MaxNnz = Pick(2) == 0 ? Floor + Pick(Boundary - Floor)
-                          : Boundary + Pick(1500);
+    MaxNnz = Pick(2) == 0 ? 1 + Pick(Boundary - 1) : Boundary + Pick(1500);
     Exact = static_cast<size_t>(MaxNnz);
   }
   std::set<std::vector<int64_t>> Seen;

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <cstdlib>
 #include <random>
 #include <set>
@@ -278,21 +279,28 @@ TEST(SortedRankRule, DenseEnoughInputsKeepTheDefaultPlanAndKey) {
     EXPECT_TRUE(codegen::optionsForDims(*C.Src, Csf, {}, C.Dims, Tipping - 1)
                     .ForceSortedRanking);
   }
-  // Unknown nnz (the default argument) turns the rule off, and so does an
-  // input below the floor, however large its dense rank space.
-  EXPECT_FALSE(
-      codegen::optionsForDims(Coo3, Csf, {}, {2048, 2048, 64})
-          .ForceSortedRanking);
+  // Unknown nnz (the default argument) turns the rule off and keeps the
+  // default plan and key, however large the dense rank space.
   std::string Why;
-  codegen::Options Tiny = codegen::optionsForDims(
-      Coo3, Csf, {}, {2048, 2048, 64}, codegen::kSortedRankMinNnz - 1, &Why);
-  EXPECT_FALSE(Tiny.ForceSortedRanking);
-  EXPECT_TRUE(Tiny.DimsHint.empty());
-  EXPECT_NE(Why.find("below the sorted-ranking floor"), std::string::npos)
-      << Why;
-  EXPECT_TRUE(codegen::optionsForDims(Coo3, Csf, {}, {2048, 2048, 64},
-                                      codegen::kSortedRankMinNnz)
-                  .ForceSortedRanking);
+  codegen::Options Unknown =
+      codegen::optionsForDims(Coo3, Csf, {}, {2048, 2048, 64}, -1, &Why);
+  EXPECT_FALSE(Unknown.ForceSortedRanking);
+  EXPECT_TRUE(Unknown.DimsHint.empty());
+  EXPECT_EQ(convert::planKey(Coo3, Csf, Unknown),
+            convert::planKey(Coo3, Csf, codegen::Options()));
+  EXPECT_EQ(Why, "default plan: nnz unknown");
+  // The ratio alone decides: there is no nnz floor, so even a single
+  // nonzero over a 2048 x 2048 rank space routes sorted, onto the plan
+  // key every shape that packs shares.
+  for (int64_t Nnz : {int64_t(1), int64_t(64)}) {
+    codegen::Options Tiny =
+        codegen::optionsForDims(Coo3, Csf, {}, {2048, 2048, 64}, Nnz, &Why);
+    EXPECT_TRUE(Tiny.ForceSortedRanking) << Nnz << ": " << Why;
+    EXPECT_EQ(Tiny.DimsHint, (std::vector<int64_t>{2048, 2048, 64}));
+    EXPECT_EQ(convert::planKey(Coo3, Csf, Tiny),
+              convert::planKey(Coo3, Csf,
+                               forcedSorted(Coo3, Csf, {2048, 2048, 64})));
+  }
 }
 
 TEST(SortedRankRule, NoTable3PairEverFlips) {
@@ -314,7 +322,7 @@ TEST(SortedRankRule, NoTable3PairEverFlips) {
         EXPECT_FALSE(Plan.Ranked[K]) << "level " << K + 1;
         EXPECT_EQ(Plan.RankSpace[K], -1) << "level " << K + 1;
       }
-      for (int64_t Nnz : {codegen::kSortedRankMinNnz, int64_t(5000)}) {
+      for (int64_t Nnz : {int64_t(1), int64_t(64), int64_t(5000)}) {
         codegen::Options Opts =
             codegen::optionsForDims(Src, Dst, {}, Dims, Nnz);
         codegen::Options Unknown = codegen::optionsForDims(Src, Dst, {}, Dims);
@@ -335,9 +343,9 @@ TEST(SortedRankRule, IneligibleSortedChainKeepsDenseRankingAndStaysSupported) {
     SCOPED_TRACE(S);
     formats::Format Src = formats::standardFormatOrDie(S);
     // 2000 x 2000 blocks of dense rank space: well under the byte budget,
-    // far over the rule's ratio at the floor.
+    // far over the rule's ratio at 4096 nonzeros.
     std::vector<int64_t> Dims = {8000, 8000};
-    int64_t Nnz = codegen::kSortedRankMinNnz;
+    int64_t Nnz = 4096;
     codegen::AssemblyPlan Plan = codegen::planAssembly(Src, Bcsr, Dims);
     ASSERT_TRUE(Plan.Unsupported.empty()) << Plan.Unsupported;
     ASSERT_GT(*std::max_element(Plan.RankSpace.begin(), Plan.RankSpace.end()),
@@ -453,18 +461,22 @@ TEST(PackedSortPlan, PackedBitTracksKeyWidth) {
   EXPECT_TRUE(codegen::planAssembly(Coo3, Csf).PackWidths.empty());
 }
 
-TEST(PackedSortPlan, PlanKeyCarriesThePackedBitAndWidths) {
+TEST(PackedSortPlan, PlanKeyCarriesThePackedBitNotTheWidths) {
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
   codegen::Options Opts;
   Opts.DimsHint = packedDims();
   std::string Packed = convert::planKey(Coo3, Csf, Opts);
-  EXPECT_NE(Packed.find(":p.24.20.20"), std::string::npos) << Packed;
-  // Dims with different widths never alias (the widths are baked into the
-  // emitted pack/unpack code), and unpackable dims carry no packed bit.
-  Opts.DimsHint = {int64_t(1) << 23, int64_t(1) << 20, int64_t(1) << 20};
-  std::string Narrower = convert::planKey(Coo3, Csf, Opts);
-  EXPECT_NE(Narrower.find(":p.23.20.20"), std::string::npos) << Narrower;
+  EXPECT_NE(Packed.find(":p]"), std::string::npos) << Packed;
+  // Dims with different widths (25 + 19 + 20 bits) share the entry and
+  // its routine (the routine computes its widths from the extents at run
+  // time), and unpackable dims carry no packed bit.
+  Opts.DimsHint = {int64_t(1) << 25, int64_t(1) << 19, int64_t(1) << 20};
+  EXPECT_EQ(convert::planKey(Coo3, Csf, Opts), Packed);
+  codegen::Options AtPackedDims;
+  AtPackedDims.DimsHint = packedDims();
+  EXPECT_TRUE(codegen::generateConversion(Coo3, Csf, Opts).cSource() ==
+              codegen::generateConversion(Coo3, Csf, AtPackedDims).cSource());
   Opts.DimsHint = hugeDims();
   std::string Wide = convert::planKey(Coo3, Csf, Opts);
   EXPECT_EQ(Wide.find(":p"), std::string::npos) << Wide;
@@ -488,10 +500,14 @@ TEST(PackedSortCodegen, SharedSortLowersToOnePackedRadixCall) {
   // comparison merge sort is not called anywhere.
   EXPECT_EQ(count("cvg_rt->radix_sort_packed(B3_srt"), 1u) << Code;
   EXPECT_EQ(count("cvg_rt->sort_tuples("), 0u) << Code;
-  // The readable view names the (fused) lowering and the per-dim widths.
+  // The readable view names the (fused) lowering and the per-dim widths,
+  // computed from the extents at run time.
   EXPECT_NE(Conv.pretty().find("sort_unique_tuples_packed"),
             std::string::npos);
-  EXPECT_NE(Conv.pretty().find("bits=[24,20,20]"), std::string::npos);
+  EXPECT_NE(Conv.pretty().find("bits=[cvg_bit_width(dim0),cvg_bit_width("
+                               "dim1),cvg_bit_width(dim2)]"),
+            std::string::npos)
+      << Conv.pretty();
 }
 
 TEST(PackedSortCodegen, SortedChainPosBuildEmitsZeroSearches) {
@@ -570,6 +586,131 @@ TEST(PackedSortJit, RadixPathBitIdenticalAtOneAndFourThreads) {
 #ifdef _OPENMP
   omp_set_num_threads(omp_get_num_procs());
 #endif
+}
+
+TEST(PackedSortJit, OneHandleServesEveryShapeThatPacksAndRefusesTheRest) {
+  // A handle compiled for 2048 x 2048 x 64 (11 + 11 + 6 bits) computes its
+  // key widths from each input's extents: 8192 x 8192 x 64 (13 + 13 + 6)
+  // and 2048 x 2048 x 4096 (11 + 11 + 12) convert bit-exactly through it.
+  // Extents that need more than 64 bits are refused with a Status, never
+  // sorted into aliased keys.
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  codegen::Options Opts =
+      codegen::optionsForDims(Coo3, Csf, {}, {2048, 2048, 64}, 40000);
+  ASSERT_TRUE(Opts.ForceSortedRanking);
+  auto Native = convert::PlanCache::instance().jit(Coo3, Csf, Opts);
+  ASSERT_FALSE(Native->conversion().Asm.PackWidths.empty());
+  const std::vector<int64_t> Packing[] = {
+      {2048, 2048, 64}, {8192, 8192, 64}, {2048, 2048, 4096}};
+  for (const std::vector<int64_t> &Dims : Packing) {
+    tensor::Triplets T =
+        tensor::genRandomTensor3(Dims[0], Dims[1], Dims[2], 40000, 31);
+    StatusOr<tensor::SparseTensor> Got =
+        Native->tryRun(tensor::buildFromTriplets(Coo3, T));
+    ASSERT_TRUE(Got.ok()) << Got.status().message();
+    expectBitIdentical(tensor::buildFromTriplets(Csf, T), *Got,
+                       std::to_string(Dims[0]) + " x " +
+                           std::to_string(Dims[1]) + " x " +
+                           std::to_string(Dims[2]));
+  }
+  // 31 + 20 + 20 = 71 bits.
+  std::vector<int64_t> Wide = hugeDims();
+  tensor::Triplets T = tensor::genHyperSparse3(Wide[0], Wide[1], Wide[2], 200, 5);
+  StatusOr<tensor::SparseTensor> Refused =
+      Native->tryRun(tensor::buildFromTriplets(Coo3, T));
+  ASSERT_FALSE(Refused.ok());
+  EXPECT_EQ(Refused.status().code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(Refused.status().message().find("do not pack into 64 bits"),
+            std::string::npos)
+      << Refused.status().message();
+}
+
+TEST(PackedSortJit, EverySortedPairIsOneObjectAcrossPackingShapes) {
+  // Every standard pair the rule routes to a packed sorted plan, at shapes
+  // that pack (order 3 up to exactly 64 bits; int32 coordinates cap an
+  // order-2 tuple at 62). Per shape the routed plan may land on another
+  // key (a shape over the dense budget sorts by budget, not by the rule),
+  // but an equal plan key always means a byte-identical routine, and the
+  // one object compiled at the first shape converts every shape
+  // bit-exactly against the oracle.
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  struct Order {
+    std::vector<formats::Format> Formats;
+    std::vector<std::vector<int64_t>> Shapes;
+  };
+  const Order Orders[] = {
+      {formats::allStandardFormats(),
+       {{1 << 20, 1 << 20}, {1 << 12, 1 << 24}, {int64_t(1) << 31, 1 << 30}}},
+      {formats::standardOrder3Formats(),
+       {{2048, 2048, 64},
+        {1024, 4096, 1 << 20},
+        {2048, 2048, 4096},
+        {1 << 22, 1 << 21, 1 << 21}}}};
+  const int64_t Nnz = 2000;
+  convert::PlanCache &Cache = convert::PlanCache::instance();
+  Cache.clearMemory();
+  int Routed = 0;
+  for (const Order &O : Orders) {
+    for (const formats::Format &Src : O.Formats) {
+      for (const formats::Format &Dst : O.Formats) {
+        if (!codegen::conversionSupported(Src, Dst))
+          continue;
+        codegen::Options First =
+            codegen::optionsForDims(Src, Dst, {}, O.Shapes[0], Nnz);
+        if (!First.ForceSortedRanking ||
+            codegen::planAssembly(Src, Dst, First).PackWidths.empty())
+          continue;
+        SCOPED_TRACE(Src.Name + " -> " + Dst.Name);
+        ++Routed;
+        uint64_t MissesBefore = Cache.stats().JitMisses;
+        auto Native = Cache.jit(Src, Dst, First);
+        std::map<std::string, std::string> CodeByKey;
+        int SharedFirstKey = 0;
+        for (size_t I = 0; I < O.Shapes.size(); ++I) {
+          const std::vector<int64_t> &Dims = O.Shapes[I];
+          tensor::Triplets T;
+          T.setDims(Dims);
+          std::mt19937_64 Rng(1000 + I);
+          std::set<std::vector<int64_t>> Seen;
+          while (static_cast<int64_t>(Seen.size()) < Nnz) {
+            std::vector<int64_t> C;
+            for (int64_t D : Dims)
+              C.push_back(static_cast<int64_t>(Rng() % static_cast<uint64_t>(D)));
+            // The last coordinate of every dimension too, so each width is
+            // used up to its top bit.
+            if (Seen.empty())
+              for (size_t D = 0; D < Dims.size(); ++D)
+                C[D] = Dims[D] - 1;
+            if (Seen.insert(C).second)
+              T.Entries.push_back(
+                  tensor::Entry(C, static_cast<double>(Seen.size())));
+          }
+          tensor::SparseTensor In = tensor::buildFromTriplets(Src, T);
+          codegen::Options Opts =
+              codegen::optionsForDims(Src, Dst, {}, Dims, In.storedSize());
+          codegen::AssemblyPlan Plan = codegen::planAssembly(Src, Dst, Opts);
+          ASSERT_TRUE(Plan.anySorted()) << "shape " << I;
+          ASSERT_FALSE(Plan.PackWidths.empty()) << "shape " << I;
+          std::string Key = convert::planKey(Src, Dst, Opts);
+          std::string Code = codegen::generateConversion(Src, Dst, Opts).cSource();
+          auto [It, New] = CodeByKey.emplace(Key, Code);
+          EXPECT_TRUE(New || It->second == Code) << "shape " << I;
+          SharedFirstKey += Key == convert::planKey(Src, Dst, First);
+          StatusOr<tensor::SparseTensor> Got = Native->tryRun(In);
+          ASSERT_TRUE(Got.ok()) << Got.status().message();
+          expectBitIdentical(tensor::buildFromTriplets(Dst, T), *Got,
+                             "shape " + std::to_string(I));
+        }
+        EXPECT_GE(SharedFirstKey, 2);
+        EXPECT_EQ(Cache.stats().JitMisses - MissesBefore, 1u);
+      }
+    }
+  }
+  EXPECT_GE(Routed, 12);
 }
 
 TEST(PackedSortConversions, PackedDimsMatchTheOracleAllPairs) {

@@ -540,6 +540,14 @@ TEST(IrInterpDeath, SortTuplesRangeOutOfBoundsAborts) {
 
 namespace {
 
+/// Immediate packed-key widths (routines pass ir::bitWidth expressions).
+std::vector<Expr> imms(const std::vector<int64_t> &Widths) {
+  std::vector<Expr> Out;
+  for (int64_t W : Widths)
+    Out.push_back(intImm(W));
+  return Out;
+}
+
 /// Sorts and deduplicates \p Data as \p N tuples through the packed
 /// lowering and returns the unique tuples. The interpreter executes packed
 /// sorts through the same lexicographic index sort as the unpacked form —
@@ -552,8 +560,7 @@ std::vector<int32_t> runPackedSort(std::vector<int32_t> Data, int64_t N,
   B.add(alloc("buf", ScalarKind::Int, intImm(N * Arity), false));
   B.add(forRange("i", intImm(0), intImm(N * Arity),
                  store("buf", var("i"), load("in", var("i")))));
-  B.add(sortUniqueTuplesPacked("buf", intImm(N), Arity, std::move(Widths),
-                               "u"));
+  B.add(sortUniqueTuplesPacked("buf", intImm(N), Arity, imms(Widths), "u"));
   B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(Arity))));
   Function F{"dopacked", {{"in", ScalarKind::Int, true}}, B.build()};
   Interpreter Interp;
@@ -621,7 +628,8 @@ TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
                    store("buf", var("i"), load("in", var("i")))));
     if (Fused) {
       B.add(alloc("rnk", ScalarKind::Int, intImm(48), false));
-      B.add(sortUniqueTuplesPacked("buf", intImm(48), 2, {2, 2}, "u", "rnk"));
+      B.add(sortUniqueTuplesPacked("buf", intImm(48), 2, imms({2, 2}), "u",
+                                   "rnk"));
       B.add(yieldBuffer("B2_crd", "rnk", intImm(48)));
     } else {
       B.add(sortTuples("buf", intImm(48), 2));
@@ -654,7 +662,8 @@ TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
 
 TEST(IrPackedSort, PrintingInBothViews) {
   // The fused sort+dedup declares the unique count.
-  Stmt Fused = sortUniqueTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20}, "u3");
+  Stmt Fused = sortUniqueTuplesPacked("B3_srt", var("n"), 3,
+                                      imms({24, 20, 20}), "u3");
   EXPECT_EQ(printStmt(Fused),
             "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
             "bits=[24,20,20]);\n");
@@ -662,8 +671,8 @@ TEST(IrPackedSort, PrintingInBothViews) {
             "int64_t u3 = cvg_rt->radix_sort_packed(B3_srt, n, 3, "
             "(const int64_t[]){24,20,20}, NULL, cvg_nparts());\n");
   // With a rank buffer the payload variant is named in both views.
-  Stmt Ranked = sortUniqueTuplesPacked("B3_srt", var("n"), 3, {24, 20, 20},
-                                       "u3", "B3_rank");
+  Stmt Ranked = sortUniqueTuplesPacked("B3_srt", var("n"), 3,
+                                       imms({24, 20, 20}), "u3", "B3_rank");
   EXPECT_EQ(printStmt(Ranked),
             "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
             "bits=[24,20,20], rank=B3_rank);\n");
@@ -675,7 +684,7 @@ TEST(IrPackedSort, PrintingInBothViews) {
 TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
   BlockBuilder With;
   With.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  With.add(sortUniqueTuplesPacked("b", intImm(2), 2, {8, 8}, "u"));
+  With.add(sortUniqueTuplesPacked("b", intImm(2), 2, imms({8, 8}), "u"));
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
   EXPECT_NE(emitC(FWith).find("void f_bind_runtime("), std::string::npos);
   // The radix sort itself is runtime code, not routine code.
@@ -690,12 +699,99 @@ TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
 }
 
 TEST(IrPackedSortDeath, MismatchedWidthsAbort) {
-  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 3, {8, 8}, "u"),
+  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 3, imms({8, 8}), "u"),
                "one bit width per component");
-  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 2, {40, 40}, "u"),
+  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 2, imms({40, 40}), "u"),
                "int32 coordinate widths");
-  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 3, {32, 32, 32}, "u"),
+  EXPECT_DEATH(
+      sortUniqueTuplesPacked("b", intImm(2), 3, imms({32, 32, 32}), "u"),
                "fit 64 bits");
+}
+
+TEST(IrPackedSort, RunTimeWidthsFollowTheOneRule) {
+  // ceil(log2(extent)), 0 up to extent 1: every coordinate below the
+  // extent fits.
+  const std::pair<int64_t, int64_t> Table[] = {
+      {0, 0},     {1, 0},     {2, 1},           {3, 2},
+      {64, 6},    {2048, 11}, {2049, 12},       {int64_t(1) << 32, 32},
+      {(int64_t(1) << 32) + 1, 33}};
+  for (const auto &[Extent, Width] : Table) {
+    EXPECT_EQ(bitWidthOf(Extent), Width) << Extent;
+    int64_t Folded = -1;
+    EXPECT_TRUE(isIntConst(bitWidth(intImm(Extent)), &Folded));
+    EXPECT_EQ(Folded, Width) << Extent;
+  }
+  // Over a run-time extent the width is an expression both views print
+  // as the prelude helper's call, emitted only when a routine uses it.
+  std::vector<Expr> Widths = {bitWidth(var("dim0")), bitWidth(var("dim1"))};
+  Stmt Sort = sortUniqueTuplesPacked("b", intImm(2), 2, Widths, "u");
+  EXPECT_EQ(printStmtAsC(Sort),
+            "int64_t u = cvg_rt->radix_sort_packed(b, 2, 2, (const "
+            "int64_t[]){cvg_bit_width(dim0),cvg_bit_width(dim1)}, NULL, "
+            "cvg_nparts());\n");
+  EXPECT_EQ(printStmt(Sort),
+            "int64_t u = sort_unique_tuples_packed(b, 2, 2, "
+            "bits=[cvg_bit_width(dim0),cvg_bit_width(dim1)]);\n");
+  BlockBuilder B;
+  B.add(alloc("b", ScalarKind::Int, intImm(4), false));
+  B.add(Sort);
+  Function F{"f",
+             {{"dim0", ScalarKind::Int, false},
+              {"dim1", ScalarKind::Int, false}},
+             B.build()};
+  EXPECT_NE(emitC(F).find("static int64_t cvg_bit_width(int64_t extent)"),
+            std::string::npos);
+  BlockBuilder Imm;
+  Imm.add(alloc("b", ScalarKind::Int, intImm(4), false));
+  Imm.add(sortUniqueTuplesPacked("b", intImm(2), 2, imms({8, 8}), "u"));
+  Function FImm{"f", {{"dim0", ScalarKind::Int, false}}, Imm.build()};
+  EXPECT_EQ(emitC(FImm).find("cvg_bit_width"), std::string::npos);
+}
+
+namespace {
+
+/// Sorts \p Data as \p N pairs with widths computed from the run-time
+/// extents dim0 and dim1, as generated routines do.
+std::vector<int32_t> runExtentSort(std::vector<int32_t> Data, int64_t N,
+                                   int64_t Dim0, int64_t Dim1) {
+  BlockBuilder B;
+  B.add(alloc("buf", ScalarKind::Int, intImm(N * 2), false));
+  B.add(forRange("i", intImm(0), intImm(N * 2),
+                 store("buf", var("i"), load("in", var("i")))));
+  B.add(sortUniqueTuplesPacked("buf", intImm(N), 2,
+                               {bitWidth(var("dim0")), bitWidth(var("dim1"))},
+                               "u"));
+  B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(2))));
+  Function F{"doextent",
+             {{"in", ScalarKind::Int, true},
+              {"dim0", ScalarKind::Int, false},
+              {"dim1", ScalarKind::Int, false}},
+             B.build()};
+  Interpreter Interp;
+  Interp.bindIntBuffer("in", std::move(Data));
+  Interp.bindScalar("dim0", Dim0);
+  Interp.bindScalar("dim1", Dim1);
+  return Interp.run(F).Buffers["B1_crd"].Ints;
+}
+
+} // namespace
+
+TEST(IrPackedSort, InterpreterChecksRunTimeWidths) {
+  // One routine, several shapes: the widths follow the extents.
+  EXPECT_EQ(runExtentSort({5, 1, 0, 3, 5, 1}, 3, 6, 4),
+            (std::vector<int32_t>{0, 3, 5, 1}));
+  EXPECT_EQ(runExtentSort({5000, 1, 0, 3}, 2, 8192, 4),
+            (std::vector<int32_t>{0, 3, 5000, 1}));
+  // Exactly 64 bits packs.
+  EXPECT_EQ(runExtentSort({7, 9}, 1, int64_t(1) << 32, int64_t(1) << 32),
+            (std::vector<int32_t>{7, 9}));
+}
+
+TEST(IrPackedSortDeath, RunTimeWidthsOutsideTheContractFail) {
+  // 33 bits for an int32 component, and a coordinate past its extent.
+  EXPECT_DEATH(runExtentSort({7, 9}, 1, (int64_t(1) << 32) + 1, 4),
+               "not an int32 coordinate width");
+  EXPECT_DEATH(runExtentSort({7, 9}, 1, 4, 4), "does not fit");
 }
 
 namespace {
@@ -711,7 +807,7 @@ int64_t runSearch(std::vector<int32_t> Srt, int64_t N,
   Expr Rank = Widths.empty()
                   ? lowerBound("srt", intImm(N), std::move(Keys))
                   : lowerBoundPacked("srt", intImm(N), std::move(Keys),
-                                     std::move(Widths));
+                                     imms(Widths));
   BlockBuilder B;
   B.add(decl("r", Rank));
   B.add(yieldScalar("B1_param", var("r")));
@@ -740,7 +836,7 @@ TEST(IrPackedSearch, InterpreterMatchesTheUnpackedSearch) {
 TEST(IrPackedSearch, PrintingNamesThePackedHelper) {
   Stmt S = decl("r", lowerBoundPacked("B3_srt", var("u3"),
                                       {var("i"), var("j"), var("k")},
-                                      {24, 20, 20}));
+                                      imms({24, 20, 20})));
   EXPECT_NE(printStmtAsC(S).find(
                 "cvg_lower_bound_packed(B3_srt, u3, 3, "
                 "(const int64_t[]){24,20,20}, (const int64_t[]){i, j, k})"),
@@ -755,7 +851,7 @@ TEST(IrPackedSearch, PreludeHelperIsEmittedOnlyWhenUsed) {
     Expr Rank = Widths.empty()
                     ? lowerBound("b", intImm(0), std::move(Keys))
                     : lowerBoundPacked("b", intImm(0), std::move(Keys),
-                                       std::move(Widths));
+                                       imms(Widths));
     B.add(alloc("b", ScalarKind::Int, intImm(4), false));
     B.add(decl("r", Rank));
     return B.build();
@@ -775,12 +871,12 @@ TEST(IrPackedSearch, PreludeHelperIsEmittedOnlyWhenUsed) {
 
 TEST(IrPackedSearchDeath, MismatchedWidthsAbort) {
   std::vector<Expr> Keys = {intImm(0), intImm(0)};
-  EXPECT_DEATH(lowerBoundPacked("b", intImm(0), Keys, {8}),
+  EXPECT_DEATH(lowerBoundPacked("b", intImm(0), Keys, imms({8})),
                "one bit width per key component");
-  EXPECT_DEATH(lowerBoundPacked("b", intImm(0), Keys, {40, 8}),
+  EXPECT_DEATH(lowerBoundPacked("b", intImm(0), Keys, imms({40, 8})),
                "int32 coordinate widths");
   std::vector<Expr> Keys3 = {intImm(0), intImm(0), intImm(0)};
-  EXPECT_DEATH(lowerBoundPacked("b", intImm(0), Keys3, {32, 32, 32}),
+  EXPECT_DEATH(lowerBoundPacked("b", intImm(0), Keys3, imms({32, 32, 32})),
                "fit 64 bits");
 }
 

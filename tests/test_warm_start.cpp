@@ -14,7 +14,8 @@
 /// loadable; the DegradationLog's preload-evict count reconciles exactly
 /// with the preload stats; a process without a disk cache leaves the
 /// shared manifest alone; and a sorted routine, which binds the prebuilt
-/// sort/scan runtime at load, runs from its disk object with no compiler.
+/// sort/scan runtime at load, runs from its disk object with no compiler
+/// and preloads from the manifest like any other plan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -311,14 +312,15 @@ TEST(WarmStart, OtherManifestVersionIsDroppedWholeAndObjectsStillServe) {
   Cache.clearMemory();
 
   // Manifests written under earlier line layouts (v1 carried a per-entry
-  // compile-flags field, v2 an unsequenced-edges option bit): no line of
-  // either can be trusted.
+  // compile-flags field, v2 an unsequenced-edges option bit, v3 no
+  // forced-sorted bit): no line of any can be trusted.
   std::string Contents = readFile(ManifestPath);
   std::string::size_type HeaderEnd = Contents.find('\n');
   ASSERT_NE(HeaderEnd, std::string::npos);
   std::string Header = Contents.substr(0, HeaderEnd);
-  EXPECT_EQ(Header, "convgen-manifest-v3");
-  for (const char *Old : {"convgen-manifest-v1", "convgen-manifest-v2"}) {
+  EXPECT_EQ(Header, "convgen-manifest-v4");
+  for (const char *Old : {"convgen-manifest-v1", "convgen-manifest-v2",
+                          "convgen-manifest-v3"}) {
     SCOPED_TRACE(Old);
     writeFile(ManifestPath, Old + Contents.substr(HeaderEnd));
     auto Before = DegradationLog::instance().snapshot();
@@ -415,5 +417,63 @@ TEST(WarmStart, SortedRoutineRunsFromItsDiskObjectWithoutACompiler) {
       jit::JitConversion::loadCachedOnly(Compiled->conversion(), SoPath);
   ASSERT_NE(Preloaded, nullptr);
   expectSameStorage(Reference, Preloaded->run(In));
+  Cache.clearMemory();
+}
+
+TEST(WarmStart, SortedPlanPreloadsAndItsFirstRequestsNeverMiss) {
+  if (skipWithoutJit())
+    GTEST_SKIP() << "needs a native compiler without injected faults";
+  ScopedCacheDir Scope;
+  ASSERT_FALSE(Scope.Dir.empty());
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  tensor::SparseTensor In = tensor::buildFromTriplets(
+      Coo3, tensor::genRandomTensor3(2048, 2048, 64, 5000, 13));
+  codegen::Options Opts =
+      codegen::optionsForDims(Coo3, Csf, {}, In.Dims, In.storedSize());
+  ASSERT_TRUE(Opts.ForceSortedRanking);
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  ASSERT_EQ(populate(Cache), static_cast<int>(pairPool().size()));
+  auto Compiled = Cache.jit(Coo3, Csf, Opts);
+  ASSERT_FALSE(Compiled->degraded());
+  tensor::SparseTensor Reference = Compiled->run(In);
+  ASSERT_TRUE(Cache.exportManifest().ok());
+  // The forced-sorted bit round-trips through the option field.
+  EXPECT_NE(readFile(PlanCache::manifestFilePath()).find("\tq1c1m0s1\t"),
+            std::string::npos);
+
+  // "Restart": every entry, the sorted one included, preloads from its
+  // disk object.
+  Cache.clearMemory();
+  auto Before = DegradationLog::instance().snapshot();
+  PreloadStats S = Cache.preload();
+  auto After = DegradationLog::instance().snapshot();
+  EXPECT_EQ(After[Degradation::JitCompileFailure],
+            Before[Degradation::JitCompileFailure]);
+  EXPECT_EQ(S.Entries, pairPool().size() + 1);
+  EXPECT_EQ(S.Loaded, pairPool().size() + 1);
+  EXPECT_EQ(S.Evicted, 0u);
+
+  // The first sorted request, at this shape and at another shape that
+  // packs onto the same plan, is an in-memory hit.
+  tensor::SparseTensor Other = tensor::buildFromTriplets(
+      Coo3, tensor::genRandomTensor3(1024, 4096, 128, 3000, 17));
+  codegen::Options OtherOpts =
+      codegen::optionsForDims(Coo3, Csf, {}, Other.Dims, Other.storedSize());
+  ASSERT_EQ(convert::planKey(Coo3, Csf, OtherOpts),
+            convert::planKey(Coo3, Csf, Opts));
+  PlanCacheStats Mid = Cache.stats();
+  auto Warm = Cache.jit(Coo3, Csf, Opts);
+  auto WarmOther = Cache.jit(Coo3, Csf, OtherOpts);
+  PlanCacheStats End = Cache.stats();
+  EXPECT_EQ(End.JitMisses, Mid.JitMisses);
+  EXPECT_EQ(End.JitHits - Mid.JitHits, 2u);
+  EXPECT_EQ(Warm, WarmOther);
+  ASSERT_FALSE(Warm->degraded()) << Warm->degradationReason();
+  EXPECT_TRUE(Warm->loadedFromCache());
+  expectSameStorage(Reference, Warm->run(In));
+  expectSameStorage(convert::Converter(Coo3, Csf).run(Other),
+                    WarmOther->run(Other));
   Cache.clearMemory();
 }
