@@ -1164,10 +1164,10 @@ Options codegen::optionsForDims(const formats::Format &Source,
   Out.DimsHint = Dims;
   AssemblyPlan Plan = planAssembly(Source, Target, Out);
   // The sorted-ranking rule: a ranked level whose dense rank array dwarfs
-  // the input moves the plan to sorted ranking, if that applies.
+  // a nonempty input moves the plan to sorted ranking, if that applies.
   size_t Level = 0;
   while (Level < Plan.RankSpace.size() &&
-         !(Nnz >= 0 && Plan.Unsupported.empty() &&
+         !(Nnz >= 1 && Plan.Unsupported.empty() &&
            Plan.RankSpace[Level] > kSortedRankRatio * Nnz))
     ++Level;
   bool Fires = Level < Plan.RankSpace.size();
@@ -1194,6 +1194,8 @@ Options codegen::optionsForDims(const formats::Format &Source,
                   static_cast<long long>(Nnz), Blocked.c_str());
   else if (Why && Nnz < 0)
     *Why = "default plan: nnz unknown";
+  else if (Why && Nnz == 0)
+    *Why = "default plan: empty input";
   else if (Why)
     *Why = strfmt("default plan: no ranked level's dense rank space "
                   "exceeds %lld x nnz (%lld)",

@@ -56,9 +56,9 @@ struct Options {
   /// plan optionsForDims() picks when a dense rank array dwarfs nnz).
   /// planAssembly() reports Unsupported with a specific diagnostic when a
   /// level fails the strategy's preconditions instead of silently keeping
-  /// dense ranking. Participates in plan keys and the warm-start manifest's
-  /// option bits, so a forced plan can never alias the default plan's
-  /// cached object.
+  /// dense ranking. Plan keys carry the strategy bits it selects and the
+  /// warm-start manifest's option bits carry the flag itself, so a forced
+  /// plan can never alias the default plan's cached object.
   bool ForceSortedRanking = false;
 };
 
@@ -152,7 +152,8 @@ constexpr int64_t kSortedRankRatio = 5;
 
 /// The one routing function every conversion runner calls per request.
 /// Returns \p Opts specialized to an input with these \p Dims and \p Nnz
-/// stored values (-1: unknown, which turns the sorted-ranking rule off):
+/// stored values (-1: unknown; unknown and empty inputs turn the
+/// sorted-ranking rule off, since an empty input has nothing to sort):
 ///  * ForceSortedRanking is set when some ranked level's RankSpace exceeds
 ///    kSortedRankRatio * Nnz and the sorted plan is supported, whatever
 ///    the size of the input: a sorted routine is one compiled object per

@@ -351,9 +351,10 @@ std::string convert::planKey(const formats::Format &Source,
   // CONVGEN_RANK_DENSE_MAX_BYTES can never hit a stale cached plan.
   // optionsForDims() keeps the hint empty whenever the dims do not affect
   // the plan, so ordinary tensors share the default entry per pair.
-  // Forced sorted ranking always carries its strategy bits (and a one-bit
-  // forced marker below): a forced plan can never alias the default
-  // plan's cached object even at hint-free dims.
+  // Forced sorted ranking always carries its strategy bits, so a forced
+  // plan can never alias the default plan's cached object even at
+  // hint-free dims; the bits fix the routine, so a forced plan and a
+  // budget-sorted plan with the same bits share one entry.
   if (!Opts.DimsHint.empty() || Opts.ForceSortedRanking) {
     codegen::AssemblyPlan Plan = codegen::planAssembly(Source, Target, Opts);
     Key += " [s";
@@ -372,8 +373,6 @@ std::string convert::planKey(const formats::Format &Source,
         Key += ":" + std::to_string(D);
     }
     Key += "]";
-    if (Opts.ForceSortedRanking)
-      Key += " [f:S1]";
   }
   return Key;
 }

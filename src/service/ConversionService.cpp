@@ -6,21 +6,16 @@
 
 #include "service/ConversionService.h"
 
-#include "convert/Converter.h"
 #include "convert/PlanCache.h"
 #include "jit/Jit.h"
-#include "support/Assert.h"
 #include "support/DegradationLog.h"
-#include "support/Fault.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
-#include <map>
-#include <system_error>
+#include <memory>
 #include <thread>
-#include <utility>
 
 using namespace convgen;
 using namespace convgen::convert;
@@ -65,14 +60,6 @@ ConversionService::ConversionService(ServiceLimits L) : Limits(L) {
     Limits.MaxInflight = 1;
   if (Limits.QueueDepth < 0)
     Limits.QueueDepth = 0;
-}
-
-ConversionService::~ConversionService() {
-  // Outstanding submit() workers hold `this`; leaving before they finish
-  // would be a use-after-free. Futures already handed out stay valid
-  // (shared state is owned by the future/promise pair, not the service).
-  std::unique_lock<std::mutex> Lock(AsyncMu);
-  AsyncDrained.wait(Lock, [this] { return AsyncOutstanding == 0; });
 }
 
 Status ConversionService::admit(const Deadline &D) {
@@ -123,34 +110,24 @@ void ConversionService::release() {
   SlotFreed.notify_one();
 }
 
-Deadline ConversionService::resolveDeadline(int64_t DeadlineMs) const {
-  int64_t Ms = DeadlineMs < 0 ? Limits.DefaultDeadlineMs : DeadlineMs;
-  return Ms > 0 ? Deadline::afterMillis(Ms) : Deadline::never();
-}
-
-/// The options a native request is keyed and compiled under: its own,
-/// routed to the plan its input's dims and nnz call for
-/// (codegen::optionsForDims: the dense-budget flip and the sorted-ranking
-/// rule), since a JIT handle compiled with dense ranking rejects huge-dims
-/// tensors (see Jit.h). ForceInterpreter requests keep their own (the
-/// Converter routes itself), as do malformed ones without input.
-static codegen::Options routedOptions(const ConversionRequest &Request) {
-  if (Request.ForceInterpreter || !Request.Input)
-    return Request.Opts;
-  return codegen::optionsForDims(Request.Source, Request.Target, Request.Opts,
-                                 Request.Input->Dims,
-                                 Request.Input->storedSize());
-}
-
 StatusOr<tensor::SparseTensor>
-ConversionService::execute(const ConversionRequest &Request, const Deadline &D,
-                           const codegen::Options &Opts, BatchGroup *Group) {
+ConversionService::convert(const ConversionRequest &Request) {
   Counts.Submitted.fetch_add(1, std::memory_order_relaxed);
+  int64_t Ms =
+      Request.DeadlineMs < 0 ? Limits.DefaultDeadlineMs : Request.DeadlineMs;
+  const Deadline D = Ms > 0 ? Deadline::afterMillis(Ms) : Deadline::never();
   bool Degraded = false;
   StatusOr<tensor::SparseTensor> Out = [&]() -> StatusOr<tensor::SparseTensor> {
     if (!Request.Input)
       return Status::error(ErrorCode::InvalidArgument,
                            "service: request carries no input tensor");
+    // The request is keyed and compiled under its own options routed to the
+    // plan its input's dims and nnz call for (codegen::optionsForDims: the
+    // dense-budget flip and the sorted-ranking rule), since a JIT handle
+    // compiled with dense ranking rejects huge-dims tensors (see Jit.h).
+    codegen::Options Opts = codegen::optionsForDims(
+        Request.Source, Request.Target, Request.Opts, Request.Input->Dims,
+        Request.Input->storedSize());
     Status Admitted = admit(D);
     if (!Admitted.ok())
       return Admitted;
@@ -162,182 +139,39 @@ ConversionService::execute(const ConversionRequest &Request, const Deadline &D,
     auto deadlineExpired = [&](const char *Where) {
       DegradationLog::instance().record(
           Degradation::DeadlineExceeded,
-          strfmt("%s -> %s: %s%s", Request.Source.Name.c_str(),
-                 Request.Target.Name.c_str(), Where,
-                 Group ? " (batch member)" : ""));
+          strfmt("%s -> %s: %s", Request.Source.Name.c_str(),
+                 Request.Target.Name.c_str(), Where));
       return Status::error(
           ErrorCode::DeadlineExceeded,
           strfmt("service: request deadline expired %s", Where));
     };
     if (D.expired())
       return deadlineExpired("entering execution");
-
-    if (Request.ForceInterpreter) {
-      // Oracle traffic: the Converter routes dims-specialized plans itself
-      // and checks the deadline at its own phase boundaries.
-      StatusOr<Converter> C =
-          Converter::tryCreate(Request.Source, Request.Target, Request.Opts);
-      if (!C.ok())
-        return C.status();
-      return C->tryRun(*Request.Input, D);
-    }
-
-    // A group member reuses the handle an earlier member acquired; a failed
-    // acquisition is retried by the next member.
-    std::shared_ptr<jit::JitConversion> Handle =
-        Group ? Group->Handle : nullptr;
-    if (!Handle) {
-      StatusOr<std::shared_ptr<jit::JitConversion>> H =
-          PlanCache::instance().tryJit(Request.Source, Request.Target, Opts,
-                                       Group ? Group->AcquireBy : D);
-      if (!H.ok())
-        return H.status();
-      Handle = H.take();
-      if (Group) {
-        Group->Handle = Handle;
-        Group->Stats->HandleAcquisitions++;
-      }
-    }
+    StatusOr<std::shared_ptr<jit::JitConversion>> Handle =
+        PlanCache::instance().tryJit(Request.Source, Request.Target, Opts, D);
+    if (!Handle.ok())
+      return Handle.status();
     if (D.expired())
       return deadlineExpired("after plan/JIT acquisition");
-    Degraded = Handle->degraded();
-    return Handle->tryRun(*Request.Input);
+    Degraded = (*Handle)->degraded();
+    return (*Handle)->tryRun(*Request.Input);
   }();
 
   // The one outcome-to-counter mapping: each request lands in exactly one
-  // of Completed / Shed / DeadlineExpired / RequestErrors, in the service
-  // counters and, for a batch member, in its batch's breakout.
-  auto Bump = [Group](std::atomic<uint64_t> &Counter,
-                      uint64_t BatchStats::*Field) {
-    Counter.fetch_add(1, std::memory_order_relaxed);
-    if (Group)
-      ++(Group->Stats->*Field);
-  };
+  // of Completed / Shed / DeadlineExpired / RequestErrors.
   ErrorCode Code = Out.status().code();
   if (Out.ok()) {
     if (Degraded)
-      Bump(Counts.DegradedRuns, &BatchStats::DegradedRuns);
-    Bump(Counts.Completed, &BatchStats::Completed);
+      Counts.DegradedRuns.fetch_add(1, std::memory_order_relaxed);
+    Counts.Completed.fetch_add(1, std::memory_order_relaxed);
   } else if (Code == ErrorCode::ResourceExhausted) {
-    Bump(Counts.Shed, &BatchStats::Shed);
+    Counts.Shed.fetch_add(1, std::memory_order_relaxed);
   } else if (Code == ErrorCode::DeadlineExceeded) {
-    Bump(Counts.DeadlineExpired, &BatchStats::DeadlineExpired);
+    Counts.DeadlineExpired.fetch_add(1, std::memory_order_relaxed);
   } else {
-    Bump(Counts.RequestErrors, &BatchStats::RequestErrors);
+    Counts.RequestErrors.fetch_add(1, std::memory_order_relaxed);
   }
   return Out;
-}
-
-StatusOr<tensor::SparseTensor>
-ConversionService::convert(const ConversionRequest &Request) {
-  return execute(Request, resolveDeadline(Request.DeadlineMs),
-                 routedOptions(Request), nullptr);
-}
-
-std::vector<StatusOr<tensor::SparseTensor>>
-ConversionService::submitBatch(const std::vector<ConversionRequest> &Requests,
-                               BatchStats *Stats) {
-  Counts.Batches.fetch_add(1, std::memory_order_relaxed);
-  Counts.BatchRequests.fetch_add(Requests.size(),
-                                 std::memory_order_relaxed);
-  BatchStats Local;
-  BatchStats &B = Stats ? *Stats : Local;
-  B = BatchStats();
-  B.Requests = Requests.size();
-
-  // Deadlines resolve once, at batch entry, for every member: a member's
-  // budget covers its whole stay in the batch, including the members ahead
-  // of it (that wait is exactly what the deadline is for). Members group
-  // by the routed plan key in first-appearance order, exactly as convert()
-  // keys the cache, so tensors whose dims land on the same assembly
-  // strategy share one handle. ForceInterpreter and null-input requests
-  // cannot share a native handle; each is its own singleton group.
-  std::vector<Deadline> Deadlines;
-  std::vector<codegen::Options> Opts;
-  std::vector<std::vector<size_t>> Groups;
-  std::map<std::string, size_t> GroupIndex;
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    const ConversionRequest &R = Requests[I];
-    Deadlines.push_back(resolveDeadline(R.DeadlineMs));
-    Opts.push_back(routedOptions(R));
-    if (R.ForceInterpreter || !R.Input) {
-      Groups.push_back({I});
-      continue;
-    }
-    auto [It, New] = GroupIndex.emplace(
-        planKey(R.Source, R.Target, Opts.back()), Groups.size());
-    if (New)
-      Groups.emplace_back();
-    Groups[It->second].push_back(I);
-  }
-  B.Groups = Groups.size();
-  Counts.BatchGroups.fetch_add(Groups.size(), std::memory_order_relaxed);
-
-  std::vector<StatusOr<tensor::SparseTensor>> Results(
-      Requests.size(),
-      Status::error(ErrorCode::Internal, "batch member never executed"));
-  for (const std::vector<size_t> &Members : Groups) {
-    // The group's one acquisition is bounded by its most patient member.
-    BatchGroup Group{Deadlines[Members.front()], nullptr, &B};
-    for (size_t Idx : Members)
-      if (!Group.AcquireBy.infinite() &&
-          (Deadlines[Idx].infinite() ||
-           Deadlines[Idx].timePoint() > Group.AcquireBy.timePoint()))
-        Group.AcquireBy = Deadlines[Idx];
-    for (size_t Idx : Members)
-      Results[Idx] = execute(Requests[Idx], Deadlines[Idx], Opts[Idx], &Group);
-  }
-  return Results;
-}
-
-std::future<StatusOr<tensor::SparseTensor>>
-ConversionService::submit(ConversionRequest Request) {
-  Counts.AsyncSubmitted.fetch_add(1, std::memory_order_relaxed);
-  // The packaged_task owns the promise; the caller's future stays valid
-  // even if the service dies right after the worker finishes. The worker
-  // thread holds `this` only until it decrements AsyncOutstanding, which
-  // the destructor waits on.
-  auto Task = std::make_shared<
-      std::packaged_task<StatusOr<tensor::SparseTensor>()>>(
-      [this, Request = std::move(Request)] { return convert(Request); });
-  std::future<StatusOr<tensor::SparseTensor>> Fut = Task->get_future();
-  auto Finished = [this] {
-    // Notify under the lock: once the destructor sees zero it destroys the
-    // condition variable, so the worker must be done with it by then.
-    std::lock_guard<std::mutex> Lock(AsyncMu);
-    --AsyncOutstanding;
-    AsyncDrained.notify_all();
-  };
-  {
-    std::lock_guard<std::mutex> Lock(AsyncMu);
-    ++AsyncOutstanding;
-  }
-  try {
-    if (support::faultInjected(support::FaultSite::ThreadSpawn))
-      throw std::system_error(
-          std::make_error_code(std::errc::resource_unavailable_try_again),
-          "injected thread-spawn fault");
-    std::thread([Task, Finished] {
-      (*Task)();
-      Finished();
-    }).detach();
-  } catch (const std::system_error &E) {
-    // No worker will ever run the task or drop the count: undo both here,
-    // and shed the request instead of leaking the exception.
-    Finished();
-    Counts.Submitted.fetch_add(1, std::memory_order_relaxed);
-    Counts.Shed.fetch_add(1, std::memory_order_relaxed);
-    DegradationLog::instance().record(
-        Degradation::LoadShed,
-        strfmt("submit: cannot start a worker thread (%s)", E.what()));
-    std::promise<StatusOr<tensor::SparseTensor>> Shed;
-    Shed.set_value(Status::error(
-        ErrorCode::ResourceExhausted,
-        strfmt("service: cannot start a worker thread (%s); retry later",
-               E.what())));
-    return Shed.get_future();
-  }
-  return Fut;
 }
 
 ServiceStats ConversionService::stats() const {
@@ -350,12 +184,6 @@ ServiceStats ConversionService::stats() const {
   Out.DegradedRuns = Counts.DegradedRuns.load(std::memory_order_relaxed);
   Out.RequestErrors =
       Counts.RequestErrors.load(std::memory_order_relaxed);
-  Out.Batches = Counts.Batches.load(std::memory_order_relaxed);
-  Out.BatchRequests =
-      Counts.BatchRequests.load(std::memory_order_relaxed);
-  Out.BatchGroups = Counts.BatchGroups.load(std::memory_order_relaxed);
-  Out.AsyncSubmitted =
-      Counts.AsyncSubmitted.load(std::memory_order_relaxed);
   return Out;
 }
 

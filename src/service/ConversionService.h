@@ -27,13 +27,12 @@
 ///    DegradationLog and the service's own stats — the export surface the
 ///    throughput bench and a future metrics endpoint read.
 ///
-/// Beyond per-request convert(), the service offers submitBatch() — plan-
-/// key-grouped execution where one JIT-handle acquisition serves a queue
-/// of same-plan tensors — and an async submit() returning a future, both
-/// composing with the same admission/shedding/deadline discipline. A
+/// convert() is the service's one request path: the paper's execution
+/// model (compile a routine once, then call it once per request). A
 /// restarted server calls PlanCache::preload() before constructing the
 /// service, so its first requests hit preloaded handles instead of cold
-/// compiles.
+/// compiles. Interpreter (oracle) traffic does not go through the service:
+/// Converter::tryRun routes itself and honors deadlines.
 ///
 /// Environment knobs (read once at construction; see ServiceLimits):
 ///   CONVGEN_MAX_INFLIGHT        concurrent request cap (default 2x the
@@ -49,7 +48,6 @@
 #define CONVGEN_SERVICE_CONVERSIONSERVICE_H
 
 #include "codegen/Generator.h"
-#include "jit/Jit.h"
 #include "support/Deadline.h"
 #include "support/Status.h"
 #include "tensor/SparseTensor.h"
@@ -57,10 +55,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
-#include <memory>
 #include <mutex>
-#include <vector>
 
 namespace convgen {
 namespace convert {
@@ -84,15 +79,14 @@ struct ServiceLimits {
 };
 
 /// Monotone counters; readable from any thread while requests run. Every
-/// request — individual, batch member, or async — counts in Submitted and
-/// lands in exactly one of Completed / Shed / DeadlineExpired /
-/// RequestErrors, so the conservation identity holds mid-flight too (each
-/// field is exact; the set is not sampled in one instant).
+/// request counts in Submitted and lands in exactly one of Completed /
+/// Shed / DeadlineExpired / RequestErrors, so the conservation identity
+/// holds mid-flight too (each field is exact; the set is not sampled in
+/// one instant).
 struct ServiceStats {
   uint64_t Submitted = 0;
   uint64_t Completed = 0;
-  /// Rejected with ResourceExhausted: at admission (queue full), or by
-  /// submit() when it could not start a worker thread.
+  /// Rejected with ResourceExhausted at admission (queue full).
   uint64_t Shed = 0;
   /// Returned DeadlineExceeded anywhere on the request path.
   uint64_t DeadlineExpired = 0;
@@ -101,32 +95,6 @@ struct ServiceStats {
   /// Request-shaped failures (wrong format, unsupported pair, unsorted
   /// input) — the caller's bug, not the service's.
   uint64_t RequestErrors = 0;
-  /// submitBatch() calls.
-  uint64_t Batches = 0;
-  /// Requests that arrived inside a batch (also counted in Submitted).
-  uint64_t BatchRequests = 0;
-  /// Distinct plan-key groups across all batches.
-  uint64_t BatchGroups = 0;
-  /// submit() futures handed out (their requests also count in Submitted
-  /// when the worker runs them, or when no worker could be started).
-  uint64_t AsyncSubmitted = 0;
-};
-
-/// Per-call breakout a submitBatch() caller can ask for: how much cache
-/// traversal the grouping actually saved, and where each member ended up.
-struct BatchStats {
-  uint64_t Requests = 0;
-  /// Distinct plan-key groups (ForceInterpreter and invalid requests run
-  /// ungrouped and count one group each).
-  uint64_t Groups = 0;
-  /// JIT-handle acquisitions performed — at most one per group; fewer when
-  /// every member of a group was shed or expired before acquiring.
-  uint64_t HandleAcquisitions = 0;
-  uint64_t Completed = 0;
-  uint64_t Shed = 0;
-  uint64_t DeadlineExpired = 0;
-  uint64_t RequestErrors = 0;
-  uint64_t DegradedRuns = 0;
 };
 
 /// One conversion request. The input tensor is borrowed and must stay
@@ -140,9 +108,6 @@ struct ConversionRequest {
   /// Per-request deadline in milliseconds: > 0 bounds this request, 0
   /// explicitly unbounded, < 0 (default) inherits the service default.
   int64_t DeadlineMs = -1;
-  /// Serve through the reference interpreter even when the JIT path is
-  /// healthy (oracle traffic, debugging).
-  bool ForceInterpreter = false;
 };
 
 class ConversionService {
@@ -163,43 +128,6 @@ public:
   /// request completes through the interpreter, bit-exact.
   StatusOr<tensor::SparseTensor> convert(const ConversionRequest &Request);
 
-  /// Executes a batch of requests, grouped by plan key so one JIT-handle
-  /// acquisition serves every member of a group (single-flight already
-  /// dedups *compiles*; grouping dedups the per-request cache traversal
-  /// and the coalesced-flight waits). Results come back positionally —
-  /// Results[i] is Requests[i]'s outcome, same Status taxonomy as
-  /// convert(). Semantics:
-  ///
-  ///  * Groups execute in first-appearance order; within a group, members
-  ///    run FIFO on the calling thread through convert()'s path, each
-  ///    under its own admission slot and its own deadline, resolved at
-  ///    batch entry — a batch never bypasses shedding, and a shed or
-  ///    expired member fails alone while the batch continues.
-  ///  * The group's one handle acquisition is bounded by the *most
-  ///    patient* member's deadline (the handle outlives any one member);
-  ///    each member then still honors its own deadline before running.
-  ///  * ForceInterpreter and malformed (null-input) requests are not
-  ///    grouped; each is its own singleton group.
-  ///
-  /// \p Stats (optional) receives the per-call breakout; the service-wide
-  /// counters are updated either way.
-  std::vector<StatusOr<tensor::SparseTensor>>
-  submitBatch(const std::vector<ConversionRequest> &Requests,
-              BatchStats *Stats = nullptr);
-
-  /// Asynchronous convert(): returns immediately with a future that
-  /// resolves to the request's outcome. The request runs on a service
-  /// worker thread through the same admission/shedding/deadline path as
-  /// convert() — a saturated service sheds async requests identically.
-  /// The borrowed Request.Input must stay alive and unmodified until the
-  /// future is ready (not merely until submit() returns). When no worker
-  /// thread can be started, the future is ready at once with
-  /// ResourceExhausted and the request counts as Shed. The destructor
-  /// drains outstanding async requests before the service dies.
-  std::future<StatusOr<tensor::SparseTensor>> submit(ConversionRequest Request);
-
-  ~ConversionService();
-
   ServiceStats stats() const;
 
   /// Requests currently executing (not queued); test synchronization.
@@ -208,24 +136,6 @@ public:
   const ServiceLimits &limits() const { return Limits; }
 
 private:
-  /// A batch member's context: its group's one JIT handle (acquired by
-  /// the first member that needs it, by AcquireBy) and the call's stats.
-  struct BatchGroup {
-    support::Deadline AcquireBy;
-    std::shared_ptr<jit::JitConversion> Handle;
-    BatchStats *Stats;
-  };
-
-  /// The one request path of convert() and every submitBatch() member:
-  /// admission, deadline checks against the already resolved \p D, handle
-  /// acquisition under the already routed \p Opts (or the interpreter),
-  /// the run, and the outcome counters. \p Group is null outside a batch.
-  StatusOr<tensor::SparseTensor> execute(const ConversionRequest &Request,
-                                         const support::Deadline &D,
-                                         const codegen::Options &Opts,
-                                         BatchGroup *Group);
-  /// \p DeadlineMs (or the service default) as a Deadline starting now.
-  support::Deadline resolveDeadline(int64_t DeadlineMs) const;
   /// Blocks until a slot frees (bounded by \p Deadline) or sheds.
   Status admit(const support::Deadline &Deadline);
   void release();
@@ -237,13 +147,6 @@ private:
   int Inflight = 0;
   int Queued = 0;
 
-  /// Async-worker bookkeeping: the destructor blocks until every submit()
-  /// worker has finished (futures handed to callers stay valid — they own
-  /// the shared state).
-  std::mutex AsyncMu;
-  std::condition_variable AsyncDrained;
-  int AsyncOutstanding = 0;
-
   struct Counters {
     std::atomic<uint64_t> Submitted{0};
     std::atomic<uint64_t> Completed{0};
@@ -251,10 +154,6 @@ private:
     std::atomic<uint64_t> DeadlineExpired{0};
     std::atomic<uint64_t> DegradedRuns{0};
     std::atomic<uint64_t> RequestErrors{0};
-    std::atomic<uint64_t> Batches{0};
-    std::atomic<uint64_t> BatchRequests{0};
-    std::atomic<uint64_t> BatchGroups{0};
-    std::atomic<uint64_t> AsyncSubmitted{0};
   };
   mutable Counters Counts;
 };

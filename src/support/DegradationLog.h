@@ -49,8 +49,7 @@ enum class Degradation {
   /// coalesced in-flight compile, or bounding a compile it led).
   DeadlineExceeded,
   /// The serving layer rejected a request for lack of capacity: an
-  /// admission with CONVGEN_MAX_INFLIGHT in flight and the queue full, or
-  /// a submit() whose worker thread could not be started.
+  /// admission with CONVGEN_MAX_INFLIGHT in flight and the queue full.
   LoadShed,
   /// Informational: a cache miss piggybacked on another thread's in-flight
   /// build instead of compiling redundantly. Normal under concurrent load.

@@ -32,8 +32,6 @@ const char *support::faultSiteName(FaultSite Site) {
     return "cache-read";
   case FaultSite::CacheWrite:
     return "cache-write";
-  case FaultSite::ThreadSpawn:
-    return "thread-spawn";
   case FaultSite::CompileHang:
     return "compile-hang";
   }
@@ -75,7 +73,7 @@ Status parseClause(const std::string &Clause, FaultSite *Site, double *Rate,
     return Status::error(ErrorCode::InvalidArgument,
                          "unknown fault site '" + trim(Parts[0]) +
                              "' (sites: compile, dlopen, dlsym, cache-read, "
-                             "cache-write, thread-spawn, compile-hang)");
+                             "cache-write, compile-hang)");
   *Rate = 1.0;
   *HaveSeed = false;
   if (Parts.size() >= 2) {

@@ -12,8 +12,7 @@
 ///
 /// Sites: compile (the external JIT compile step), dlopen, dlsym (loading
 /// a compiled object), cache-read (disk-cache lookup), cache-write
-/// (disk-cache install), thread-spawn (starting a ConversionService::submit
-/// worker thread), compile-hang (the compiler child hangs until the
+/// (disk-cache install), compile-hang (the compiler child hangs until the
 /// watchdog kills it). Rate is a probability in [0,1], default 1 (always
 /// fails); seed makes the per-site Bernoulli stream reproducible.
 ///
@@ -45,16 +44,13 @@ enum class FaultSite {
   Dlsym,
   CacheRead,
   CacheWrite,
-  /// Starting a submit() worker fails as if std::thread's constructor
-  /// threw std::system_error (the OS is out of threads).
-  ThreadSpawn,
   /// The external compiler child hangs instead of compiling; only drawn
   /// when a compile-wait bound is in force (CONVGEN_COMPILE_TIMEOUT_MS or
   /// a request deadline), so the watchdog's SIGKILL path — not an
   /// unbounded stall — is what the injection exercises.
   CompileHang,
 };
-constexpr int kNumFaultSites = 7;
+constexpr int kNumFaultSites = 6;
 
 /// The spelling used in CONVGEN_FAULT ("compile", "cache-read", ...).
 const char *faultSiteName(FaultSite Site);

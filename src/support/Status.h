@@ -17,7 +17,7 @@
 /// The error codes double as a degradation policy: isEnvironmentError()
 /// separates failures a caller should retry or degrade around (Unavailable,
 /// DataLoss, ResourceExhausted — the compiler vanished, a cached object is
-/// torn, no worker thread could be started) from failures that are properties of
+/// torn, the service is at capacity) from failures that are properties of
 /// the request itself (InvalidArgument, Unsupported) where the interpreter
 /// fallback would fail identically.
 ///
@@ -51,8 +51,7 @@ enum class ErrorCode {
   DataLoss,
   /// A resource limit was hit. Degrade or retry later. The serving layer
   /// sheds admissions with this code when in-flight work exceeds
-  /// CONVGEN_MAX_INFLIGHT and the queue is full, and submit() returns it
-  /// when it cannot start a worker thread.
+  /// CONVGEN_MAX_INFLIGHT and the queue is full.
   ResourceExhausted,
   /// The request's deadline (or the CONVGEN_COMPILE_TIMEOUT_MS bound on an
   /// external compile) expired before the work finished. Deliberately NOT

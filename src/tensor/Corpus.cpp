@@ -283,7 +283,7 @@ std::vector<std::pair<std::string, Triplets>> tensor::testTensors3() {
 
   Out.push_back({"random3", genRandomTensor3(12, 9, 14, 160, 31)});
   Out.push_back({"skewed3", genSliceSkewed3(16, 10, 8, 140, 32)});
-  Out.push_back({"hyper3", genHyperSparse3(40, 30, 25, 60, 33)});
+  Out.push_back({"hyper3", genHyperSparse3(40, 30, 25, 20, 33)});
 
   return Out;
 }
@@ -299,8 +299,7 @@ std::vector<std::pair<std::string, Triplets>> tensor::testTensorsHuge3() {
                  genHyperSparse3(Big, Mid, Mid, 400, 71)});
 
   // Huge inner modes: the outer mode is tame, so only the deeper levels'
-  // grouping products blow the budget (genRandomTensor3 directly, since
-  // genHyperSparse3 caps nnz at half the outer extent).
+  // grouping products blow the budget.
   Out.push_back({"huge_mode12",
                  genRandomTensor3(64, Big, Big, 300, 72)});
 

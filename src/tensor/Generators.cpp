@@ -219,9 +219,9 @@ Triplets tensor::genSliceSkewed3(int64_t I, int64_t J, int64_t K,
 
 Triplets tensor::genHyperSparse3(int64_t I, int64_t J, int64_t K,
                                  int64_t TotalNnz, uint64_t Seed) {
-  // Uniform draws with nnz << I guarantee most slices/fibers stay empty;
-  // the cap documents the intent rather than enforcing a distribution.
-  return genRandomTensor3(I, J, K, std::min(TotalNnz, I / 2), Seed);
+  // Uniform draws with nnz << I leave most slices/fibers empty; the caller
+  // picks the nnz.
+  return genRandomTensor3(I, J, K, TotalNnz, Seed);
 }
 
 Triplets tensor::symmetrized(const Triplets &T) {

@@ -303,6 +303,32 @@ TEST(SortedRankRule, DenseEnoughInputsKeepTheDefaultPlanAndKey) {
   }
 }
 
+TEST(SortedRankRule, EmptyInputKeepsTheDefaultPlanAndKey) {
+  // An empty input has nothing to sort: any rank space exceeds 5 x 0, but
+  // the ratio rule needs at least one nonzero.
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  const std::vector<int64_t> DimsSet[] = {{2, 1, 1}, {2048, 2048, 64}};
+  for (const std::vector<int64_t> &Dims : DimsSet) {
+    SCOPED_TRACE(std::to_string(Dims[0]) + " x " + std::to_string(Dims[1]) +
+                 " x " + std::to_string(Dims[2]));
+    std::string Why;
+    codegen::Options Empty =
+        codegen::optionsForDims(Coo3, Csf, {}, Dims, 0, &Why);
+    EXPECT_FALSE(Empty.ForceSortedRanking) << Why;
+    EXPECT_TRUE(Empty.DimsHint.empty());
+    EXPECT_EQ(convert::planKey(Coo3, Csf, Empty),
+              convert::planKey(Coo3, Csf, codegen::Options()));
+    EXPECT_EQ(Why, "default plan: empty input");
+  }
+  // The budget rule is not the ratio rule: over the dense-footprint budget
+  // an empty input still takes the sorted plan the dims require.
+  codegen::Options Huge = codegen::optionsForDims(Coo3, Csf, {}, hugeDims(), 0);
+  EXPECT_FALSE(Huge.ForceSortedRanking);
+  EXPECT_EQ(Huge.DimsHint, hugeDims());
+  EXPECT_TRUE(codegen::planAssembly(Coo3, Csf, Huge).anySorted());
+}
+
 TEST(SortedRankRule, NoTable3PairEverFlips) {
   // The paper's seven matrix pairs assemble without dense rank arrays, so
   // the rule never touches them, however sparse the input.

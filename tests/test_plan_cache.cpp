@@ -157,25 +157,63 @@ TEST(PlanCacheJit, DisablingTheDiskCacheStaysInMemory) {
 }
 
 TEST(PlanCacheKeys, ForcedSortedRankingIsOneKeyBit) {
-  // Strategy is derived from the formats, the extents and nnz, so the only
-  // strategy input outside the dims is forced sorted ranking (which the
-  // sorted-ranking rule sets): one marker in the plan key. The disk-cache
-  // key hashes the emitted C, which already differs, so the effective JIT
-  // flags carry no strategy defines at all.
+  // Strategy is derived from the formats, the extents and nnz, and the plan
+  // key carries the strategy bits it lands on, nothing else: the disk-cache
+  // key hashes the emitted C, so the effective JIT flags carry no strategy
+  // defines, and a forced plan needs no marker beside its bits.
   ScopedEnv NoExtra("CONVGEN_JIT_FLAGS", "");
+  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
   std::string Base = "-O3 -march=native -std=c11 -shared -fPIC";
   if (jit::jitOpenMPAvailable())
     Base += " -fopenmp";
   EXPECT_EQ(jit::jitEffectiveFlags(), Base);
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
-  codegen::Options Opts;
-  std::string DefaultKey = convert::planKey(Coo3, Csf, Opts);
-  Opts.ForceSortedRanking = true;
-  std::string ForcedKey = convert::planKey(Coo3, Csf, Opts);
+  std::string DefaultKey = convert::planKey(Coo3, Csf, codegen::Options());
+  // At 2^24 x 2^20 x 2^20 level 1's dense rank structures (5 * 2^24
+  // bytes) exceed the budget, so the unforced plan goes sorted on budget
+  // grounds alone, onto the same bits the forced plan selects.
+  const std::vector<int64_t> Dims = {int64_t(1) << 24, int64_t(1) << 20,
+                                     int64_t(1) << 20};
+  codegen::Options Budget;
+  Budget.DimsHint = Dims;
+  codegen::Options Forced = Budget;
+  Forced.ForceSortedRanking = true;
+  std::string BudgetKey = convert::planKey(Coo3, Csf, Budget);
+  std::string ForcedKey = convert::planKey(Coo3, Csf, Forced);
+  EXPECT_EQ(ForcedKey, BudgetKey);
   EXPECT_NE(ForcedKey, DefaultKey);
-  EXPECT_NE(ForcedKey.find(" [f:S1]"), std::string::npos) << ForcedKey;
-  EXPECT_NE(ForcedKey.find(" [s111:g3]"), std::string::npos) << ForcedKey;
+  EXPECT_NE(ForcedKey.find(" [s111:g3:p]"), std::string::npos) << ForcedKey;
+  // Even at hint-free dims the forced plan's bits keep it off the default
+  // key.
+  codegen::Options ForcedNoDims;
+  ForcedNoDims.ForceSortedRanking = true;
+  std::string ForcedNoDimsKey = convert::planKey(Coo3, Csf, ForcedNoDims);
+  EXPECT_NE(ForcedNoDimsKey, DefaultKey);
+  EXPECT_NE(ForcedNoDimsKey.find(" [s111:g3]"), std::string::npos)
+      << ForcedNoDimsKey;
+
+  // One key is one JIT handle: the second plan is a hit, and the handle
+  // converts bit-exact.
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  PlanCacheStats Before = Cache.stats();
+  auto ForcedHandle = Cache.jit(Coo3, Csf, Forced);
+  auto BudgetHandle = Cache.jit(Coo3, Csf, Budget);
+  EXPECT_EQ(ForcedHandle.get(), BudgetHandle.get());
+  EXPECT_EQ(Cache.stats().JitMisses - Before.JitMisses, 1u);
+  tensor::Triplets T =
+      tensor::genHyperSparse3(Dims[0], Dims[1], Dims[2], 300, 41);
+  tensor::SparseTensor In = tensor::buildFromTriplets(Coo3, T);
+  StatusOr<tensor::SparseTensor> Out = BudgetHandle->tryRun(In);
+  ASSERT_TRUE(Out.ok()) << Out.status().toString();
+  tensor::SparseTensor Want = tensor::buildFromTriplets(Csf, T);
+  EXPECT_EQ(Out->Vals, Want.Vals);
+  ASSERT_EQ(Out->Levels.size(), Want.Levels.size());
+  for (size_t K = 0; K < Want.Levels.size(); ++K) {
+    EXPECT_EQ(Out->Levels[K].Pos, Want.Levels[K].Pos) << "level " << K;
+    EXPECT_EQ(Out->Levels[K].Crd, Want.Levels[K].Crd) << "level " << K;
+  }
 }
 
 TEST(PlanCacheJit, ForcedSortedRankingCompilesAFreshObjectNotAStaleOne) {

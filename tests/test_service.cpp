@@ -703,6 +703,12 @@ TEST(Service, ConcurrentMixedRequestsMatchTheSerialOracle) {
   Items.push_back(makeItem("coo3", "csf", hugeDimTensor3()));
   PlanCache::instance().clearMemory();
 
+  // Oracle traffic runs on the same threads through one shared Converter
+  // per pair, which routes itself through the same cache.
+  std::vector<convert::Converter> Oracles;
+  for (const WorkItem &W : Items)
+    Oracles.emplace_back(W.Src, W.Dst);
+
   ServiceLimits Limits;
   Limits.MaxInflight = 4;
   Limits.QueueDepth = 64;
@@ -710,20 +716,25 @@ TEST(Service, ConcurrentMixedRequestsMatchTheSerialOracle) {
 
   const int Threads = 6;
   const int PerThread = 30;
+  std::atomic<uint64_t> Served{0};
   StartGate Gate;
   std::vector<std::thread> Pool;
   for (int T = 0; T < Threads; ++T) {
     Pool.emplace_back([&, T] {
       Gate.wait();
       for (int I = 0; I < PerThread; ++I) {
-        const WorkItem &W = Items[(T + I) % Items.size()];
-        ConversionRequest R;
-        R.Source = W.Src;
-        R.Target = W.Dst;
-        R.Input = &W.In;
-        // A slice of oracle traffic goes through the interpreter path.
-        R.ForceInterpreter = (T + I) % 5 == 0;
-        StatusOr<tensor::SparseTensor> Out = Service.convert(R);
+        size_t Idx = (T + I) % Items.size();
+        const WorkItem &W = Items[Idx];
+        StatusOr<tensor::SparseTensor> Out = [&] {
+          if ((T + I) % 5 == 0)
+            return Oracles[Idx].tryRun(W.In);
+          Served.fetch_add(1, std::memory_order_relaxed);
+          ConversionRequest R;
+          R.Source = W.Src;
+          R.Target = W.Dst;
+          R.Input = &W.In;
+          return Service.convert(R);
+        }();
         ASSERT_TRUE(Out.ok()) << W.Label << ": " << Out.status().toString();
         expectBitIdentical(W.Want, *Out, W.Label);
       }
@@ -734,8 +745,10 @@ TEST(Service, ConcurrentMixedRequestsMatchTheSerialOracle) {
     Th.join();
 
   convert::ServiceStats S = Service.stats();
-  EXPECT_EQ(S.Submitted, uint64_t(Threads) * PerThread);
-  EXPECT_EQ(S.Completed, uint64_t(Threads) * PerThread);
+  EXPECT_GT(Served.load(), 0u);
+  EXPECT_LT(Served.load(), uint64_t(Threads) * PerThread);
+  EXPECT_EQ(S.Submitted, Served.load());
+  EXPECT_EQ(S.Completed, Served.load());
   EXPECT_EQ(S.RequestErrors, 0u);
   EXPECT_EQ(S.Shed, 0u);
   EXPECT_EQ(S.DeadlineExpired, 0u);
@@ -818,72 +831,14 @@ TEST(Service, OutOfRangeLimitSettingsClampInsteadOfWrapping) {
 }
 
 //===------------------------------------------------------------------===//
-// submitBatch: plan-key grouping, per-member admission and deadlines.
+// Routing: one plan key per routed request.
 //===------------------------------------------------------------------===//
 
-TEST(Batch, GroupsByPlanKeyAndAcquiresOneHandlePerGroup) {
-  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-
-  WorkItem A1 = makeItem("coo", "csr", smallMatrix());
-  WorkItem A2 =
-      makeItem("coo", "csr", tensor::genBandedRandom(20, 20, 3.0, 5, 2, 9));
-  WorkItem B = makeItem("csr", "csc", smallMatrix());
-  WorkItem C = makeItem("coo3", "csf", smallTensor3());
-  resetBooks();
-
-  ServiceLimits Limits;
-  Limits.MaxInflight = 4;
-  ConversionService Service(Limits);
-
-  // Five members, three plan keys: both coo->csr tensors (and the repeat)
-  // share one group and one handle acquisition.
-  std::vector<const WorkItem *> Order = {&A1, &B, &A2, &C, &A1};
-  std::vector<ConversionRequest> Requests;
-  for (const WorkItem *W : Order) {
-    ConversionRequest R;
-    R.Source = W->Src;
-    R.Target = W->Dst;
-    R.Input = &W->In;
-    Requests.push_back(R);
-  }
-
-  PlanCacheStats Before = PlanCache::instance().stats();
-  convert::BatchStats BS;
-  std::vector<StatusOr<tensor::SparseTensor>> Results =
-      Service.submitBatch(Requests, &BS);
-
-  ASSERT_EQ(Results.size(), Requests.size());
-  for (size_t I = 0; I < Results.size(); ++I) {
-    ASSERT_TRUE(Results[I].ok())
-        << Order[I]->Label << ": " << Results[I].status().toString();
-    expectBitIdentical(Order[I]->Want, *Results[I], Order[I]->Label);
-  }
-  EXPECT_EQ(BS.Requests, Requests.size());
-  EXPECT_EQ(BS.Groups, 3u);
-  EXPECT_EQ(BS.HandleAcquisitions, 3u);
-  EXPECT_EQ(BS.Completed, Requests.size());
-  EXPECT_EQ(BS.Shed + BS.DeadlineExpired + BS.RequestErrors, 0u);
-
-  // The grouping's whole point: one cache traversal per group, zero for
-  // the other members (single-flight would at best have made them
-  // coalesced hits; the batch skips the traversal entirely).
-  PlanCacheStats After = PlanCache::instance().stats();
-  EXPECT_EQ(After.JitMisses - Before.JitMisses, 3u);
-  EXPECT_EQ(After.JitHits - Before.JitHits, 0u);
-
-  convert::ServiceStats S = Service.stats();
-  EXPECT_EQ(S.Submitted, Requests.size());
-  EXPECT_EQ(S.Completed, Requests.size());
-  EXPECT_EQ(S.Batches, 1u);
-  EXPECT_EQ(S.BatchRequests, Requests.size());
-  EXPECT_EQ(S.BatchGroups, 3u);
-}
-
-TEST(Batch, SingleAndBatchedRequestsRunTheSamePlan) {
+TEST(Service, RoutedSortedRequestCompilesOnceAndHitsAfter) {
   ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
   // A hypersparse coo3 -> csf input: level 2's dense rank array (2048 *
   // 2048 entries) dwarfs its 40k nonzeros, so routing picks sorted
-  // ranking. convert() and submitBatch() must both route it that way.
+  // ranking.
   tensor::Triplets T = tensor::genRandomTensor3(2048, 2048, 64, 40000, 1004);
   formats::Format Coo3 = formats::standardFormatOrDie("coo3");
   formats::Format Csf = formats::standardFormatOrDie("csf");
@@ -902,302 +857,61 @@ TEST(Batch, SingleAndBatchedRequestsRunTheSamePlan) {
   R.Input = &In;
 
   PlanCacheStats Before = PlanCache::instance().stats();
-  StatusOr<tensor::SparseTensor> Single = Service.convert(R);
-  ASSERT_TRUE(Single.ok()) << Single.status().toString();
+  StatusOr<tensor::SparseTensor> First = Service.convert(R);
+  ASSERT_TRUE(First.ok()) << First.status().toString();
   PlanCacheStats Mid = PlanCache::instance().stats();
-  std::vector<StatusOr<tensor::SparseTensor>> Batched =
-      Service.submitBatch({R});
-  ASSERT_EQ(Batched.size(), 1u);
-  ASSERT_TRUE(Batched[0].ok()) << Batched[0].status().toString();
+  StatusOr<tensor::SparseTensor> Second = Service.convert(R);
+  ASSERT_TRUE(Second.ok()) << Second.status().toString();
   PlanCacheStats After = PlanCache::instance().stats();
 
-  // One plan key: the batch's acquisition hits the handle convert()
-  // compiled under the routed key.
+  // One miss, then a hit on the handle the first request compiled ...
   EXPECT_EQ(Mid.JitMisses - Before.JitMisses, 1u);
   EXPECT_EQ(After.JitMisses - Mid.JitMisses, 0u);
   EXPECT_EQ(After.JitHits - Mid.JitHits, 1u);
-  // ... and that key is the routed one.
+  // ... under the routed key.
   PlanCache::instance().jit(Coo3, Csf, Routed);
   EXPECT_EQ(PlanCache::instance().stats().JitMisses, After.JitMisses);
 
-  expectBitIdentical(*Single, *Batched[0], "convert vs submitBatch");
-  expectBitIdentical(tensor::buildFromTriplets(Csf, T), *Single, "oracle");
+  tensor::SparseTensor Want = tensor::buildFromTriplets(Csf, T);
+  expectBitIdentical(Want, *First, "first request");
+  expectBitIdentical(Want, *Second, "second request");
 }
 
-TEST(Batch, ShedMembersFailAloneAndTheBatchContinues) {
-  if (!jit::jitAvailable())
-    GTEST_SKIP() << "needs a slow (hung) compile to hold the one slot";
+TEST(Service, EmptyInputRunsTheDefaultPlanBitExact) {
   ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-  resetBooks();
-
-  WorkItem Slow = makeItem("coo", "csr", smallMatrix());
-  WorkItem Fast = makeItem("csr", "csc", smallMatrix());
-  PlanCache::instance().clearMemory();
-
-  ServiceLimits Limits;
-  Limits.MaxInflight = 1;
-  Limits.QueueDepth = 0;
-  ConversionService Service(Limits);
-
-  std::vector<ConversionRequest> Requests(2);
-  for (ConversionRequest &R : Requests) {
-    R.Source = Fast.Src;
-    R.Target = Fast.Dst;
-    R.Input = &Fast.In;
-  }
-  {
-    // Occupy the single slot with a request whose compile hangs; every
-    // batch member must then shed individually (ResourceExhausted in its
-    // own result slot), and the batch call itself returns normally.
-    ScopedEnv Hang("CONVGEN_FAULT", "compile-hang");
-    ScopedEnv Timeout("CONVGEN_COMPILE_TIMEOUT_MS", "1500");
-    std::thread Occupant([&] {
-      ConversionRequest Req;
-      Req.Source = Slow.Src;
-      Req.Target = Slow.Dst;
-      Req.Input = &Slow.In;
-      StatusOr<tensor::SparseTensor> Out = Service.convert(Req);
-      ASSERT_TRUE(Out.ok()) << Out.status().toString();
-    });
-    auto SlotTaken =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (Service.inflight() < 1 &&
-           std::chrono::steady_clock::now() < SlotTaken)
-      std::this_thread::yield();
-    ASSERT_EQ(Service.inflight(), 1);
-
-    convert::BatchStats BS;
-    std::vector<StatusOr<tensor::SparseTensor>> Results =
-        Service.submitBatch(Requests, &BS);
-    ASSERT_EQ(Results.size(), 2u);
-    for (const auto &R : Results) {
-      ASSERT_FALSE(R.ok());
-      EXPECT_EQ(R.status().code(), ErrorCode::ResourceExhausted);
-    }
-    EXPECT_EQ(BS.Shed, 2u);
-    EXPECT_EQ(BS.Completed, 0u);
-    EXPECT_EQ(BS.HandleAcquisitions, 0u);
-    Occupant.join();
-  }
-
-  // Capacity freed: the same batch now completes, and the service-wide
-  // conservation identity holds across both calls.
-  convert::BatchStats BS;
-  std::vector<StatusOr<tensor::SparseTensor>> Results =
-      Service.submitBatch(Requests, &BS);
-  for (size_t I = 0; I < Results.size(); ++I) {
-    ASSERT_TRUE(Results[I].ok()) << Results[I].status().toString();
-    expectBitIdentical(Fast.Want, *Results[I], Fast.Label);
-  }
-  EXPECT_EQ(BS.Completed, 2u);
-  EXPECT_EQ(BS.HandleAcquisitions, 1u);
-  convert::ServiceStats S = Service.stats();
-  EXPECT_EQ(S.Submitted,
-            S.Completed + S.Shed + S.DeadlineExpired + S.RequestErrors);
-}
-
-TEST(Batch, MemberDeadlineExpiresMidBatchWhileOthersComplete) {
-  if (!jit::jitAvailable())
-    GTEST_SKIP() << "needs a real compile to consume the member's budget";
-  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-  resetBooks();
-
-  WorkItem W = makeItem("coo", "csr", smallMatrix());
-  PlanCache::instance().clearMemory();
-
-  ServiceLimits Limits;
-  Limits.MaxInflight = 2;
-  ConversionService Service(Limits);
-
-  // Member 0 is unbounded and pays the group's compile; member 1 budgets
-  // 1ms, resolved at batch entry — the compile ahead of it in FIFO order
-  // exhausts that budget, so it must expire alone while member 0 (and the
-  // group's handle) succeed.
-  std::vector<ConversionRequest> Requests(2);
-  for (ConversionRequest &R : Requests) {
-    R.Source = W.Src;
-    R.Target = W.Dst;
-    R.Input = &W.In;
-  }
-  Requests[1].DeadlineMs = 1;
-
-  convert::BatchStats BS;
-  std::vector<StatusOr<tensor::SparseTensor>> Results =
-      Service.submitBatch(Requests, &BS);
-  ASSERT_TRUE(Results[0].ok()) << Results[0].status().toString();
-  expectBitIdentical(W.Want, *Results[0], W.Label);
-  ASSERT_FALSE(Results[1].ok());
-  EXPECT_EQ(Results[1].status().code(), ErrorCode::DeadlineExceeded);
-  EXPECT_EQ(BS.Completed, 1u);
-  EXPECT_EQ(BS.DeadlineExpired, 1u);
-  EXPECT_EQ(BS.HandleAcquisitions, 1u);
-}
-
-TEST(Batch, UngroupedMemberDeadlinesAlsoStartAtBatchEntry) {
-  if (!jit::jitAvailable())
-    GTEST_SKIP() << "needs a real compile ahead of the member";
-  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-  ScopedEnv NoFaults("CONVGEN_FAULT", "");
-  SlowCompiler Slow("0.5");
-  resetBooks();
-  WorkItem W = makeItem("coo", "csr", smallMatrix());
-  PlanCache::instance().clearMemory();
-
-  ServiceLimits Limits;
-  Limits.MaxInflight = 2;
-  ConversionService Service(Limits);
-
-  // Member 0 is unbounded and pays a cold 500ms compile. Member 1 is
-  // interpreter traffic with a 100ms budget, resolved at batch entry like
-  // every member's: the compile ahead of it exhausts that budget.
-  std::vector<ConversionRequest> Requests(2);
-  for (ConversionRequest &R : Requests) {
-    R.Source = W.Src;
-    R.Target = W.Dst;
-    R.Input = &W.In;
-  }
-  Requests[1].ForceInterpreter = true;
-  Requests[1].DeadlineMs = 100;
-
-  convert::BatchStats BS;
-  std::vector<StatusOr<tensor::SparseTensor>> Results =
-      Service.submitBatch(Requests, &BS);
-  ASSERT_TRUE(Results[0].ok()) << Results[0].status().toString();
-  expectBitIdentical(W.Want, *Results[0], W.Label);
-  ASSERT_FALSE(Results[1].ok());
-  EXPECT_EQ(Results[1].status().code(), ErrorCode::DeadlineExceeded);
-  EXPECT_EQ(BS.Completed, 1u);
-  EXPECT_EQ(BS.DeadlineExpired, 1u);
-  EXPECT_EQ(Service.stats().DeadlineExpired, 1u);
-}
-
-TEST(Batch, ForceInterpreterAndInvalidRequestsRunUngrouped) {
-  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-  WorkItem W = makeItem("coo", "csr", smallMatrix());
+  // The same 2048 x 2048 rank space as above, but nothing to sort: the
+  // request runs the pair's default plan.
+  tensor::Triplets T;
+  T.setDims({2048, 2048, 64});
+  formats::Format Coo3 = formats::standardFormatOrDie("coo3");
+  formats::Format Csf = formats::standardFormatOrDie("csf");
+  tensor::SparseTensor In = tensor::buildFromTriplets(Coo3, T);
   resetBooks();
 
   ServiceLimits Limits;
   Limits.MaxInflight = 2;
   ConversionService Service(Limits);
+  ConversionRequest R;
+  R.Source = Coo3;
+  R.Target = Csf;
+  R.Input = &In;
+  PlanCacheStats Before = PlanCache::instance().stats();
+  StatusOr<tensor::SparseTensor> Out = Service.convert(R);
+  ASSERT_TRUE(Out.ok()) << Out.status().toString();
+  expectBitIdentical(tensor::buildFromTriplets(Csf, T), *Out, "oracle");
 
-  std::vector<ConversionRequest> Requests(3);
-  Requests[0].Source = W.Src;
-  Requests[0].Target = W.Dst;
-  Requests[0].Input = &W.In;
-  Requests[1] = Requests[0];
-  Requests[1].ForceInterpreter = true;
-  Requests[2].Source = W.Src;
-  Requests[2].Target = W.Dst;
-  Requests[2].Input = nullptr; // Malformed: no input tensor.
-
-  convert::BatchStats BS;
-  std::vector<StatusOr<tensor::SparseTensor>> Results =
-      Service.submitBatch(Requests, &BS);
-  ASSERT_TRUE(Results[0].ok()) << Results[0].status().toString();
-  expectBitIdentical(W.Want, *Results[0], W.Label + " (native)");
-  ASSERT_TRUE(Results[1].ok()) << Results[1].status().toString();
-  expectBitIdentical(W.Want, *Results[1], W.Label + " (interpreter)");
-  ASSERT_FALSE(Results[2].ok());
-  EXPECT_EQ(Results[2].status().code(), ErrorCode::InvalidArgument);
-
-  // The interpreter and malformed members are singleton groups — a native
-  // handle must not be shared with (or acquired for) them.
-  EXPECT_EQ(BS.Groups, 3u);
-  EXPECT_EQ(BS.HandleAcquisitions, 1u);
-  EXPECT_EQ(BS.Completed, 2u);
-  EXPECT_EQ(BS.RequestErrors, 1u);
-  convert::ServiceStats S = Service.stats();
-  EXPECT_EQ(S.Submitted, 3u);
-  EXPECT_EQ(S.Submitted,
-            S.Completed + S.Shed + S.DeadlineExpired + S.RequestErrors);
+  PlanCacheStats After = PlanCache::instance().stats();
+  EXPECT_EQ(After.JitMisses - Before.JitMisses, 1u);
+  PlanCache::instance().jit(Coo3, Csf, codegen::Options());
+  EXPECT_EQ(PlanCache::instance().stats().JitMisses, After.JitMisses)
+      << "the empty input did not run under the default plan key";
 }
 
 //===------------------------------------------------------------------===//
-// Async submit().
+// Stats monotonicity under concurrent requests.
 //===------------------------------------------------------------------===//
 
-TEST(Async, SubmitResolvesFuturesBitExactThroughAdmission) {
-  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-
-  std::vector<WorkItem> Items;
-  Items.push_back(makeItem("coo", "csr", smallMatrix()));
-  Items.push_back(makeItem("csr", "csc", smallMatrix()));
-  Items.push_back(makeItem("coo3", "csf", smallTensor3()));
-  resetBooks();
-
-  ServiceLimits Limits;
-  Limits.MaxInflight = 2;
-  Limits.QueueDepth = 64;
-  ConversionService Service(Limits);
-
-  const int Reps = 4;
-  std::vector<std::future<StatusOr<tensor::SparseTensor>>> Futures;
-  for (int R = 0; R < Reps; ++R) {
-    for (const WorkItem &W : Items) {
-      ConversionRequest Req;
-      Req.Source = W.Src;
-      Req.Target = W.Dst;
-      Req.Input = &W.In;
-      Futures.push_back(Service.submit(Req));
-    }
-  }
-  for (size_t I = 0; I < Futures.size(); ++I) {
-    const WorkItem &W = Items[I % Items.size()];
-    StatusOr<tensor::SparseTensor> Out = Futures[I].get();
-    ASSERT_TRUE(Out.ok()) << W.Label << ": " << Out.status().toString();
-    expectBitIdentical(W.Want, *Out, W.Label);
-  }
-  convert::ServiceStats S = Service.stats();
-  EXPECT_EQ(S.AsyncSubmitted, Futures.size());
-  EXPECT_EQ(S.Submitted, Futures.size());
-  EXPECT_EQ(S.Completed, Futures.size());
-}
-
-TEST(Async, FailedWorkerSpawnShedsAndTheServiceStillDestructs) {
-  // The thread-spawn site fails submit()'s std::thread construction the
-  // way an exhausted OS does. The request must be shed through its future,
-  // not thrown, and the worker count it took must be given back, or the
-  // destructor at the end of this scope waits forever.
-  ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
-  WorkItem W = makeItem("coo", "csr", smallMatrix());
-  resetBooks();
-  {
-    ConversionService Service;
-    ConversionRequest Req;
-    Req.Source = W.Src;
-    Req.Target = W.Dst;
-    Req.Input = &W.In;
-    std::future<StatusOr<tensor::SparseTensor>> Fut;
-    {
-      ScopedEnv Fault("CONVGEN_FAULT", "thread-spawn:1");
-      Fut = Service.submit(Req);
-    }
-    ASSERT_EQ(Fut.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    StatusOr<tensor::SparseTensor> Out = Fut.get();
-    ASSERT_FALSE(Out.ok());
-    EXPECT_EQ(Out.status().code(), ErrorCode::ResourceExhausted)
-        << Out.status().toString();
-    EXPECT_EQ(support::faultInjectionTotal(), 1u);
-    EXPECT_EQ(DegradationLog::instance().snapshot()[Degradation::LoadShed],
-              1u);
-    convert::ServiceStats S = Service.stats();
-    EXPECT_EQ(S.AsyncSubmitted, 1u);
-    EXPECT_EQ(S.Submitted, 1u);
-    EXPECT_EQ(S.Shed, 1u);
-
-    // The service keeps serving on the calling thread.
-    StatusOr<tensor::SparseTensor> Again = Service.convert(Req);
-    ASSERT_TRUE(Again.ok()) << Again.status().toString();
-    expectBitIdentical(W.Want, *Again, W.Label);
-  }
-}
-
-//===------------------------------------------------------------------===//
-// Stats monotonicity under concurrent batch + async submission.
-//===------------------------------------------------------------------===//
-
-TEST(Batch, StatsStayMonotoneAndConservedUnderConcurrentBatches) {
+TEST(Service, StatsStayMonotoneAndConservedUnderConcurrentRequests) {
   ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
 
   std::vector<WorkItem> Items;
@@ -1227,10 +941,7 @@ TEST(Batch, StatsStayMonotoneAndConservedUnderConcurrentBatches) {
       EXPECT_GE(Now.Shed, Prev.Shed);
       EXPECT_GE(Now.DeadlineExpired, Prev.DeadlineExpired);
       EXPECT_GE(Now.RequestErrors, Prev.RequestErrors);
-      EXPECT_GE(Now.Batches, Prev.Batches);
-      EXPECT_GE(Now.BatchRequests, Prev.BatchRequests);
-      EXPECT_GE(Now.BatchGroups, Prev.BatchGroups);
-      EXPECT_GE(Now.AsyncSubmitted, Prev.AsyncSubmitted);
+      EXPECT_GE(Now.DegradedRuns, Prev.DegradedRuns);
       EXPECT_GE(Now.Submitted, Now.Completed + Now.Shed +
                                    Now.DeadlineExpired + Now.RequestErrors);
       Prev = Now;
@@ -1239,38 +950,19 @@ TEST(Batch, StatsStayMonotoneAndConservedUnderConcurrentBatches) {
   });
 
   const int Threads = 4;
-  const int BatchesPerThread = 6;
+  const int PerThread = 42;
   std::vector<std::thread> Pool;
   for (int T = 0; T < Threads; ++T) {
     Pool.emplace_back([&, T] {
       Gate.wait();
-      for (int Rep = 0; Rep < BatchesPerThread; ++Rep) {
-        std::vector<ConversionRequest> Requests;
-        for (size_t I = 0; I < Items.size() * 2; ++I) {
-          const WorkItem &W = Items[(T + I) % Items.size()];
-          ConversionRequest R;
-          R.Source = W.Src;
-          R.Target = W.Dst;
-          R.Input = &W.In;
-          Requests.push_back(R);
-        }
-        std::vector<StatusOr<tensor::SparseTensor>> Results =
-            Service.submitBatch(Requests);
-        for (size_t I = 0; I < Results.size(); ++I) {
-          const WorkItem &W = Items[(T + I) % Items.size()];
-          ASSERT_TRUE(Results[I].ok())
-              << W.Label << ": " << Results[I].status().toString();
-          expectBitIdentical(W.Want, *Results[I], W.Label);
-        }
-        // Interleave an async request so the hammer covers both new
-        // submission paths at once.
-        ConversionRequest Async;
-        const WorkItem &W = Items[Rep % Items.size()];
-        Async.Source = W.Src;
-        Async.Target = W.Dst;
-        Async.Input = &W.In;
-        StatusOr<tensor::SparseTensor> Out = Service.submit(Async).get();
-        ASSERT_TRUE(Out.ok()) << Out.status().toString();
+      for (int I = 0; I < PerThread; ++I) {
+        const WorkItem &W = Items[(T + I) % Items.size()];
+        ConversionRequest R;
+        R.Source = W.Src;
+        R.Target = W.Dst;
+        R.Input = &W.In;
+        StatusOr<tensor::SparseTensor> Out = Service.convert(R);
+        ASSERT_TRUE(Out.ok()) << W.Label << ": " << Out.status().toString();
         expectBitIdentical(W.Want, *Out, W.Label);
       }
     });
@@ -1282,14 +974,9 @@ TEST(Batch, StatsStayMonotoneAndConservedUnderConcurrentBatches) {
   Reader.join();
 
   convert::ServiceStats S = Service.stats();
-  uint64_t BatchTotal =
-      uint64_t(Threads) * BatchesPerThread * Items.size() * 2;
-  uint64_t AsyncTotal = uint64_t(Threads) * BatchesPerThread;
-  EXPECT_EQ(S.Submitted, BatchTotal + AsyncTotal);
-  EXPECT_EQ(S.Completed, BatchTotal + AsyncTotal);
-  EXPECT_EQ(S.Batches, uint64_t(Threads) * BatchesPerThread);
-  EXPECT_EQ(S.BatchRequests, BatchTotal);
-  EXPECT_EQ(S.AsyncSubmitted, AsyncTotal);
+  uint64_t Total = uint64_t(Threads) * PerThread;
+  EXPECT_EQ(S.Submitted, Total);
+  EXPECT_EQ(S.Completed, Total);
   EXPECT_EQ(S.Submitted,
             S.Completed + S.Shed + S.DeadlineExpired + S.RequestErrors);
 }

@@ -121,7 +121,7 @@ TEST(FaultSpec, AcceptsTheDocumentedGrammar) {
   EXPECT_TRUE(support::parseFaultSpec("dlopen:1,dlsym:0").ok());
   EXPECT_TRUE(support::parseFaultSpec(
                   "compile:1,dlopen:1,dlsym:1,cache-read:1,cache-write:1,"
-                  "thread-spawn:1,compile-hang:1")
+                  "compile-hang:1")
                   .ok());
   EXPECT_TRUE(support::parseFaultSpec(" compile : 0.25 : 0x10 ").ok());
 }

@@ -426,9 +426,14 @@ TEST(Generators3, DeterministicAndInBounds) {
       EXPECT_GE(E.coord(D), 0);
       EXPECT_LT(E.coord(D), A.dim(D));
     }
-  // Hyper-sparse keeps nnz below half the slice count.
-  Triplets H = genHyperSparse3(40, 30, 25, 1000, 9);
-  EXPECT_LE(H.nnz(), 20);
+}
+
+TEST(Generators3, HyperSparseReturnsTheRequestedNnz) {
+  // No cap below the request: the caller picks how sparse the tensor is.
+  Triplets H = genHyperSparse3(2048, 2048, 64, 5000, 13);
+  EXPECT_EQ(H.nnz(), 5000);
+  EXPECT_FALSE(H.hasDuplicates());
+  EXPECT_EQ(genHyperSparse3(40, 30, 25, 1000, 9).nnz(), 1000);
 }
 
 class OracleRoundTrip3

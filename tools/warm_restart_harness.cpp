@@ -11,8 +11,8 @@
 /// (never served) while the rest of the suite still passes.
 ///
 /// Two modes over one fixed, deterministic workload (five items on four
-/// plans, seeded generators, executed through
-/// ConversionService::submitBatch). The last two are hypersparse coo3 ->
+/// plans, seeded generators, each executed through
+/// ConversionService::convert). The last two are hypersparse coo3 ->
 /// csf inputs of different shapes that the service routes to sorted
 /// ranking; sorted routines compute their packed-key widths from the
 /// extents at run time, so both must share one plan key and one disk
@@ -147,7 +147,7 @@ int fail(const std::string &Why) {
   return 1;
 }
 
-/// Runs the workload through submitBatch and prints the result
+/// Runs the workload through convert() and prints the result
 /// fingerprints; returns false (after printing FAIL) on any non-ok result.
 bool runWorkload(convert::ConversionService &Service,
                  const std::vector<WorkItem> &Items, int SleepMs) {
@@ -160,19 +160,17 @@ bool runWorkload(convert::ConversionService &Service,
     }
     if (SleepMs > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(SleepMs));
-    std::vector<convert::ConversionRequest> Requests(1);
-    Requests[0].Source = W.Source;
-    Requests[0].Target = W.Target;
-    Requests[0].Input = &W.Input;
-    convert::BatchStats BS;
-    std::vector<StatusOr<tensor::SparseTensor>> Results =
-        Service.submitBatch(Requests, &BS);
-    if (!Results[0].ok()) {
+    convert::ConversionRequest Request;
+    Request.Source = W.Source;
+    Request.Target = W.Target;
+    Request.Input = &W.Input;
+    StatusOr<tensor::SparseTensor> Result = Service.convert(Request);
+    if (!Result.ok()) {
       std::fprintf(stderr, "FAIL: %s: %s\n", W.Label.c_str(),
-                   Results[0].status().toString().c_str());
+                   Result.status().toString().c_str());
       return false;
     }
-    std::string Hash = convert::contentHash(Results[0]->dump());
+    std::string Hash = convert::contentHash(Result->dump());
     std::printf("RESULT %s %s\n", W.Label.c_str(), Hash.c_str());
   }
   return true;
