@@ -232,21 +232,17 @@ inline double timeJit(const jit::JitConversion &Conv,
 }
 
 /// Like timeJitStats, but also reports the routine's own per-phase
-/// breakdown (jit::kNumPhases slots, mean seconds per run) from its
-/// exported phase clock. Zeros if the object predates phase timing.
+/// breakdown (jit::kNumPhases slots, mean seconds per run) from the
+/// handle's runRaw phase totals. Zeros on a degraded handle.
 inline TimeStats timeJitWithPhases(const jit::JitConversion &Conv,
                                    const tensor::SparseTensor &In,
                                    double Phases[jit::kNumPhases]) {
-  std::vector<double> Before(static_cast<size_t>(jit::kNumPhases), 0);
-  if (const double *P = Conv.phaseSeconds())
-    Before.assign(P, P + jit::kNumPhases);
+  const double *P = Conv.phaseSeconds();
+  std::vector<double> Before(P, P + jit::kNumPhases);
   TimeStats S = timeJitStats(Conv, In);
   for (int I = 0; I < jit::kNumPhases; ++I)
-    Phases[I] = 0;
-  if (const double *P = Conv.phaseSeconds())
-    for (int I = 0; I < jit::kNumPhases; ++I)
-      Phases[I] = (P[I] - Before[static_cast<size_t>(I)]) /
-                  static_cast<double>(benchReps());
+    Phases[I] = (P[I] - Before[static_cast<size_t>(I)]) /
+                static_cast<double>(benchReps());
   return S;
 }
 

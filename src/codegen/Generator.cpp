@@ -676,8 +676,9 @@ AssemblyPlan planAssemblyImpl(const formats::Format &Src,
   // the deepest sorted level's. One collect+sort+unique at that arity
   // serves them all: ancestor lists are prefix compactions of the anchor's
   // (Chou et al.'s attribute queries are projections of one deepest-level
-  // sorted tuple list). The anchor is 1-based: the deepest sorted level.
-  if (std::count(Plan.Sorted.begin(), Plan.Sorted.end(), true) >= 2)
+  // sorted tuple list). The anchor is 1-based: the deepest sorted level,
+  // which builds the one list even when no other level sorts.
+  if (Plan.anySorted())
     Plan.SharedSortAnchor = static_cast<int>(
         Plan.Sorted.rend() -
         std::find(Plan.Sorted.rbegin(), Plan.Sorted.rend(), true));

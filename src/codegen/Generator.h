@@ -75,12 +75,11 @@ struct AssemblyPlan {
   /// search positions instead of dense rank arrays / query buffers, chosen
   /// when the dense footprint would exceed rankDenseMaxBytes().
   std::vector<bool> Sorted;
-  /// Nonzero when two or more levels sort: this (1-based) level — the
-  /// deepest, full-arity one — anchors a single shared collect+sort+unique
-  /// that every other sorted level derives its list from by prefix
-  /// compaction (validated formats store dimension K at level K, so the
-  /// grouping tuples nest). 0 when at most one level sorts (it builds its
-  /// own list).
+  /// Nonzero when any level sorts: this (1-based) level — the deepest,
+  /// full-arity one — anchors a single shared collect+sort+unique that
+  /// every other sorted level derives its list from by prefix compaction
+  /// (validated formats store dimension K at level K, so the grouping
+  /// tuples nest). 0 when no level sorts.
   int SharedSortAnchor = 0;
   /// Nonempty when sorted levels lower their tuple sorts through the
   /// packed-key radix sort: every destination extent is known and the

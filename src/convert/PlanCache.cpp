@@ -343,10 +343,10 @@ std::string convert::planKey(const formats::Format &Source,
       strfmt(" [q%dc%dm%d]", Opts.OptimizeQueries ? 1 : 0,
              Opts.CounterReuse ? 1 : 0, Opts.MaterializeRemap ? 1 : 0);
   // A dims hint changes the generated code only through the assembly
-  // strategy it selects (which levels go sorted/ranked/dedup, whether they
-  // share one full-arity sort, and whether their sorts pack keys), so the
-  // key carries those bits rather than the raw dims: every huge-dims tensor
-  // that lands on the same strategy shares one plan and one JIT object.
+  // strategy it selects (which levels go sorted/ranked/dedup and whether
+  // their sorts pack keys), so the key carries those bits rather than the
+  // raw dims: every huge-dims tensor that lands on the same strategy
+  // shares one plan and one JIT object.
   // The bits are re-derived on every lookup, so flipping
   // CONVGEN_RANK_DENSE_MAX_BYTES can never hit a stale cached plan.
   // optionsForDims() keeps the hint empty whenever the dims do not affect
@@ -358,10 +358,10 @@ std::string convert::planKey(const formats::Format &Source,
   if (!Opts.DimsHint.empty() || Opts.ForceSortedRanking) {
     codegen::AssemblyPlan Plan = codegen::planAssembly(Source, Target, Opts);
     Key += " [s";
+    // The anchor of the shared sort is the deepest '1', so the bits
+    // determine it.
     for (size_t K = 0; K < Plan.Sorted.size(); ++K)
       Key += Plan.Sorted[K] ? '1' : (Plan.Ranked[K] ? 'r' : '0');
-    if (Plan.SharedSortAnchor > 0)
-      Key += ":g" + std::to_string(Plan.SharedSortAnchor);
     // The packed sorts compute their key widths from the extents at run
     // time, so every shape that packs shares one entry.
     if (!Plan.PackWidths.empty())

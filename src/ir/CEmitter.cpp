@@ -35,8 +35,8 @@ std::string ir::cRuntimeTableDecl() {
   return R"(typedef struct {
   void (*scan_sum)(int32_t *x, int64_t n, int64_t p);
   void (*scan_max)(int32_t *x, int64_t n, int64_t p);
-  void (*sort_tuples)(int32_t *buf, int64_t n, int64_t arity, int64_t p);
-  int64_t (*unique_tuples)(int32_t *buf, int64_t n, int64_t arity);
+  int64_t (*sort_unique_tuples)(int32_t *buf, int64_t n, int64_t arity,
+                                int64_t p);
   int64_t (*unique_prefix)(const int32_t *src, int64_t n, int64_t src_arity,
                            int32_t *dst, int64_t dst_arity, int64_t p);
   int64_t (*radix_sort_packed)(int32_t *buf, int64_t n, int64_t arity,
@@ -48,14 +48,12 @@ std::string ir::cRuntimeTableDecl() {
 
 namespace {
 /// What a routine body needs beyond the fixed prelude, found in one walk.
-/// Scans, sorts and dedups call the prebuilt runtime (compiled once into
-/// libconvgen and bound when the object loads), so they add only the
-/// table's declaration and the bind entry point. The binary searches run
-/// once per nonzero inside insertion loops, so they stay inline, each
+/// Scans, sorts and dedups call the prebuilt runtime through the table
+/// every routine receives, so they need nothing here. The binary searches
+/// run once per nonzero inside insertion loops, so they stay inline, each
 /// emitted only where used. A routine that needs none of this — every
 /// routine without sorted ranking — carries none of it.
 struct PreludeNeeds {
-  bool Runtime = false;      ///< A scan, sort or dedup statement.
   bool Search = false;       ///< A tuple-compare LowerBound.
   bool PackedSearch = false; ///< A packed LowerBound.
   bool BitWidth = false;     ///< A run-time packed-key width.
@@ -79,9 +77,6 @@ struct PreludeNeeds {
   void visit(const Stmt &S) {
     if (!S)
       return;
-    if (S->Kind == StmtKind::Scan || S->Kind == StmtKind::SortTuples ||
-        S->Kind == StmtKind::UniqueTuples || S->Kind == StmtKind::UniquePrefix)
-      Runtime = true;
     visit(S->A);
     visit(S->B);
     for (const Expr &W : S->PackWidths)
@@ -211,46 +206,21 @@ std::string ir::emitC(const Function &F) {
 }
 
 )";
-  // Per-phase wall-clock accumulators; <fn>_phase_seconds exposes them to
-  // the benchmark harness (slots: analysis, edge insertion, insertion,
-  // finalize). Added to atomically, through a compare-and-swap loop since
-  // C11 atomic floating-point arithmetic needs libatomic, which the
-  // routine cannot assume; so concurrent runs of a PlanCache-shared
-  // routine never race. The phase start is a local of each run. No
-  // thread-local storage: every dlopen'd routine with TLS costs each
-  // thread a dynamically allocated TLS block, and LeakSanitizer misreads
-  // some of those blocks and crashes at exit once many routines are
-  // loaded.
+  // The phase clock. Each call adds into the slot array its caller passes
+  // (or reads no clock for NULL), so a loaded object holds no mutable
+  // state and two handles of one object never share a total.
   Out += "static double cvg_now(void) {\n"
          "  struct timespec cvg_ts;\n"
          "  clock_gettime(CLOCK_MONOTONIC, &cvg_ts);\n"
          "  return (double)cvg_ts.tv_sec + 1e-9 * (double)cvg_ts.tv_nsec;\n"
-         "}\n"
-         "static double cvg_phase_secs[8];\n"
-         "static void cvg_phase_add(int64_t k, double d) {\n"
-         "  double old, upd;\n"
-         "  __atomic_load(&cvg_phase_secs[k], &old, __ATOMIC_RELAXED);\n"
-         "  do\n"
-         "    upd = old + d;\n"
-         "  while (!__atomic_compare_exchange(&cvg_phase_secs[k], &old, &upd, 0,\n"
-         "                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED));\n"
          "}\n\n";
-  Out += cTensorStructDecl();
-  // The runtime binding: JitConversion calls <fn>_bind_runtime with the
-  // library's table before the routine can run. Rebinding the same table
-  // (the same object loaded twice) writes nothing, so it cannot race with
-  // a run in progress.
-  if (Needs.Runtime)
-    Out += "\n" + cRuntimeTableDecl() +
-           "static const cvg_runtime_t *cvg_rt;\n"
-           "void " + F.Name + "_bind_runtime(const cvg_runtime_t *rt) {\n"
-           "  if (cvg_rt != rt)\n"
-           "    cvg_rt = rt;\n"
-           "}\n";
-  Out += "\ndouble *" + F.Name + "_phase_seconds(void) {\n"
-         "  return cvg_phase_secs;\n}\n";
+  // Every routine declares the runtime table, so its layout is part of
+  // every disk-object hash.
+  Out += cTensorStructDecl() + "\n" + cRuntimeTableDecl();
   Out += "\nvoid " + F.Name +
-         "(const cvg_tensor_t *restrict A, cvg_tensor_t *restrict B) {\n";
+         "(const cvg_runtime_t *cvg_rt, const cvg_tensor_t *restrict A,\n" +
+         std::string(F.Name.size() + 6, ' ') +
+         "cvg_tensor_t *restrict B, double *cvg_phase) {\n";
   for (const Param &P : F.Params)
     Out += bindParam(P);
   Out += "  double cvg_phase_t0 = 0;\n\n";

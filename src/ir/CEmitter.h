@@ -10,7 +10,8 @@
 /// with dlopen, which is the same execution model taco uses for generated
 /// kernels. The ABI is a single `cvg_tensor_t` struct per tensor (dims,
 /// per-level pos/crd/perm arrays with lengths, per-level size parameters,
-/// and the values array).
+/// and the values array), plus the runtime table and the caller's phase
+/// slots as arguments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,14 +35,16 @@ std::string cTensorStructDecl();
 
 /// The C declaration of the prebuilt runtime's function table
 /// (`cvg_runtime_t`, bit-compatible with jit::RuntimeTable). Routines that
-/// scan, sort or dedup call through it; emitting it into their source puts
-/// the table layout inside the disk-cache content hash.
+/// scan, sort or dedup call through it; every routine declares it, which
+/// puts the table layout inside every disk-cache content hash.
 std::string cRuntimeTableDecl();
 
-/// Emits a complete C99 translation unit defining
-/// `void <F.Name>(const cvg_tensor_t *A, cvg_tensor_t *B)`, plus
-/// `void <F.Name>_bind_runtime(const cvg_runtime_t *)` when the routine
-/// calls the prebuilt runtime.
+/// Emits a complete C99 translation unit whose one non-static function is
+/// `void <F.Name>(const cvg_runtime_t *cvg_rt, const cvg_tensor_t *A,
+/// cvg_tensor_t *B, double *cvg_phase)`. \p cvg_rt is the prebuilt
+/// runtime's table; \p cvg_phase is NULL or an array of jit::kNumPhases
+/// slots the routine adds its per-phase seconds to. The object holds no
+/// mutable state.
 std::string emitC(const Function &F);
 
 } // namespace ir

@@ -466,45 +466,27 @@ Stmt ir::scan(const std::string &Buffer, Expr Length, ReduceOp Op) {
   return S;
 }
 
-Stmt ir::sortTuples(const std::string &Buffer, Expr Count, int64_t Arity) {
-  CONVGEN_ASSERT(Count != nullptr, "sortTuples requires a tuple count");
-  CONVGEN_ASSERT(Arity >= 1, "sortTuples requires a positive arity");
-  Stmt S = makeStmt(StmtKind::SortTuples);
+Stmt ir::sortUniqueTuples(const std::string &Buffer, Expr Count,
+                          int64_t Arity, const std::string &CountVar,
+                          std::vector<Expr> PackWidths,
+                          const std::string &RankBuffer) {
+  CONVGEN_ASSERT(Count != nullptr, "sortUniqueTuples requires a tuple count");
+  CONVGEN_ASSERT(Arity >= 1, "sortUniqueTuples requires a positive arity");
+  if (CountVar.empty())
+    fatalError("sortUniqueTuples requires a result name");
+  if (!PackWidths.empty())
+    checkPackWidths("sortUniqueTuples", PackWidths,
+                    static_cast<size_t>(Arity), "component");
+  else if (!RankBuffer.empty())
+    fatalError("sortUniqueTuples scatters ranks in the packed form only");
+  Stmt S = makeStmt(StmtKind::SortUniqueTuples);
   StmtNode &N = const_cast<StmtNode &>(*S);
   N.Name = Buffer;
   N.A = std::move(Count);
   N.Arity = Arity;
-  return S;
-}
-
-Stmt ir::sortUniqueTuplesPacked(const std::string &Buffer, Expr Count,
-                                int64_t Arity,
-                                std::vector<Expr> PackWidths,
-                                const std::string &CountVar,
-                                const std::string &RankBuffer) {
-  if (CountVar.empty())
-    fatalError("sortUniqueTuplesPacked requires a result name");
-  checkPackWidths("sortUniqueTuplesPacked", PackWidths,
-                  static_cast<size_t>(Arity), "component");
-  Stmt S = sortTuples(Buffer, std::move(Count), Arity);
-  StmtNode &N = const_cast<StmtNode &>(*S);
   N.PackWidths = std::move(PackWidths);
   N.Slot = CountVar;
   N.Buffer2 = RankBuffer;
-  return S;
-}
-
-Stmt ir::uniqueTuples(const std::string &Buffer, Expr Count, int64_t Arity,
-                      const std::string &CountVar) {
-  CONVGEN_ASSERT(Count != nullptr, "uniqueTuples requires a tuple count");
-  CONVGEN_ASSERT(Arity >= 1, "uniqueTuples requires a positive arity");
-  CONVGEN_ASSERT(!CountVar.empty(), "uniqueTuples requires a result name");
-  Stmt S = makeStmt(StmtKind::UniqueTuples);
-  StmtNode &N = const_cast<StmtNode &>(*S);
-  N.Name = Buffer;
-  N.Slot = CountVar;
-  N.A = std::move(Count);
-  N.Arity = Arity;
   return S;
 }
 
@@ -881,64 +863,44 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
       Out += Pad + Op + S->Name + ", " + printExpr(S->A) + ");\n";
     }
     return;
-  case StmtKind::SortTuples:
-    if (!S->PackWidths.empty()) {
-      // Packed lowering: the per-component widths travel as a compound
-      // literal (like cvg_lower_bound keys); the readable view shows them
-      // as a bits= annotation.
-      std::string Widths;
-      for (const Expr &W : S->PackWidths) {
-        if (!Widths.empty())
-          Widths += ",";
-        Widths += printExpr(W);
-      }
-      // Packed sorts always dedup the sorted keys and declare the unique
-      // count in Slot; a non-empty Buffer2 additionally scatters per-slot
-      // ranks into that buffer.
-      if (CMode) {
-        Out += Pad + strfmt("int64_t %s = cvg_rt->radix_sort_packed(%s, %s, "
-                            "%lld, (const int64_t[]){%s}, %s, cvg_nparts());\n",
-                            S->Slot.c_str(), S->Name.c_str(),
-                            printExpr(S->A).c_str(),
-                            static_cast<long long>(S->Arity), Widths.c_str(),
-                            S->Buffer2.empty() ? "NULL" : S->Buffer2.c_str());
-      } else {
-        std::string Rank =
-            S->Buffer2.empty() ? "" : strfmt(", rank=%s", S->Buffer2.c_str());
-        Out += Pad + strfmt("int64_t %s = sort_unique_tuples_packed(%s, %s, "
-                            "%lld, bits=[%s]%s);\n",
-                            S->Slot.c_str(), S->Name.c_str(),
-                            printExpr(S->A).c_str(),
-                            static_cast<long long>(S->Arity), Widths.c_str(),
-                            Rank.c_str());
-      }
+  case StmtKind::SortUniqueTuples: {
+    std::string Count = printExpr(S->A);
+    long long Arity = static_cast<long long>(S->Arity);
+    if (S->PackWidths.empty()) {
+      Out += Pad + strfmt("int64_t %s = %s(%s, %s, %lld%s);\n",
+                          S->Slot.c_str(),
+                          CMode ? "cvg_rt->sort_unique_tuples"
+                                : "sort_unique_tuples",
+                          S->Name.c_str(), Count.c_str(), Arity,
+                          CMode ? ", cvg_nparts()" : "");
       return;
     }
+    // Packed lowering: the per-component widths travel as a compound
+    // literal (like cvg_lower_bound keys); the readable view shows them
+    // as a bits= annotation. A non-empty Buffer2 additionally scatters
+    // per-slot ranks into that buffer.
+    std::string Widths;
+    for (const Expr &W : S->PackWidths) {
+      if (!Widths.empty())
+        Widths += ",";
+      Widths += printExpr(W);
+    }
     if (CMode) {
-      Out += Pad + strfmt("cvg_rt->sort_tuples(%s, %s, %lld, cvg_nparts());\n",
-                          S->Name.c_str(),
-                          printExpr(S->A).c_str(),
-                          static_cast<long long>(S->Arity));
+      Out += Pad + strfmt("int64_t %s = cvg_rt->radix_sort_packed(%s, %s, "
+                          "%lld, (const int64_t[]){%s}, %s, cvg_nparts());\n",
+                          S->Slot.c_str(), S->Name.c_str(), Count.c_str(),
+                          Arity, Widths.c_str(),
+                          S->Buffer2.empty() ? "NULL" : S->Buffer2.c_str());
     } else {
-      // Figure 6 view: a compact pseudo-op keeps the routine readable.
-      Out += Pad + strfmt("sort_tuples(%s, %s, %lld);\n", S->Name.c_str(),
-                          printExpr(S->A).c_str(),
-                          static_cast<long long>(S->Arity));
+      std::string Rank =
+          S->Buffer2.empty() ? "" : strfmt(", rank=%s", S->Buffer2.c_str());
+      Out += Pad + strfmt("int64_t %s = sort_unique_tuples_packed(%s, %s, "
+                          "%lld, bits=[%s]%s);\n",
+                          S->Slot.c_str(), S->Name.c_str(), Count.c_str(),
+                          Arity, Widths.c_str(), Rank.c_str());
     }
     return;
-  case StmtKind::UniqueTuples:
-    if (CMode) {
-      Out += Pad + strfmt("int64_t %s = cvg_rt->unique_tuples(%s, %s, %lld);\n",
-                          S->Slot.c_str(), S->Name.c_str(),
-                          printExpr(S->A).c_str(),
-                          static_cast<long long>(S->Arity));
-    } else {
-      Out += Pad + strfmt("int64_t %s = unique_tuples(%s, %s, %lld);\n",
-                          S->Slot.c_str(), S->Name.c_str(),
-                          printExpr(S->A).c_str(),
-                          static_cast<long long>(S->Arity));
-    }
-    return;
+  }
   case StmtKind::UniquePrefix:
     Out += Pad + strfmt("int64_t %s = %s(%s, %s, %lld, %s, %lld%s);\n",
                         S->Slot.c_str(),
@@ -954,14 +916,15 @@ static void printStmtInto(const Stmt &S, int Indent, std::string &Out,
       Out += Pad + "// [phase] " + S->Name + "\n";
       return;
     }
-    // Accumulate wall-clock seconds since the previous mark into the
-    // per-routine phase array (exported as <fn>_phase_seconds). Index -1
-    // only (re)starts the clock.
+    // Add the wall-clock seconds since the previous mark to the caller's
+    // slot. Marks run on the calling thread between phases, so a plain
+    // add suffices; a NULL cvg_phase reads no clock. Index -1 only
+    // (re)starts the clock.
     if (S->Phase < 0) {
-      Out += Pad + "cvg_phase_t0 = cvg_now();\n";
+      Out += Pad + "if (cvg_phase)\n" + Pad + "  cvg_phase_t0 = cvg_now();\n";
     } else {
-      Out += Pad + strfmt("{ double cvg_t = cvg_now(); "
-                          "cvg_phase_add(%lld, cvg_t - cvg_phase_t0); "
+      Out += Pad + strfmt("if (cvg_phase) { double cvg_t = cvg_now(); "
+                          "cvg_phase[%lld] += cvg_t - cvg_phase_t0; "
                           "cvg_phase_t0 = cvg_t; } // %s",
                           static_cast<long long>(S->Phase),
                           S->Name.c_str()) +

@@ -174,7 +174,7 @@ Expr lowerBound(const std::string &Buffer, Expr Count, std::vector<Expr> Keys);
 /// lowerBound with the packed-key compare: \p PackWidths gives the bit
 /// width of each tuple component (one per key; at run time each must be in
 /// [0, 32] with a total of at most 64 — the same fit as
-/// sortUniqueTuplesPacked), so the C lowering packs the key tuple and each
+/// sortUniqueTuples), so the C lowering packs the key tuple and each
 /// probed tuple into single uint64_t values and compares those. Unsigned
 /// packed order equals lexicographic tuple order whenever every stored
 /// coordinate fits its width, so the result is identical to lowerBound —
@@ -201,9 +201,8 @@ enum class StmtKind : uint8_t {
   YieldScalar, ///< Publish scalar A to output slot Slot.
   Scan,      ///< In-place prefix sum/max over Buffer[0:A] (see scan()).
   PhaseMark, ///< Phase-boundary timing probe (see phaseMark()).
-  SortTuples,   ///< Lexicographic in-place tuple sort (see sortTuples()).
-  UniqueTuples, ///< Adjacent-duplicate compaction (see uniqueTuples()).
-  UniquePrefix, ///< Prefix compaction of a sorted list (see uniquePrefix()).
+  SortUniqueTuples, ///< In-place tuple sort + dedup (sortUniqueTuples()).
+  UniquePrefix, ///< Prefix compaction of a sorted list (uniquePrefix()).
 };
 
 /// Reduction applied by a Store: Buffer[I] op= V.
@@ -229,20 +228,22 @@ struct StmtNode {
   std::vector<Stmt> Stmts; ///< Block members.
   std::string Name;        ///< Variable or buffer name; comment text.
   std::string Slot;        ///< Yield output slot; count-variable name for
-                           ///< UniqueTuples/UniquePrefix.
+                           ///< SortUniqueTuples/UniquePrefix.
   ScalarKind Type = ScalarKind::Int;
   Expr A, B;
   Stmt Body, Else;
   ReduceOp Reduce = ReduceOp::None; ///< Store reduction; Scan combiner.
   int64_t Phase = 0;                ///< PhaseMark only: phase index.
   int64_t Arity = 1; ///< Tuple ops only: ints per (source) tuple.
-  /// SortTuples only: when non-empty, one bit width expression per tuple
-  /// component (size() == Arity) selecting the packed-key radix lowering —
-  /// each tuple packs into a single uint64_t key (component d occupies
-  /// PackWidths[d] bits, component 0 most significant, so key order ==
-  /// lexicographic tuple order). Empty selects the comparison merge sort.
+  /// SortUniqueTuples only: when non-empty, one bit width expression per
+  /// tuple component (size() == Arity) selecting the packed-key radix
+  /// lowering — each tuple packs into a single uint64_t key (component d
+  /// occupies PackWidths[d] bits, component 0 most significant, so key
+  /// order == lexicographic tuple order). Empty selects the comparison
+  /// merge sort.
   std::vector<Expr> PackWidths;
-  /// UniquePrefix only: the destination buffer.
+  /// UniquePrefix: the destination buffer. SortUniqueTuples: the rank
+  /// buffer (empty: no ranks).
   std::string Buffer2;
   /// UniquePrefix only: ints per destination tuple (the prefix length).
   int64_t Arity2 = 0;
@@ -294,53 +295,44 @@ Stmt scan(const std::string &Buffer, Expr Length,
           ReduceOp Op = ReduceOp::Add);
 
 /// Sorts the \p Count tuples of \p Buffer in place into lexicographic
-/// order. Tuples are \p Arity consecutive int32 elements each (row-major,
-/// tuple t at Buffer[t*Arity]). The interpreter is the serial oracle; the C
-/// emitter lowers to the runtime's sort_tuples, a bottom-up merge sort
-/// whose per-width merge passes parallelize under OpenMP. The output is the fully sorted
-/// sequence — a pure function of the input multiset — so any thread count
-/// (and the interpreter) produce bit-identical buffers. This is the
-/// O(nnz)-memory replacement for dense rank arrays in sorted-ranking
-/// assembly (huge-dimension hyper-sparse tensors).
-Stmt sortTuples(const std::string &Buffer, Expr Count, int64_t Arity);
-
-/// sortTuples + uniqueTuples with the packed-key radix lowering: sorts,
-/// drops duplicate tuples, and declares \p CountVar (int64) with the
-/// unique count. \p PackWidths gives the bit width of each tuple component
-/// as a run-time expression (one per component; at run time each must be
-/// in [0, 32] and they must sum to at most 64), and every stored coordinate
-/// must satisfy 0 <= c < 2^width; the interpreter checks both and fails the
-/// run otherwise. The factory checks immediate widths up front. The C
-/// emitter lowers to the runtime's
-/// radix_sort_packed — pack each tuple into one uint64_t key
-/// (component 0 most significant), LSD radix sort (per-partition
-/// histograms + a serial digit-offset scan), deduplicate the packed keys
-/// BEFORE unpacking (one compare per adjacent pair instead of a
-/// tuple-compare compaction pass over the unpacked buffer), unpack. The
-/// result is the same pure function of the input multiset as the merge
-/// lowering (packed-key order == lexicographic tuple order, and equal keys
-/// are equal tuples under the width contract), so the serial interpreter
-/// stays the bit-exact oracle by construction and any thread count
-/// produces identical buffers. Callers fall back to sortTuples +
-/// uniqueTuples when extents are unknown or the widths do not fit.
+/// order, drops duplicate tuples, and declares the int64 variable
+/// \p CountVar holding the number of distinct tuples kept at the front of
+/// the buffer. Tuples are \p Arity consecutive int32 elements each
+/// (row-major, tuple t at Buffer[t*Arity]). This is the O(nnz)-memory
+/// replacement for dense rank arrays in sorted-ranking assembly
+/// (huge-dimension hyper-sparse tensors). The interpreter is the serial
+/// oracle. The result is a pure function of the input multiset, so any
+/// thread count (and the interpreter) produce bit-identical buffers.
 ///
-/// A non-empty \p RankBuffer names a pre-allocated int32 buffer of
-/// \p Count slots that the sort additionally fills with each slot's rank:
-/// RankBuffer[i] = index of the (pre-sort) tuple at slot i in the deduped
-/// sorted list — exactly what lowerBound over the result returns for that
-/// tuple, precomputed for every slot. The C lowering carries the slot
-/// index as a payload through the radix scatters (no searches); consumers
-/// can then resolve a stored nonzero's position with one load.
-Stmt sortUniqueTuplesPacked(const std::string &Buffer, Expr Count,
-                            int64_t Arity, std::vector<Expr> PackWidths,
-                            const std::string &CountVar,
-                            const std::string &RankBuffer = "");
-
-/// Compacts adjacent duplicate tuples of the (sorted) \p Buffer in place
-/// and declares the int64 variable \p CountVar holding the number of
-/// distinct tuples kept. Serial in both backends (a single O(n) pass).
-Stmt uniqueTuples(const std::string &Buffer, Expr Count, int64_t Arity,
-                  const std::string &CountVar);
+/// An empty \p PackWidths selects the merge lowering: the runtime's
+/// sort_unique_tuples, a bottom-up merge sort whose per-width merge passes
+/// parallelize under OpenMP, compacted as it is copied out.
+///
+/// A non-empty \p PackWidths selects the packed-key radix lowering. It
+/// gives the bit width of each tuple component as a run-time expression
+/// (one per component; at run time each must be in [0, 32] and they must
+/// sum to at most 64), and every stored coordinate must satisfy
+/// 0 <= c < 2^width; the interpreter checks both and fails the run
+/// otherwise. The factory checks immediate widths up front. The C emitter
+/// lowers to the runtime's radix_sort_packed — pack each tuple into one
+/// uint64_t key (component 0 most significant), LSD radix sort
+/// (per-partition histograms + a serial digit-offset scan), deduplicate
+/// the packed keys before unpacking, unpack. Packed-key order equals
+/// lexicographic tuple order, and equal keys are equal tuples under the
+/// width contract, so both lowerings produce the same buffer.
+///
+/// A non-empty \p RankBuffer (packed form only) names a pre-allocated
+/// int32 buffer of \p Count slots that the sort additionally fills with
+/// each slot's rank: RankBuffer[i] = index of the (pre-sort) tuple at slot
+/// i in the deduped sorted list — exactly what lowerBound over the result
+/// returns for that tuple, precomputed for every slot. The C lowering
+/// carries the slot index as a payload through the radix scatters (no
+/// searches); consumers can then resolve a stored nonzero's position with
+/// one load.
+Stmt sortUniqueTuples(const std::string &Buffer, Expr Count, int64_t Arity,
+                      const std::string &CountVar,
+                      std::vector<Expr> PackWidths = {},
+                      const std::string &RankBuffer = "");
 
 /// Compacts the distinct length-\p DstArity prefixes of the \p Count sorted
 /// tuples in \p Src (arity \p SrcArity >= DstArity) into \p Dst, in order,
@@ -358,10 +350,11 @@ Stmt uniquePrefix(const std::string &Src, Expr Count, int64_t SrcArity,
                   const std::string &CountVar);
 
 /// Phase-boundary probe for the per-phase timing breakdown: the C emitter
-/// accumulates wall-clock seconds since the previous mark into slot
-/// \p Phase of a per-routine array exported as `<fn>_phase_seconds`; the
-/// interpreter and the pretty printer treat it as a comment. Index -1
-/// starts the clock without recording (function prologue).
+/// adds the wall-clock seconds since the previous mark to slot \p Phase of
+/// the caller's `cvg_phase` array, and reads no clock when the caller
+/// passes NULL; the interpreter and the pretty printer treat it as a
+/// comment. Index -1 starts the clock without recording (function
+/// prologue).
 Stmt phaseMark(int64_t Phase, const std::string &Label);
 
 /// Returns a copy of the For statement \p Loop annotated as parallel (see
@@ -439,7 +432,8 @@ std::string printStmt(const Stmt &S, int Indent = 0);
 /// to printStmt except that scans, sorts and dedups lower to calls through
 /// the runtime table `cvg_rt` and PhaseMark to timing probes, instead of
 /// the compact pseudo-ops of the readable view. Requires the names the C
-/// emitter's prelude defines (cvg_nparts, cvg_now, cvg_phase_secs, cvg_rt).
+/// emitter's routine defines (cvg_nparts and cvg_now in the prelude; the
+/// parameters cvg_rt and cvg_phase, and the local cvg_phase_t0).
 std::string printStmtAsC(const Stmt &S, int Indent = 0);
 
 /// Renders the whole function (signature comment plus body) as C-like text.

@@ -450,21 +450,21 @@ void ExecState::exec(const Stmt &S) {
     }
     return;
   }
-  case StmtKind::SortTuples: {
-    // The serial oracle for the C emitter's parallel merge sort: the fully
-    // sorted sequence is a pure function of the input multiset, so both
-    // agree bit-for-bit for any thread count.
+  case StmtKind::SortUniqueTuples: {
+    // The serial oracle for both C lowerings (merge sort and packed radix
+    // sort): the sorted, deduplicated sequence is a pure function of the
+    // input multiset, so all agree bit-for-bit for any thread count.
     RuntimeBuffer &Buf = buffer(S->Name);
     if (Buf.Elem != ScalarKind::Int)
-      fail("sort_tuples over a non-integer buffer '" + S->Name + "'");
+      fail("sort_unique_tuples over a non-integer buffer '" + S->Name + "'");
     int64_t N = eval(S->A).asInt();
     int64_t R = S->Arity;
     if (N < 0 || N * R > Buf.size())
-      fail(strfmt("sort_tuples range %lld tuples of arity %lld out of "
-                  "bounds for buffer %s (size %lld)",
+      fail(strfmt("sort_unique_tuples range %lld tuples of arity %lld out "
+                  "of bounds for buffer %s (size %lld)",
                   static_cast<long long>(N), static_cast<long long>(R),
                   S->Name.c_str(), static_cast<long long>(Buf.size())));
-    const std::vector<int32_t> &Ints = Buf.Ints;
+    std::vector<int32_t> &Ints = Buf.Ints;
     if (!S->PackWidths.empty()) {
       std::vector<int64_t> W =
           evalPackWidths(S->PackWidths, "sort_unique_tuples_packed");
@@ -476,77 +476,36 @@ void ExecState::exec(const Stmt &S) {
     std::vector<int64_t> Order(static_cast<size_t>(N));
     for (int64_t I = 0; I < N; ++I)
       Order[static_cast<size_t>(I)] = I;
+    auto Tuple = [&](const std::vector<int32_t> &V, int64_t T) {
+      return V.begin() + T * R;
+    };
     std::sort(Order.begin(), Order.end(), [&](int64_t A, int64_t B) {
-      return std::lexicographical_compare(
-          Ints.begin() + A * R, Ints.begin() + (A + 1) * R,
-          Ints.begin() + B * R, Ints.begin() + (B + 1) * R);
+      return std::lexicographical_compare(Tuple(Ints, A), Tuple(Ints, A + 1),
+                                          Tuple(Ints, B), Tuple(Ints, B + 1));
     });
-    std::vector<int32_t> Sorted(static_cast<size_t>(N * R));
-    for (int64_t I = 0; I < N; ++I)
-      std::copy(Ints.begin() + Order[static_cast<size_t>(I)] * R,
-                Ints.begin() + (Order[static_cast<size_t>(I)] + 1) * R,
-                Sorted.begin() + I * R);
-    std::copy(Sorted.begin(), Sorted.end(), Buf.Ints.begin());
-    if (!S->Slot.empty() && !S->Buffer2.empty()) {
-      // Rank scatter: slot i's rank in the deduped list is the number of
-      // distinct tuples at or before its sorted position, minus one.
-      // Equal tuples share a rank, so the tie order inside Order is
-      // irrelevant — same pure function of the multiset as the C payload.
-      RuntimeBuffer &Rank = buffer(S->Buffer2);
-      if (Rank.Elem != ScalarKind::Int || Rank.size() < N)
+    RuntimeBuffer *Rank = nullptr;
+    if (!S->Buffer2.empty()) {
+      Rank = &buffer(S->Buffer2);
+      if (Rank->Elem != ScalarKind::Int || Rank->size() < N)
         fail("sort_unique_tuples_packed rank buffer '" + S->Buffer2 +
              "' missing or too small");
-      int64_t U = 0;
-      for (int64_t I = 0; I < N; ++I) {
-        if (I == 0 || !std::equal(Buf.Ints.begin() + I * R,
-                                  Buf.Ints.begin() + (I + 1) * R,
-                                  Buf.Ints.begin() + (I - 1) * R))
-          ++U;
-        Rank.Ints[static_cast<size_t>(Order[static_cast<size_t>(I)])] =
-            static_cast<int32_t>(U - 1);
-      }
     }
-    if (!S->Slot.empty()) {
-      // Fused form (sortUniqueTuplesPacked): compact adjacent duplicates
-      // and bind the unique count — byte-identical to running the
-      // UniqueTuples compaction below on the sorted buffer.
-      int64_t U = 0;
-      for (int64_t I = 0; I < N; ++I) {
-        if (U > 0 && std::equal(Buf.Ints.begin() + I * R,
-                                Buf.Ints.begin() + (I + 1) * R,
-                                Buf.Ints.begin() + (U - 1) * R))
-          continue;
-        if (U != I)
-          std::copy(Buf.Ints.begin() + I * R, Buf.Ints.begin() + (I + 1) * R,
-                    Buf.Ints.begin() + U * R);
-        ++U;
-      }
-      Env[S->Slot] = Value::makeInt(U);
-    }
-    return;
-  }
-  case StmtKind::UniqueTuples: {
-    RuntimeBuffer &Buf = buffer(S->Name);
-    if (Buf.Elem != ScalarKind::Int)
-      fail("unique_tuples over a non-integer buffer '" + S->Name + "'");
-    int64_t N = eval(S->A).asInt();
-    int64_t R = S->Arity;
-    if (N < 0 || N * R > Buf.size())
-      fail(strfmt("unique_tuples range %lld tuples of arity %lld out of "
-                  "bounds for buffer %s (size %lld)",
-                  static_cast<long long>(N), static_cast<long long>(R),
-                  S->Name.c_str(), static_cast<long long>(Buf.size())));
+    // Copy the distinct tuples out in sorted order. Slot i's rank in the
+    // deduped list is the number of distinct tuples at or before its
+    // sorted position, minus one; equal tuples share a rank, so the tie
+    // order inside Order is irrelevant — the same pure function of the
+    // multiset as the C payload.
+    std::vector<int32_t> Sorted(static_cast<size_t>(N * R));
     int64_t U = 0;
-    for (int64_t I = 0; I < N; ++I) {
-      if (U > 0 &&
-          std::equal(Buf.Ints.begin() + I * R, Buf.Ints.begin() + (I + 1) * R,
-                     Buf.Ints.begin() + (U - 1) * R))
-        continue;
-      if (U != I)
-        std::copy(Buf.Ints.begin() + I * R, Buf.Ints.begin() + (I + 1) * R,
-                  Buf.Ints.begin() + U * R);
-      ++U;
+    for (int64_t Src : Order) {
+      if (U == 0 || !std::equal(Tuple(Ints, Src), Tuple(Ints, Src + 1),
+                                Tuple(Sorted, U - 1)))
+        std::copy(Tuple(Ints, Src), Tuple(Ints, Src + 1),
+                  Sorted.begin() + (U++) * R);
+      if (Rank)
+        Rank->Ints[static_cast<size_t>(Src)] = static_cast<int32_t>(U - 1);
     }
+    std::copy(Sorted.begin(), Sorted.begin() + U * R, Ints.begin());
     Env[S->Slot] = Value::makeInt(U);
     return;
   }

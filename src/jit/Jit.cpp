@@ -315,16 +315,13 @@ std::string jit::jitEffectiveFlags() {
   return Flags;
 }
 
-/// Loads the conversion entry point out of an already compiled object and
-/// binds the prebuilt runtime into it when the routine uses one (its
-/// `<fn>_bind_runtime`), so \p Fn is set only once the routine can run.
+/// Loads the conversion entry point out of an already compiled object.
 /// Returns false (with \p Error set) instead of aborting, so callers can
 /// treat a stale or corrupt cached object as a miss. Honors the dlopen and
 /// dlsym fault-injection sites.
 static bool loadConversion(const std::string &SoPath,
                            const std::string &FnName, void **Handle,
-                           void (**Fn)(const CTensor *, CTensor *),
-                           std::string *Error) {
+                           RoutineFn *Fn, std::string *Error) {
   if (support::faultInjected(FaultSite::Dlopen)) {
     *Error = "jit: dlopen failed (injected fault): " + SoPath;
     return false;
@@ -334,31 +331,17 @@ static bool loadConversion(const std::string &SoPath,
     *Error = "jit: dlopen failed: " + std::string(dlerror());
     return false;
   }
-  void (*Entry)(const CTensor *, CTensor *) = nullptr;
+  RoutineFn Entry = nullptr;
   if (!support::faultInjected(FaultSite::Dlsym))
-    Entry = reinterpret_cast<void (*)(const CTensor *, CTensor *)>(
-        dlsym(*Handle, FnName.c_str()));
+    Entry = reinterpret_cast<RoutineFn>(dlsym(*Handle, FnName.c_str()));
   if (!Entry) {
     *Error = "jit: dlsym cannot find " + FnName;
     dlclose(*Handle);
     *Handle = nullptr;
     return false;
   }
-  using BindFn = void (*)(const RuntimeTable *);
-  if (BindFn Bind = reinterpret_cast<BindFn>(
-          dlsym(*Handle, (FnName + "_bind_runtime").c_str())))
-    Bind(&runtimeTable());
   *Fn = Entry;
   return true;
-}
-
-/// Resolves the per-phase timing array a freshly emitted routine exports;
-/// returns null for objects that predate phase timing (stale disk cache).
-static double *loadPhaseSeconds(void *Handle, const std::string &FnName) {
-  using Accessor = double *(*)(void);
-  Accessor Get = reinterpret_cast<Accessor>(
-      dlsym(Handle, (FnName + "_phase_seconds").c_str()));
-  return Get ? Get() : nullptr;
 }
 
 /// Transient-failure retry budget (CONVGEN_JIT_ATTEMPTS, default 3,
@@ -425,7 +408,6 @@ bool JitConversion::loadVerifiedCached() {
     return false;
   }
   FromCache = true;
-  PhaseSecs = loadPhaseSeconds(Handle, Conv.Func.Name);
   return true;
 }
 
@@ -582,7 +564,6 @@ JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
     return Status::error(ErrorCode::Unavailable, Error);
   }
   WorkDir = Dir;
-  PhaseSecs = loadPhaseSeconds(Handle, Conv.Func.Name);
   return Status();
 }
 
@@ -718,7 +699,11 @@ JitConversion::interpretRun(const tensor::SparseTensor &In) const {
 
 void JitConversion::runRaw(const CTensor *A, CTensor *B) const {
   if (Fn) {
-    Fn(A, B);
+    double Phases[kNumPhases] = {};
+    Fn(&runtimeTable(), A, B, Phases);
+    std::lock_guard<std::mutex> Lock(PhaseMu);
+    for (int K = 0; K < kNumPhases; ++K)
+      PhaseSecs[K] += Phases[K];
     return;
   }
   CONVGEN_ASSERT(Degraded, "jit function not loaded");
@@ -791,7 +776,7 @@ JitConversion::tryRun(const tensor::SparseTensor &In) const {
     return interpretRun(In);
   CTensor A, B;
   marshalInput(In, &A);
-  Fn(&A, &B);
+  Fn(&runtimeTable(), &A, &B, nullptr);
   return collectOutput(Conv.Target, In.Dims, &B);
 }
 

@@ -11,7 +11,8 @@
 /// (paper §7.1). The benchmarks run conversions through this backend; the
 /// test suite checks it agrees bit-for-bit with the reference interpreter.
 /// A routine that sorts or scans calls the prebuilt runtime
-/// (jit/Runtime.h); every load binds it before the routine can run.
+/// (jit/Runtime.h) through the table every call passes it; a loaded
+/// object holds no state of its own.
 ///
 /// Fault tolerance: environment failures (a missing or broken compiler, a
 /// failed dlopen/dlsym, an unwritable scratch directory) never abort.
@@ -60,6 +61,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 namespace convgen {
@@ -79,15 +81,21 @@ struct CTensor {
   int64_t vals_len = 0;
 };
 
-/// Phase slots of the `<fn>_phase_seconds` array generated routines
-/// export: analysis (attribute queries + remap materialization), edge
-/// insertion / initialization, coordinate insertion (including blocked
-/// cursor counting), and finalize/yield. Slots 4-7 are the sorted-ranking
-/// sub-phases carved out of edge insertion — tuple collect, sort + unique
-/// list construction, pos build, crd/perm write — and stay zero in
-/// routines without sorted levels (whose slot 1 then covers the whole
-/// phase, as before).
+/// Phase slots of the `cvg_phase` array a generated routine adds its
+/// per-phase seconds to (its last argument): analysis (attribute queries +
+/// remap materialization), edge insertion / initialization, coordinate
+/// insertion (including blocked cursor counting), and finalize/yield.
+/// Slots 4-7 are the sorted-ranking sub-phases carved out of edge
+/// insertion — tuple collect, sort + unique list construction, pos build,
+/// crd/perm write — and stay zero in routines without sorted levels (whose
+/// slot 1 then covers the whole phase).
 constexpr int kNumPhases = 8;
+
+struct RuntimeTable;
+
+/// A loaded routine's entry point (see ir::emitC).
+using RoutineFn = void (*)(const RuntimeTable *, const CTensor *, CTensor *,
+                           double *);
 
 /// The external C compiler command: CONVGEN_CC, or "cc" when that is unset
 /// or empty. Re-read per use so tests can rebind CONVGEN_CC in-process
@@ -194,18 +202,21 @@ public:
   /// marshalInput; \p B receives malloc'd arrays that the caller releases
   /// with freeOutput (or adopts via collectOutput). On a degraded handle
   /// the interpreter serves the call and \p B receives malloc'd copies of
-  /// its yields — the same ownership contract either way.
+  /// its yields — the same ownership contract either way. The routine
+  /// times its phases into a call-local array, which is then added to
+  /// this handle's phaseSeconds() totals.
   void runRaw(const CTensor *A, CTensor *B) const;
 
   /// Wall-clock seconds spent in the external compiler (cumulative across
   /// retry attempts).
   double compileSeconds() const { return CompileSecs; }
 
-  /// Cumulative per-phase wall-clock seconds the routine recorded across
-  /// all runs on all threads (kNumPhases slots), or nullptr if the loaded
-  /// object predates phase timing. Benchmarks snapshot before/after a
-  /// timing loop and divide the delta by the rep count; runs on other
-  /// threads during the loop add to the delta.
+  /// Cumulative per-phase wall-clock seconds of this handle's runRaw calls
+  /// (kNumPhases slots; never null, all zero on a degraded handle). Other
+  /// handles, tryRun and run add nothing. Benchmarks snapshot before/after
+  /// a timing loop and divide the delta by the rep count; runRaw calls on
+  /// other threads during the loop add to the delta. Read it while no
+  /// runRaw on this handle is in flight.
   const double *phaseSeconds() const { return PhaseSecs; }
 
   const codegen::Conversion &conversion() const { return Conv; }
@@ -235,8 +246,10 @@ private:
   codegen::Conversion Conv;
   std::string CachedSoPath;
   void *Handle = nullptr;
-  void (*Fn)(const CTensor *, CTensor *) = nullptr;
-  double *PhaseSecs = nullptr;
+  RoutineFn Fn = nullptr;
+  /// runRaw's per-handle phase totals, added to under PhaseMu.
+  mutable std::mutex PhaseMu;
+  mutable double PhaseSecs[kNumPhases] = {};
   std::string WorkDir;
   double CompileSecs = 0;
   bool FromCache = false;

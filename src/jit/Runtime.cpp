@@ -139,8 +139,14 @@ bool firstOfPrefix(const int32_t *Src, int64_t I, int64_t SrcArity,
          tupleCmp(Src + I * SrcArity, Src + (I - 1) * SrcArity, Len) != 0;
 }
 
+/// Bottom-up merge sort whose per-width merge passes run in parallel (each
+/// pass's output is fully determined by its input, so the sorted sequence
+/// does not depend on the thread count), then one serial pass that copies
+/// the sorted tuples back into \p Buf, dropping adjacent duplicates — in
+/// place when the last merge pass landed in Buf.
 template <int Fixed>
-void sortTuples(int32_t *Buf, int64_t N, Arity<Fixed> Len, int64_t P) {
+int64_t sortUniqueTuples(int32_t *Buf, int64_t N, Arity<Fixed> Len,
+                         int64_t P) {
   const int64_t A = Len();
   HeapArray<int32_t> Tmp = allocate<int32_t>(N * A);
   int32_t *Src = Buf, *Dst = Tmp.get();
@@ -153,19 +159,12 @@ void sortTuples(int32_t *Buf, int64_t N, Arity<Fixed> Len, int64_t P) {
     }
     std::swap(Src, Dst);
   }
-  if (Src != Buf)
-    std::memcpy(Buf, Src, static_cast<size_t>(N * A) * sizeof(int32_t));
-}
-
-template <int Fixed>
-int64_t uniqueTuples(int32_t *Buf, int64_t N, Arity<Fixed> Len) {
-  const int64_t A = Len();
   int64_t U = 0;
   for (int64_t I = 0; I < N; I++) {
-    if (U > 0 && tupleCmp(Buf + I * A, Buf + (U - 1) * A, Len) == 0)
+    if (U > 0 && tupleCmp(Src + I * A, Buf + (U - 1) * A, Len) == 0)
       continue;
-    if (U != I)
-      copyTuple(Buf + U * A, Buf + I * A, Len);
+    if (Src + I * A != Buf + U * A)
+      copyTuple(Buf + U * A, Src + I * A, Len);
     U++;
   }
   return U;
@@ -374,17 +373,13 @@ void cvg_rt_scan_max(int32_t *x, int64_t n, int64_t p) {
   blockedScan(x, n, p, [](int32_t A, int32_t B) { return A > B ? A : B; });
 }
 
-/// Bottom-up merge sort whose per-width merge passes run in parallel: each
-/// pass's output is fully determined by its input, so the sorted sequence
-/// does not depend on the thread count.
-void cvg_rt_sort_tuples(int32_t *buf, int64_t n, int64_t arity, int64_t p) {
+/// Merge sort plus dedup: see sortUniqueTuples.
+int64_t cvg_rt_sort_unique_tuples(int32_t *buf, int64_t n, int64_t arity,
+                                  int64_t p) {
   if (n <= 1)
-    return;
-  withArity(arity, [&](auto Len) { sortTuples(buf, n, Len, p); });
-}
-
-int64_t cvg_rt_unique_tuples(int32_t *buf, int64_t n, int64_t arity) {
-  return withArity(arity, [&](auto Len) { return uniqueTuples(buf, n, Len); });
+    return n;
+  return withArity(arity,
+                   [&](auto Len) { return sortUniqueTuples(buf, n, Len, p); });
 }
 
 /// Blocked two-pass compaction: each partition counts its first-of-prefix
@@ -412,7 +407,7 @@ int64_t cvg_rt_radix_sort_packed(int32_t *buf, int64_t n, int64_t arity,
 
 const jit::RuntimeTable &jit::runtimeTable() {
   static const RuntimeTable Table = {
-      cvg_rt_scan_sum,      cvg_rt_scan_max,      cvg_rt_sort_tuples,
-      cvg_rt_unique_tuples, cvg_rt_unique_prefix, cvg_rt_radix_sort_packed};
+      cvg_rt_scan_sum, cvg_rt_scan_max, cvg_rt_sort_unique_tuples,
+      cvg_rt_unique_prefix, cvg_rt_radix_sort_packed};
   return Table;
 }

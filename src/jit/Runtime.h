@@ -6,21 +6,22 @@
 ///
 /// \file
 /// The prebuilt support runtime of generated sorted-ranking routines:
-/// blocked prefix scans, the tuple merge sort and dedup, the unique-prefix
-/// compaction and the packed-key radix sort. It is compiled once into
-/// libconvgen, so a routine that needs it carries a call instead of
-/// ~380 lines of C the JIT would recompile on every cold plan — the
+/// blocked prefix scans, the tuple merge sort with its dedup, the
+/// unique-prefix compaction and the packed-key radix sort. It is compiled
+/// once into libconvgen, so a routine that needs it carries a call instead
+/// of ~380 lines of C the JIT would recompile on every cold plan — the
 /// same split MLIR's sparse compiler makes between kernels and its
 /// runtime library.
 ///
-/// A routine that uses the runtime exports `<fn>_bind_runtime`;
-/// JitConversion calls it with runtimeTable() when it loads the object,
-/// before the routine can run. The routine passes its partition count
-/// (`cvg_nparts()`) as `p` to every entry that has a parallel loop, and
-/// each such loop runs in parallel only when p > 1: a routine compiled
-/// without OpenMP never opens a team here. Every entry's result is
-/// independent of p, so any thread count — and the reference interpreter,
-/// which never calls this runtime — produce bit-identical buffers.
+/// Every routine takes the table as its first argument
+/// (`const cvg_runtime_t *cvg_rt`); JitConversion passes runtimeTable()
+/// on each call, so a loaded object holds no runtime state. The routine
+/// passes its partition count (`cvg_nparts()`) as `p` to every entry that
+/// has a parallel loop, and each such loop runs in parallel only when
+/// p > 1: a routine compiled without OpenMP never opens a team here. Every
+/// entry's result is independent of p, so any thread count — and the
+/// reference interpreter, which never calls this runtime — produce
+/// bit-identical buffers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,12 +40,10 @@ void cvg_rt_scan_sum(int32_t *x, int64_t n, int64_t p);
 void cvg_rt_scan_max(int32_t *x, int64_t n, int64_t p);
 
 /// Sorts the n tuples of \p arity consecutive int32 elements in \p buf
-/// lexicographically (bottom-up merge sort).
-void cvg_rt_sort_tuples(int32_t *buf, int64_t n, int64_t arity, int64_t p);
-
-/// Compacts adjacent duplicate tuples of the sorted \p buf in place and
-/// returns the number of distinct tuples. Serial: it takes no p.
-int64_t cvg_rt_unique_tuples(int32_t *buf, int64_t n, int64_t arity);
+/// lexicographically (bottom-up merge sort), compacts adjacent duplicates
+/// to the front and returns the number of distinct tuples.
+int64_t cvg_rt_sort_unique_tuples(int32_t *buf, int64_t n, int64_t arity,
+                                  int64_t p);
 
 /// Writes the distinct leading \p dst_arity components of the n sorted
 /// \p src tuples (arity \p src_arity) to \p dst in order; returns their
@@ -72,15 +71,14 @@ namespace jit {
 struct RuntimeTable {
   void (*scan_sum)(int32_t *, int64_t, int64_t);
   void (*scan_max)(int32_t *, int64_t, int64_t);
-  void (*sort_tuples)(int32_t *, int64_t, int64_t, int64_t);
-  int64_t (*unique_tuples)(int32_t *, int64_t, int64_t);
+  int64_t (*sort_unique_tuples)(int32_t *, int64_t, int64_t, int64_t);
   int64_t (*unique_prefix)(const int32_t *, int64_t, int64_t, int32_t *,
                            int64_t, int64_t);
   int64_t (*radix_sort_packed)(int32_t *, int64_t, int64_t, const int64_t *,
                                int32_t *, int64_t);
 };
 
-/// The process-wide table every loaded routine binds to.
+/// The process-wide table JitConversion passes to every routine call.
 const RuntimeTable &runtimeTable();
 
 } // namespace jit

@@ -264,14 +264,17 @@ public:
     Out.add(Nest);
   }
 
-  /// Builds this level's sorted unique tuple list from the source in
-  /// O(nnz) memory: collect the grouping tuple (dims 0..Dim) of every
-  /// stored nonzero into an append buffer (one slot per stored position,
-  /// so the pass parallelizes with disjoint writes), then sort + unique —
-  /// fused into one packed radix pass when the planner derived component
-  /// widths for every grouping dim (any prefix of a 64-bit-packable full
-  /// tuple fits), a merge sort plus compaction otherwise.
-  void emitListBuild(AsmCtx &Ctx, ir::BlockBuilder &Out) const {
+  /// Builds the shared sorted unique tuple list from the source in O(nnz)
+  /// memory (this level is the anchor, the deepest sorted one): collect
+  /// the grouping tuple (dims 0..Dim) of every stored nonzero into an
+  /// append buffer (one slot per stored position, so the pass parallelizes
+  /// with disjoint writes), then one sort-and-dedup statement — the packed
+  /// radix form when the planner derived component widths for every
+  /// grouping dim (any prefix of a 64-bit-packable full tuple fits), the
+  /// merge form otherwise.
+  void emitSharedListBuild(AsmCtx &Ctx,
+                           ir::BlockBuilder &Out) const override {
+    CONVGEN_ASSERT(Sorted, "shared list build applies to sorted levels");
     int64_t R = Spec.Dim + 1;
     ir::Expr RImm = ir::intImm(R);
     std::string Srt = Ctx.srtName(K);
@@ -293,48 +296,41 @@ public:
                             Coords[static_cast<size_t>(D)]));
           return B.build();
         }));
-    // Sub-phase clocks (slots 4/5 of <fn>_phase_seconds): sort-vs-assembly
-    // time stays visible in the bench trajectory without re-instrumenting.
+    // Sub-phase clocks (slots 4/5 of the caller's phase array):
+    // sort-vs-assembly time stays visible in the bench trajectory without
+    // re-instrumenting.
     Out.add(ir::phaseMark(4, "tuple collect"));
+    std::vector<ir::Expr> Widths;
+    std::string Rank;
     if (static_cast<int64_t>(Ctx.PackWidths.size()) >= R) {
-      // Fused form: dedup runs on the sorted packed keys before they are
+      // Packed form: dedup runs on the sorted packed keys before they are
       // unpacked, skipping a tuple-compare pass over 3x the bytes. When
       // this list covers the full coordinate order, the sort also carries
       // each stored nonzero's slot as a payload and scatters its rank —
       // the destination position insertion would otherwise binary-search
       // for, one search per nonzero (the dominant insertion cost).
-      std::string Rank;
+      Widths.assign(Ctx.PackWidths.begin(), Ctx.PackWidths.begin() + R);
       if (R == static_cast<int64_t>(Ctx.Bounds.size())) {
         Rank = "B" + std::to_string(K) + "_rank";
         Out.add(ir::alloc(Rank, ir::ScalarKind::Int, Ctx.StoredSize, false));
         Ctx.RankBuffer = Rank;
         Ctx.RankLevel = K;
       }
-      Out.add(ir::sortUniqueTuplesPacked(
-          Srt, Ctx.StoredSize, R,
-          {Ctx.PackWidths.begin(), Ctx.PackWidths.begin() + R}, U, Rank));
-    } else {
-      Out.add(ir::sortTuples(Srt, Ctx.StoredSize, R));
-      Out.add(ir::uniqueTuples(Srt, Ctx.StoredSize, R, U));
     }
+    Out.add(ir::sortUniqueTuples(Srt, Ctx.StoredSize, R, U, std::move(Widths),
+                                 Rank));
     Out.add(ir::phaseMark(5, "list sort"));
-  }
-
-  void emitSharedListBuild(AsmCtx &Ctx,
-                           ir::BlockBuilder &Out) const override {
-    CONVGEN_ASSERT(Sorted, "shared list build applies to sorted levels");
-    emitListBuild(Ctx, Out);
   }
 
   /// Sorted-ranking edge insertion (O(nnz) workspace, no dense-grouped
   /// structure anywhere):
   ///
-  ///   1. obtain this level's sorted unique tuple list — built here
-  ///      (emitListBuild), or, when the generator detected that all sorted
-  ///      levels group by nested prefixes of one tuple, derived from the
-  ///      shared full-arity list: the anchor level's list IS the shared
-  ///      buffer, every other level prefix-compacts it (ir::uniquePrefix)
-  ///      instead of re-collecting and re-sorting the same nonzeros;
+  ///   1. obtain this level's sorted unique tuple list from the shared
+  ///      one (emitSharedListBuild): every sorted level groups by a prefix
+  ///      of the deepest sorted level's tuple, so the anchor level's list
+  ///      IS the shared buffer and every other level prefix-compacts it
+  ///      (ir::uniquePrefix) instead of re-collecting and re-sorting the
+  ///      same nonzeros;
   ///   2. a tuple's index u in the unique list is its destination
   ///      position, because parent positions follow lexicographic
   ///      coordinate order for dense/ranked/sorted ancestors and the list
@@ -355,12 +351,14 @@ public:
     std::string Srt = Ctx.srtName(K);
     std::string U = Ctx.uniqueVar(K);
     std::string Pos = Ctx.posName(K);
+    CONVGEN_ASSERT(Ctx.SharedSortAnchor >= K,
+                   "a sorted level reads the shared sort of a deeper anchor");
     if (Ctx.SharedSortAnchor == K) {
       Out.add(ir::comment(strfmt(
           "level %d sorted ranking: positions from the shared full-arity "
           "list",
           K)));
-    } else if (Ctx.SharedSortAnchor > 0) {
+    } else {
       Out.add(ir::comment(strfmt(
           "level %d sorted ranking: unique prefix list derived from the "
           "shared sort",
@@ -373,8 +371,6 @@ public:
                                ir::var(Ctx.uniqueVar(Ctx.SharedSortAnchor)),
                                Ctx.SharedSortAnchor, Srt, R, U));
       Out.add(ir::phaseMark(5, "list sort"));
-    } else {
-      emitListBuild(Ctx, Out);
     }
 
     auto tupleCoords = [&](ir::Expr Index) {

@@ -138,12 +138,12 @@ struct AsmCtx {
   /// enforces for sorted levels.
   std::function<ir::Expr(int, const std::vector<ir::Expr> &)> ParentPos;
 
-  /// Shared full-arity sort (set by the generator when two or more levels
-  /// sort): the 1-based anchor level whose sorted unique tuple list every
-  /// other sorted level derives its own list from by prefix compaction,
-  /// instead of running a redundant collect+sort over the same nonzeros.
-  /// Level K groups dims 0..K-1, so the anchor's tuples have arity
-  /// SharedSortAnchor. 0 when each sorted level builds independently.
+  /// Shared full-arity sort (set by the generator whenever a level sorts):
+  /// the 1-based anchor level — the deepest sorted one — whose sorted
+  /// unique tuple list every other sorted level derives its own list from
+  /// by prefix compaction, instead of running a redundant collect+sort
+  /// over the same nonzeros. Level K groups dims 0..K-1, so the anchor's
+  /// tuples have arity SharedSortAnchor. 0 when no level sorts.
   int SharedSortAnchor = 0;
 
   /// Packed-key radix sort: bit width per destination dimension, in
@@ -151,7 +151,7 @@ struct AsmCtx {
   /// (ir::bitWidth), so the routine is the same for every shape that packs.
   /// Non-empty only when the plan's PackWidths verdict says the full-order
   /// tuple packs into 64 bits, so any grouping prefix fits too; sorted
-  /// levels then lower their sorts through ir::sortUniqueTuplesPacked.
+  /// levels then lower their sorts to ir::sortUniqueTuples' packed form.
   /// Empty keeps the comparison merge sort.
   std::vector<ir::Expr> PackWidths;
 

@@ -130,7 +130,7 @@ TEST(SortedRankingPlan, SharedSortEmitsExactlyOneSortCall) {
       ++Hits;
     return Hits;
   };
-  EXPECT_EQ(count("cvg_rt->sort_tuples(B"), 1u) << Code;
+  EXPECT_EQ(count("cvg_rt->sort_unique_tuples(B"), 1u) << Code;
   EXPECT_EQ(count("cvg_rt->unique_prefix(B"), 2u) << Code;
   // The pos construction's gap fill is the runtime's blocked parallel max
   // scan, not the old serial forward loop (whose stores indexed pos by the
@@ -165,16 +165,17 @@ TEST(SortedRankingPlan, UnvalidatedLevelOrderIsUnsupported) {
   EXPECT_FALSE(codegen::conversionSupported(Weird, Coo));
 }
 
-TEST(SortedRankingPlan, SingleSortedLevelNeedsNoSharing) {
+TEST(SortedRankingPlan, SingleSortedLevelAnchorsItsOwnSort) {
   // coo -> csr at a tiny budget: only the column level is compressed, so
-  // there is exactly one sorted level and nothing to share.
+  // there is exactly one sorted level; it anchors the one list build, and
+  // no other level derives a prefix list from it.
   ScopedEnv Budget("CONVGEN_RANK_DENSE_MAX_BYTES", "1");
   formats::Format Coo = formats::standardFormatOrDie("coo");
   formats::Format Csr = formats::standardFormatOrDie("csr");
   codegen::AssemblyPlan Plan = codegen::planAssembly(Coo, Csr, std::vector<int64_t>{100, 100});
   ASSERT_TRUE(Plan.Unsupported.empty()) << Plan.Unsupported;
   EXPECT_TRUE(Plan.Sorted[1]);
-  EXPECT_EQ(Plan.SharedSortAnchor, 0);
+  EXPECT_EQ(Plan.SharedSortAnchor, 2);
   codegen::Options Opts;
   Opts.DimsHint = {100, 100};
   codegen::Conversion Conv = codegen::generateConversion(Coo, Csr, Opts);
@@ -525,7 +526,7 @@ TEST(PackedSortCodegen, SharedSortLowersToOnePackedRadixCall) {
   // One shared full-arity sort, lowered to the packed radix variant; the
   // comparison merge sort is not called anywhere.
   EXPECT_EQ(count("cvg_rt->radix_sort_packed(B3_srt"), 1u) << Code;
-  EXPECT_EQ(count("cvg_rt->sort_tuples("), 0u) << Code;
+  EXPECT_EQ(count("cvg_rt->sort_unique_tuples("), 0u) << Code;
   // The readable view names the (fused) lowering and the per-dim widths,
   // computed from the extents at run time.
   EXPECT_NE(Conv.pretty().find("sort_unique_tuples_packed"),
@@ -776,8 +777,8 @@ TEST(SortedRankingCodegen, AllAllocationsAreNnzSizedNotExtentSized) {
   codegen::Conversion Conv = codegen::generateConversion(Coo3, Csf, Opts);
   std::string Code = Conv.cSource();
   // The sorted machinery is present; the dense ranking machinery is not.
-  EXPECT_NE(Code.find("cvg_rt->sort_tuples("), std::string::npos) << Code;
-  EXPECT_NE(Code.find("cvg_rt->unique_tuples("), std::string::npos) << Code;
+  EXPECT_NE(Code.find("cvg_rt->sort_unique_tuples("), std::string::npos)
+      << Code;
   EXPECT_NE(Code.find("cvg_lower_bound"), std::string::npos) << Code;
   EXPECT_EQ(Code.find("_rnk"), std::string::npos) << Code;
   EXPECT_EQ(Code.find("present"), std::string::npos) << Code;
@@ -844,8 +845,8 @@ TEST(SortedRankingJit, Coo3ToCsfBitIdenticalAtOneAndFourThreads) {
   codegen::Options Opts = codegen::optionsForDims(Coo3, Csf, {}, Dims);
   ASSERT_EQ(Opts.DimsHint, Dims);
   auto Native = convert::PlanCache::instance().jit(Coo3, Csf, Opts);
-  EXPECT_TRUE(Native->conversion().cSource().find("cvg_rt->sort_tuples(") !=
-              std::string::npos);
+  EXPECT_TRUE(Native->conversion().cSource().find(
+                  "cvg_rt->sort_unique_tuples(") != std::string::npos);
   for (int Threads : {1, 4}) {
     setenv("OMP_NUM_THREADS", std::to_string(Threads).c_str(), 1);
 #ifdef _OPENMP

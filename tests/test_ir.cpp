@@ -418,8 +418,13 @@ TEST(IrCEmit, EmitsCompleteTranslationUnit) {
              {{"dim0", ScalarKind::Int, false}, {"A1_pos", ScalarKind::Int, true}},
              B.build()};
   std::string C = emitC(F);
-  EXPECT_NE(C.find("void copy_pos(const cvg_tensor_t *restrict A"),
-            std::string::npos);
+  EXPECT_NE(C.find("void copy_pos(const cvg_runtime_t *cvg_rt, "
+                   "const cvg_tensor_t *restrict A,"),
+            std::string::npos)
+      << C;
+  EXPECT_NE(C.find("cvg_tensor_t *restrict B, double *cvg_phase) {"),
+            std::string::npos)
+      << C;
   EXPECT_NE(C.find("int64_t dim0 = A->dims[0];"), std::string::npos);
   EXPECT_NE(C.find("const int32_t *restrict A1_pos = A->pos[1];"),
             std::string::npos);
@@ -428,7 +433,7 @@ TEST(IrCEmit, EmitsCompleteTranslationUnit) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sorted-ranking constructs: sortTuples / uniqueTuples / lowerBound
+// Sorted-ranking constructs: sortUniqueTuples / lowerBound
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -440,8 +445,7 @@ runSortUnique(std::vector<int32_t> Data, int64_t N, int64_t Arity) {
   B.add(alloc("buf", ScalarKind::Int, intImm(N * Arity), false));
   B.add(forRange("i", intImm(0), intImm(N * Arity),
                  store("buf", var("i"), load("in", var("i")))));
-  B.add(sortTuples("buf", intImm(N), Arity));
-  B.add(uniqueTuples("buf", intImm(N), Arity, "u"));
+  B.add(sortUniqueTuples("buf", intImm(N), Arity, "u"));
   B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(Arity))));
   B.add(yieldScalar("B1_param", var("u")));
   Function F{"dosort", {{"in", ScalarKind::Int, true}}, B.build()};
@@ -490,52 +494,56 @@ TEST(IrSortedRanking, LowerBoundRanksSortedTuples) {
 }
 
 TEST(IrSortedRanking, PrintingInBothViews) {
-  Stmt Sort = sortTuples("B2_srt", var("n"), 2);
-  EXPECT_EQ(printStmt(Sort), "sort_tuples(B2_srt, n, 2);\n");
+  Stmt Sort = sortUniqueTuples("B2_srt", var("n"), 2, "uB2");
+  EXPECT_EQ(printStmt(Sort),
+            "int64_t uB2 = sort_unique_tuples(B2_srt, n, 2);\n");
   EXPECT_EQ(printStmtAsC(Sort),
-            "cvg_rt->sort_tuples(B2_srt, n, 2, cvg_nparts());\n");
-  Stmt Uniq = uniqueTuples("B2_srt", var("n"), 2, "uB2");
-  EXPECT_EQ(printStmtAsC(Uniq),
-            "int64_t uB2 = cvg_rt->unique_tuples(B2_srt, n, 2);\n");
+            "int64_t uB2 = cvg_rt->sort_unique_tuples(B2_srt, n, 2, "
+            "cvg_nparts());\n");
   Expr Lb = lowerBound("B2_srt", var("uB2"), {var("i"), var("j")});
   EXPECT_EQ(printExpr(Lb),
             "cvg_lower_bound(B2_srt, uB2, 2, (const int64_t[]){i, j})");
 }
 
 TEST(IrSortedRanking, PreludeHelpersAreEmittedOnlyWhenUsed) {
-  // A routine that sorts carries the runtime table's declaration and its
-  // bind entry point, but no sort code: that is prebuilt in libconvgen.
+  // A routine that sorts calls the runtime table it is handed, but
+  // carries no sort code: that is prebuilt in libconvgen.
   BlockBuilder With;
   With.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  With.add(sortTuples("b", intImm(2), 2));
+  With.add(sortUniqueTuples("b", intImm(2), 2, "u"));
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
   std::string C = emitC(FWith);
-  EXPECT_NE(C.find(cRuntimeTableDecl()), std::string::npos) << C;
-  EXPECT_NE(C.find("static const cvg_runtime_t *cvg_rt;\n"
-                   "void f_bind_runtime(const cvg_runtime_t *rt) {"),
+  EXPECT_NE(C.find("cvg_rt->sort_unique_tuples(b, 2, 2, cvg_nparts())"),
             std::string::npos)
       << C;
   EXPECT_EQ(C.find("#pragma omp"), std::string::npos) << C;
   EXPECT_EQ(C.find("cvg_merge"), std::string::npos) << C;
-  // A routine that neither scans, sorts nor dedups has no runtime binding.
+  // Every routine takes the table as an argument and declares its type;
+  // one that neither scans, sorts nor dedups never calls through it.
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
   Function FWithout{"f", {{"dim0", ScalarKind::Int, false}}, Without.build()};
-  EXPECT_EQ(emitC(FWithout).find("cvg_runtime_t"), std::string::npos);
-  EXPECT_EQ(emitC(FWithout).find("_bind_runtime"), std::string::npos);
+  std::string CWithout = emitC(FWithout);
+  for (const std::string &Code : {C, CWithout}) {
+    EXPECT_NE(Code.find(cRuntimeTableDecl()), std::string::npos) << Code;
+    EXPECT_NE(Code.find("void f(const cvg_runtime_t *cvg_rt, "),
+              std::string::npos)
+        << Code;
+  }
+  EXPECT_EQ(CWithout.find("cvg_rt->"), std::string::npos) << CWithout;
 }
 
-TEST(IrInterpDeath, SortTuplesRangeOutOfBoundsAborts) {
+TEST(IrInterpDeath, SortUniqueTuplesRangeOutOfBoundsAborts) {
   BlockBuilder B;
   B.add(alloc("b", ScalarKind::Int, intImm(4), true));
-  B.add(sortTuples("b", intImm(3), 2)); // 3 pairs need 6 slots, only 4.
+  B.add(sortUniqueTuples("b", intImm(3), 2, "u")); // 3 pairs need 6 slots.
   Function F{"f", {}, B.build()};
   Interpreter Interp;
-  EXPECT_DEATH(Interp.run(F), "sort_tuples range");
+  EXPECT_DEATH(Interp.run(F), "sort_unique_tuples range");
 }
 
 //===----------------------------------------------------------------------===//
-// Packed-key radix sort: sortUniqueTuplesPacked
+// Packed-key radix sort: sortUniqueTuples with pack widths
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -560,7 +568,7 @@ std::vector<int32_t> runPackedSort(std::vector<int32_t> Data, int64_t N,
   B.add(alloc("buf", ScalarKind::Int, intImm(N * Arity), false));
   B.add(forRange("i", intImm(0), intImm(N * Arity),
                  store("buf", var("i"), load("in", var("i")))));
-  B.add(sortUniqueTuplesPacked("buf", intImm(N), Arity, imms(Widths), "u"));
+  B.add(sortUniqueTuples("buf", intImm(N), Arity, "u", imms(Widths)));
   B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(Arity))));
   Function F{"dopacked", {{"in", ScalarKind::Int, true}}, B.build()};
   Interpreter Interp;
@@ -591,7 +599,7 @@ TEST(IrPackedSort, MaxWidthKeysRoundTrip) {
 
 TEST(IrPackedSort, DuplicateHeavyInputMatchesTheUnpackedSort) {
   // 64 tuples drawn from a 16-value space: heavy duplication. The packed
-  // sort + dedup must agree with the plain comparison sort + compaction.
+  // form must agree with the merge form.
   std::vector<int32_t> Data;
   uint32_t S = 12345;
   for (int I = 0; I < 128; ++I) {
@@ -603,8 +611,7 @@ TEST(IrPackedSort, DuplicateHeavyInputMatchesTheUnpackedSort) {
   B.add(alloc("buf", ScalarKind::Int, intImm(128), false));
   B.add(forRange("i", intImm(0), intImm(128),
                  store("buf", var("i"), load("in", var("i")))));
-  B.add(sortTuples("buf", intImm(64), 2));
-  B.add(uniqueTuples("buf", intImm(64), 2, "u"));
+  B.add(sortUniqueTuples("buf", intImm(64), 2, "u"));
   B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(2))));
   Function F{"doplain", {{"in", ScalarKind::Int, true}}, B.build()};
   Interpreter Interp;
@@ -612,8 +619,8 @@ TEST(IrPackedSort, DuplicateHeavyInputMatchesTheUnpackedSort) {
   EXPECT_EQ(FromPacked, Interp.run(F).Buffers["B1_crd"].Ints);
 }
 
-TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
-  // sortUniqueTuplesPacked == sortTuples + uniqueTuples: same compacted
+TEST(IrPackedSort, PackedFormMatchesMergeForm) {
+  // The packed form with a rank buffer == the merge form: same compacted
   // prefix, same unique count.
   std::vector<int32_t> Data;
   uint32_t S = 999;
@@ -621,19 +628,17 @@ TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
     S = S * 1664525u + 1013904223u;
     Data.push_back(static_cast<int32_t>((S >> 16) & 3));
   }
-  auto run = [&](bool Fused) {
+  auto run = [&](bool Packed) {
     BlockBuilder B;
     B.add(alloc("buf", ScalarKind::Int, intImm(96), false));
     B.add(forRange("i", intImm(0), intImm(96),
                    store("buf", var("i"), load("in", var("i")))));
-    if (Fused) {
+    if (Packed) {
       B.add(alloc("rnk", ScalarKind::Int, intImm(48), false));
-      B.add(sortUniqueTuplesPacked("buf", intImm(48), 2, imms({2, 2}), "u",
-                                   "rnk"));
+      B.add(sortUniqueTuples("buf", intImm(48), 2, "u", imms({2, 2}), "rnk"));
       B.add(yieldBuffer("B2_crd", "rnk", intImm(48)));
     } else {
-      B.add(sortTuples("buf", intImm(48), 2));
-      B.add(uniqueTuples("buf", intImm(48), 2, "u"));
+      B.add(sortUniqueTuples("buf", intImm(48), 2, "u"));
     }
     B.add(yieldScalar("unique", var("u")));
     B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(2))));
@@ -642,13 +647,13 @@ TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
     Interp.bindIntBuffer("in", Data);
     return Interp.run(F);
   };
-  RunResult Fused = run(true), Split = run(false);
-  EXPECT_EQ(Fused.Scalars["unique"], Split.Scalars["unique"]);
-  EXPECT_EQ(Fused.Buffers["B1_crd"].Ints, Split.Buffers["B1_crd"].Ints);
+  RunResult Packed = run(true), Merge = run(false);
+  EXPECT_EQ(Packed.Scalars["unique"], Merge.Scalars["unique"]);
+  EXPECT_EQ(Packed.Buffers["B1_crd"].Ints, Merge.Buffers["B1_crd"].Ints);
   // Every slot's scattered rank is what a binary search for its tuple in
   // the deduped list returns.
-  const std::vector<int32_t> &Uniq = Split.Buffers["B1_crd"].Ints;
-  const std::vector<int32_t> &Rank = Fused.Buffers["B2_crd"].Ints;
+  const std::vector<int32_t> &Uniq = Merge.Buffers["B1_crd"].Ints;
+  const std::vector<int32_t> &Rank = Packed.Buffers["B2_crd"].Ints;
   ASSERT_EQ(Rank.size(), 48u);
   for (size_t I = 0; I < 48; ++I) {
     int32_t A = Data[I * 2], B2 = Data[I * 2 + 1];
@@ -661,9 +666,9 @@ TEST(IrPackedSort, FusedSortUniqueMatchesSortThenUnique) {
 }
 
 TEST(IrPackedSort, PrintingInBothViews) {
-  // The fused sort+dedup declares the unique count.
-  Stmt Fused = sortUniqueTuplesPacked("B3_srt", var("n"), 3,
-                                      imms({24, 20, 20}), "u3");
+  // The packed form names its widths in both views.
+  Stmt Fused = sortUniqueTuples("B3_srt", var("n"), 3, "u3",
+                                imms({24, 20, 20}));
   EXPECT_EQ(printStmt(Fused),
             "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
             "bits=[24,20,20]);\n");
@@ -671,8 +676,8 @@ TEST(IrPackedSort, PrintingInBothViews) {
             "int64_t u3 = cvg_rt->radix_sort_packed(B3_srt, n, 3, "
             "(const int64_t[]){24,20,20}, NULL, cvg_nparts());\n");
   // With a rank buffer the payload variant is named in both views.
-  Stmt Ranked = sortUniqueTuplesPacked("B3_srt", var("n"), 3,
-                                       imms({24, 20, 20}), "u3", "B3_rank");
+  Stmt Ranked = sortUniqueTuples("B3_srt", var("n"), 3, "u3",
+                                 imms({24, 20, 20}), "B3_rank");
   EXPECT_EQ(printStmt(Ranked),
             "int64_t u3 = sort_unique_tuples_packed(B3_srt, n, 3, "
             "bits=[24,20,20], rank=B3_rank);\n");
@@ -684,14 +689,15 @@ TEST(IrPackedSort, PrintingInBothViews) {
 TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
   BlockBuilder With;
   With.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  With.add(sortUniqueTuplesPacked("b", intImm(2), 2, imms({8, 8}), "u"));
+  With.add(sortUniqueTuples("b", intImm(2), 2, "u", imms({8, 8})));
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
-  EXPECT_NE(emitC(FWith).find("void f_bind_runtime("), std::string::npos);
+  EXPECT_NE(emitC(FWith).find("cvg_rt->radix_sort_packed(b, "),
+            std::string::npos);
   // The radix sort itself is runtime code, not routine code.
   EXPECT_EQ(emitC(FWith).find("CVG_RADIX"), std::string::npos);
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  Without.add(sortTuples("b", intImm(2), 2));
+  Without.add(sortUniqueTuples("b", intImm(2), 2, "u"));
   Function FWithout{"f", {{"dim0", ScalarKind::Int, false}},
                     Without.build()};
   EXPECT_EQ(emitC(FWithout).find("cvg_rt->radix_sort_packed("),
@@ -699,13 +705,15 @@ TEST(IrPackedSort, PreludeHelperIsEmittedOnlyWhenUsed) {
 }
 
 TEST(IrPackedSortDeath, MismatchedWidthsAbort) {
-  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 3, imms({8, 8}), "u"),
+  EXPECT_DEATH(sortUniqueTuples("b", intImm(2), 3, "u", imms({8, 8})),
                "one bit width per component");
-  EXPECT_DEATH(sortUniqueTuplesPacked("b", intImm(2), 2, imms({40, 40}), "u"),
+  EXPECT_DEATH(sortUniqueTuples("b", intImm(2), 2, "u", imms({40, 40})),
                "int32 coordinate widths");
-  EXPECT_DEATH(
-      sortUniqueTuplesPacked("b", intImm(2), 3, imms({32, 32, 32}), "u"),
+  EXPECT_DEATH(sortUniqueTuples("b", intImm(2), 3, "u", imms({32, 32, 32})),
                "fit 64 bits");
+  // Ranks ride the radix payload: the merge form has none.
+  EXPECT_DEATH(sortUniqueTuples("b", intImm(2), 2, "u", {}, "r"),
+               "packed form only");
 }
 
 TEST(IrPackedSort, RunTimeWidthsFollowTheOneRule) {
@@ -724,7 +732,7 @@ TEST(IrPackedSort, RunTimeWidthsFollowTheOneRule) {
   // Over a run-time extent the width is an expression both views print
   // as the prelude helper's call, emitted only when a routine uses it.
   std::vector<Expr> Widths = {bitWidth(var("dim0")), bitWidth(var("dim1"))};
-  Stmt Sort = sortUniqueTuplesPacked("b", intImm(2), 2, Widths, "u");
+  Stmt Sort = sortUniqueTuples("b", intImm(2), 2, "u", Widths);
   EXPECT_EQ(printStmtAsC(Sort),
             "int64_t u = cvg_rt->radix_sort_packed(b, 2, 2, (const "
             "int64_t[]){cvg_bit_width(dim0),cvg_bit_width(dim1)}, NULL, "
@@ -743,7 +751,7 @@ TEST(IrPackedSort, RunTimeWidthsFollowTheOneRule) {
             std::string::npos);
   BlockBuilder Imm;
   Imm.add(alloc("b", ScalarKind::Int, intImm(4), false));
-  Imm.add(sortUniqueTuplesPacked("b", intImm(2), 2, imms({8, 8}), "u"));
+  Imm.add(sortUniqueTuples("b", intImm(2), 2, "u", imms({8, 8})));
   Function FImm{"f", {{"dim0", ScalarKind::Int, false}}, Imm.build()};
   EXPECT_EQ(emitC(FImm).find("cvg_bit_width"), std::string::npos);
 }
@@ -758,9 +766,8 @@ std::vector<int32_t> runExtentSort(std::vector<int32_t> Data, int64_t N,
   B.add(alloc("buf", ScalarKind::Int, intImm(N * 2), false));
   B.add(forRange("i", intImm(0), intImm(N * 2),
                  store("buf", var("i"), load("in", var("i")))));
-  B.add(sortUniqueTuplesPacked("buf", intImm(N), 2,
-                               {bitWidth(var("dim0")), bitWidth(var("dim1"))},
-                               "u"));
+  B.add(sortUniqueTuples("buf", intImm(N), 2, "u",
+                         {bitWidth(var("dim0")), bitWidth(var("dim1"))}));
   B.add(yieldBuffer("B1_crd", "buf", mul(var("u"), intImm(2))));
   Function F{"doextent",
              {{"in", ScalarKind::Int, true},
@@ -860,9 +867,9 @@ TEST(IrPackedSearch, PreludeHelperIsEmittedOnlyWhenUsed) {
   EXPECT_NE(emitC(FPacked).find("static int64_t cvg_lower_bound_packed"),
             std::string::npos);
   // Searches run once per nonzero, so they stay inline: each variant is
-  // emitted only where used, and neither needs the runtime.
+  // emitted only where used, and neither calls the runtime.
   EXPECT_EQ(emitC(FPacked).find("cvg_lower_bound("), std::string::npos);
-  EXPECT_EQ(emitC(FPacked).find("cvg_rt"), std::string::npos);
+  EXPECT_EQ(emitC(FPacked).find("cvg_rt->"), std::string::npos);
   Function FPlain{"f", {{"dim0", ScalarKind::Int, false}}, bodyWith({})};
   EXPECT_EQ(emitC(FPlain).find("cvg_lower_bound_packed"), std::string::npos);
   EXPECT_NE(emitC(FPlain).find("static int64_t cvg_lower_bound("),
@@ -944,12 +951,12 @@ TEST(IrSharedSort, PreludeHelpersAreEmittedOnlyWhenUsed) {
   With.add(uniquePrefix("a", intImm(2), 2, "b", 1, "u"));
   Function FWith{"f", {{"dim0", ScalarKind::Int, false}}, With.build()};
   std::string C = emitC(FWith);
-  EXPECT_NE(C.find("void f_bind_runtime("), std::string::npos);
+  EXPECT_NE(C.find("cvg_rt->unique_prefix(a, "), std::string::npos);
   EXPECT_EQ(C.find("cvg_tuple_cmp"), std::string::npos);
   BlockBuilder Without;
   Without.add(alloc("b", ScalarKind::Int, intImm(4), false));
   Function FWithout{"f", {{"dim0", ScalarKind::Int, false}}, Without.build()};
-  EXPECT_EQ(emitC(FWithout).find("cvg_rt"), std::string::npos);
+  EXPECT_EQ(emitC(FWithout).find("cvg_rt->"), std::string::npos);
 }
 
 TEST(IrInterpDeath, UniquePrefixRangeOutOfBoundsAborts) {

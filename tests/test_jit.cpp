@@ -3,6 +3,7 @@
 // agree bit-for-bit with the reference interpreter on every paper pair.
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Generator.h"
 #include "convert/Converter.h"
 #include "formats/Standard.h"
 #include "jit/Jit.h"
@@ -15,8 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <climits>
+#include <filesystem>
 #include <random>
+#include <sstream>
+#include <thread>
 
 using namespace convgen;
 
@@ -176,6 +181,57 @@ TEST(Jit, InputIsBoundByPointer) {
   EXPECT_EQ(A.vals, In.Vals.data());
 }
 
+namespace {
+
+/// Per-phase totals of \p H, copied out.
+std::vector<double> phaseTotals(const jit::JitConversion &H) {
+  return {H.phaseSeconds(), H.phaseSeconds() + jit::kNumPhases};
+}
+
+double sum(const std::vector<double> &V) {
+  double S = 0;
+  for (double X : V)
+    S += X;
+  return S;
+}
+
+/// Runs \p H once through runRaw and adopts the output.
+tensor::SparseTensor runRawOnce(const jit::JitConversion &H,
+                                const tensor::SparseTensor &In) {
+  jit::CTensor A, B;
+  jit::marshalInput(In, &A);
+  H.runRaw(&A, &B);
+  return jit::collectOutput(H.conversion().Target, In.Dims, &B);
+}
+
+bool sameStorage(const tensor::SparseTensor &X, const tensor::SparseTensor &Y) {
+  if (X.Levels.size() != Y.Levels.size() || X.Vals != Y.Vals)
+    return false;
+  for (size_t K = 0; K < X.Levels.size(); ++K)
+    if (X.Levels[K].Pos != Y.Levels[K].Pos ||
+        X.Levels[K].Crd != Y.Levels[K].Crd ||
+        X.Levels[K].Perm != Y.Levels[K].Perm ||
+        X.Levels[K].SizeParam != Y.Levels[K].SizeParam)
+      return false;
+  return true;
+}
+
+/// A mkdtemp'd directory, removed with its contents on exit.
+struct ScratchDir {
+  ScratchDir() {
+    char Template[] = "/tmp/convgen-jit-test-XXXXXX";
+    if (char *D = mkdtemp(Template))
+      Path = D;
+  }
+  ~ScratchDir() {
+    if (!Path.empty())
+      std::filesystem::remove_all(Path);
+  }
+  std::string Path;
+};
+
+} // namespace
+
 TEST(Jit, PhaseSecondsAccumulate) {
   if (!jit::jitAvailable())
     GTEST_SKIP() << "no system C compiler";
@@ -186,16 +242,168 @@ TEST(Jit, PhaseSecondsAccumulate) {
   convert::Converter Conv(formats::makeCSR(), formats::makeCSC());
   jit::JitConversion Native(Conv.conversion());
   ASSERT_NE(Native.phaseSeconds(), nullptr);
-  std::vector<double> Before(Native.phaseSeconds(),
-                             Native.phaseSeconds() + jit::kNumPhases);
-  tensor::SparseTensor Out = Native.run(In);
+  EXPECT_EQ(sum(phaseTotals(Native)), 0.0);
+  // runRaw adds its phases to the handle's totals.
+  std::vector<double> Before = phaseTotals(Native);
+  tensor::SparseTensor Out = runRawOnce(Native, In);
   Out.validate();
-  double Delta = 0;
-  for (int P = 0; P < jit::kNumPhases; ++P) {
-    EXPECT_GE(Native.phaseSeconds()[P], Before[static_cast<size_t>(P)]) << P;
-    Delta += Native.phaseSeconds()[P] - Before[static_cast<size_t>(P)];
+  std::vector<double> After = phaseTotals(Native);
+  for (int P = 0; P < jit::kNumPhases; ++P)
+    EXPECT_GE(After[static_cast<size_t>(P)], Before[static_cast<size_t>(P)])
+        << P;
+  EXPECT_GT(sum(After) - sum(Before), 0.0);
+  // The request path passes no phase slots: the totals do not move.
+  tensor::SparseTensor Again = Native.run(In);
+  EXPECT_TRUE(sameStorage(Out, Again));
+  EXPECT_EQ(phaseTotals(Native), After);
+}
+
+TEST(Jit, PhaseTotalsArePerHandle) {
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  SKIP_UNDER_FAULT_INJECTION();
+  ScratchDir Dir;
+  ASSERT_FALSE(Dir.Path.empty());
+  tensor::Triplets T = tensor::genBandedRandom(80, 80, 6.0, 15, 3, 23);
+  tensor::SparseTensor In =
+      tensor::buildFromTriplets(formats::makeCSR(), T);
+  convert::Converter Conv(formats::makeCSR(), formats::makeCSC());
+  // Compile into a disk slot, then load that one object twice: both
+  // handles hold the same dlopen'd object.
+  std::string SoPath = Dir.Path + "/conv.so";
+  jit::JitConversion Compiled(Conv.conversion(), SoPath);
+  ASSERT_FALSE(Compiled.degraded()) << Compiled.degradationReason();
+  auto First = jit::JitConversion::loadCachedOnly(Conv.conversion(), SoPath);
+  auto Second = jit::JitConversion::loadCachedOnly(Conv.conversion(), SoPath);
+  ASSERT_NE(First, nullptr);
+  ASSERT_NE(Second, nullptr);
+  std::vector<double> SecondBefore = phaseTotals(*Second);
+  for (int Rep = 0; Rep < 3; ++Rep)
+    EXPECT_TRUE(sameStorage(runRawOnce(*First, In), Conv.run(In)));
+  EXPECT_GT(sum(phaseTotals(*First)), 0.0);
+  EXPECT_EQ(phaseTotals(*Second), SecondBefore);
+  EXPECT_EQ(sum(phaseTotals(*Second)), 0.0);
+  EXPECT_EQ(sum(phaseTotals(Compiled)), 0.0);
+}
+
+TEST(Jit, ConcurrentRawRunsAddToOneHandlesTotals) {
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  SKIP_UNDER_FAULT_INJECTION();
+  tensor::Triplets T = tensor::genBandedRandom(120, 120, 6.0, 15, 3, 29);
+  tensor::SparseTensor In =
+      tensor::buildFromTriplets(formats::makeCSR(), T);
+  convert::Converter Conv(formats::makeCSR(), formats::makeCSC());
+  jit::JitConversion Shared(Conv.conversion());
+  const tensor::SparseTensor Reference = Conv.run(In);
+  constexpr int Runs = 50;
+  double Wall[2] = {};
+  int Exact[2] = {};
+  double Before = sum(phaseTotals(Shared));
+  std::vector<std::thread> Threads;
+  for (int W = 0; W < 2; ++W)
+    Threads.emplace_back([&, W] {
+      auto Begin = std::chrono::steady_clock::now();
+      for (int Rep = 0; Rep < Runs; ++Rep)
+        Exact[W] += sameStorage(runRawOnce(Shared, In), Reference) ? 1 : 0;
+      Wall[W] = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - Begin)
+                    .count();
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_EQ(Exact[0], Runs);
+  EXPECT_EQ(Exact[1], Runs);
+  double Grew = sum(phaseTotals(Shared)) - Before;
+  EXPECT_GT(Grew, 0.0);
+  EXPECT_LE(Grew, Wall[0] + Wall[1]);
+}
+
+namespace {
+
+/// Checks one emitted routine against the stateless ABI: no phase array,
+/// no runtime binding, and the entry point is the only file-scope name
+/// that is not static. Returns the number of violations (each reported).
+int censusViolations(const codegen::Conversion &Conv,
+                     const std::string &Label) {
+  const std::string Code = Conv.cSource();
+  int Bad = 0;
+  for (const char *Banned :
+       {"cvg_phase_secs", "cvg_phase_add", "_phase_seconds", "_bind_runtime",
+        "static const cvg_runtime_t"})
+    if (Code.find(Banned) != std::string::npos) {
+      ADD_FAILURE() << Label << ": emits " << Banned;
+      ++Bad;
+    }
+  // File-scope lines start in column 0; body lines and the continuation
+  // lines of multi-line signatures are indented.
+  const std::string Entry = "void " + Conv.Func.Name + "(";
+  int Entries = 0;
+  std::istringstream Lines(Code);
+  for (std::string Line; std::getline(Lines, Line);) {
+    if (Line.empty() || Line[0] == ' ' || Line[0] == '#' || Line[0] == '}' ||
+        Line.rfind("//", 0) == 0 || Line.rfind("typedef ", 0) == 0 ||
+        Line.rfind("static ", 0) == 0)
+      continue;
+    if (Line.rfind(Entry, 0) == 0) {
+      ++Entries;
+      continue;
+    }
+    ADD_FAILURE() << Label << ": non-static file-scope line: " << Line;
+    ++Bad;
   }
-  EXPECT_GT(Delta, 0.0);
+  if (Entries != 1) {
+    ADD_FAILURE() << Label << ": " << Entries << " entry points";
+    ++Bad;
+  }
+  return Bad;
+}
+
+} // namespace
+
+TEST(JitAbi, EveryEmittedRoutineIsStateless) {
+  // The inspect_codegen --digest set: every supported standard pair of
+  // order 2 and 3, under default options, routed at a hypersparse shape,
+  // and routed at extents too wide to radix-pack (order 3).
+  const int64_t Nnz = 40000;
+  struct Shapes {
+    std::vector<formats::Format> Formats;
+    std::vector<int64_t> Routed, Wide;
+  };
+  const Shapes Sets[] = {
+      {formats::allStandardFormats(), {1 << 20, 1 << 20}, {1 << 30, 1 << 30}},
+      {formats::standardOrder3Formats(),
+       {2048, 2048, 64},
+       {1 << 30, 1 << 30, 1 << 20}}};
+  int Routines = 0, Sorted = 0;
+  for (const Shapes &Set : Sets)
+    for (const formats::Format &From : Set.Formats)
+      for (const formats::Format &To : Set.Formats) {
+        if (!codegen::conversionSupported(From, To))
+          continue;
+        std::string Pair = From.Name + " -> " + To.Name;
+        std::vector<std::pair<std::string, codegen::Options>> Variants = {
+            {"default", codegen::Options()}};
+        for (const auto &[Label, Dims] :
+             {std::make_pair("routed", Set.Routed),
+              std::make_pair("routed-wide", Set.Wide)})
+          Variants.emplace_back(Label, codegen::optionsForDims(
+                                           From, To, codegen::Options(),
+                                           Dims, Nnz));
+        for (const auto &[Label, Opts] : Variants) {
+          if (!codegen::conversionSupported(From, To, Opts))
+            continue;
+          codegen::Conversion Conv =
+              codegen::generateConversion(From, To, Opts);
+          ++Routines;
+          Sorted += Conv.Asm.anySorted() ? 1 : 0;
+          ASSERT_EQ(censusViolations(Conv, Pair + " " + Label), 0);
+        }
+      }
+  // The census covered routines that call the runtime and ones that do
+  // not.
+  EXPECT_GT(Sorted, 0);
+  EXPECT_GT(Routines, Sorted);
 }
 
 TEST(Jit, RawInterfaceReusesBuffers) {
@@ -291,7 +499,7 @@ TEST(JitRuntime, ScansMatchTheSerialScan) {
     }
 }
 
-TEST(JitRuntime, MergeSortAndUniqueMatchStdSortAndUnique) {
+TEST(JitRuntime, SortUniqueMatchesStdSortAndUnique) {
   const jit::RuntimeTable &Rt = jit::runtimeTable();
   // Arities 1 and 3 run fixed-length instantiations, 4 the generic one.
   for (int64_t Arity : {1, 3, 4})
@@ -302,12 +510,8 @@ TEST(JitRuntime, MergeSortAndUniqueMatchStdSortAndUnique) {
         std::vector<std::vector<int32_t>> Pools(
             static_cast<size_t>(Arity), {-7, 0, 3, 4, 50, INT32_MAX});
         std::vector<int32_t> Buf = randomTuples(N, Pools, 11 + unsigned(N));
-        std::vector<Tuple> Expect = split(Buf, Arity, N);
-        std::sort(Expect.begin(), Expect.end());
-        Rt.sort_tuples(Buf.data(), N, Arity, P);
-        ASSERT_EQ(split(Buf, Arity, N), Expect);
-        Expect = sortedUnique(Expect);
-        int64_t U = Rt.unique_tuples(Buf.data(), N, Arity);
+        std::vector<Tuple> Expect = sortedUnique(split(Buf, Arity, N));
+        int64_t U = Rt.sort_unique_tuples(Buf.data(), N, Arity, P);
         ASSERT_EQ(split(Buf, Arity, U), Expect);
       }
 }
@@ -369,6 +573,11 @@ TEST(JitRuntime, RadixSortMatchesSortUniqueAndBinarySearchRanks) {
           std::vector<int32_t> Buf = randomTuples(N, C.Pools, 3 + unsigned(N));
           std::vector<Tuple> In = split(Buf, Arity, N);
           std::vector<Tuple> Expect = sortedUnique(In);
+          // The merge form of the same statement agrees.
+          std::vector<int32_t> Merged = Buf;
+          int64_t MergedU =
+              Rt.sort_unique_tuples(Merged.data(), N, Arity, P);
+          ASSERT_EQ(split(Merged, Arity, MergedU), Expect);
           std::vector<int32_t> Rank(static_cast<size_t>(N), -1);
           int64_t U = Rt.radix_sort_packed(Buf.data(), N, Arity,
                                            C.Widths.data(),

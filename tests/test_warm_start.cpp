@@ -13,9 +13,10 @@
 /// corrupt object — evicts the entry (never serves it) and leaves the rest
 /// loadable; the DegradationLog's preload-evict count reconciles exactly
 /// with the preload stats; a process without a disk cache leaves the
-/// shared manifest alone; and a sorted routine, which binds the prebuilt
-/// sort/scan runtime at load, runs from its disk object with no compiler
-/// and preloads from the manifest like any other plan.
+/// shared manifest alone; and a sorted routine, which calls the prebuilt
+/// sort/scan runtime through the table each call passes it, runs from its
+/// disk object with no compiler and preloads from the manifest like any
+/// other plan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -391,13 +392,13 @@ TEST(WarmStart, SortedRoutineRunsFromItsDiskObjectWithoutACompiler) {
   ASSERT_TRUE(Opts.ForceSortedRanking);
   tensor::SparseTensor Reference = convert::Converter(Coo3, Csf).run(In);
 
-  // Compile-and-load binds the runtime before the handle is returned.
+  // The compiled routine calls the runtime through its table argument.
   PlanCache &Cache = PlanCache::instance();
   Cache.clearMemory();
   auto Compiled = Cache.jit(Coo3, Csf, Opts);
   ASSERT_FALSE(Compiled->degraded());
   ASSERT_FALSE(Compiled->loadedFromCache());
-  ASSERT_NE(Compiled->conversion().cSource().find("_bind_runtime("),
+  ASSERT_NE(Compiled->conversion().cSource().find("cvg_rt->"),
             std::string::npos);
   expectSameStorage(Reference, Compiled->run(In));
   std::string SoPath = Compiled->cachedSoPath();
@@ -405,7 +406,7 @@ TEST(WarmStart, SortedRoutineRunsFromItsDiskObjectWithoutACompiler) {
 
   // With no compiler at all, both verified disk loads — a constructor whose
   // slot holds the object, and the preloader's cache-only load of the same,
-  // already loaded object — bind the runtime and run bit-exact.
+  // already loaded object — run bit-exact.
   ScopedEnv NoCompiler("CONVGEN_CC", "/nonexistent");
   ASSERT_FALSE(jit::jitAvailable());
   jit::JitConversion Warm(Compiled->conversion(), SoPath);

@@ -16,7 +16,7 @@
 /// csf inputs of different shapes that the service routes to sorted
 /// ranking; sorted routines compute their packed-key widths from the
 /// extents at run time, so both must share one plan key and one disk
-/// object. The warm pass thus also proves that a routine bound to the
+/// object. The warm pass thus also proves that a routine calling the
 /// prebuilt sort/scan runtime preloads from the manifest and runs:
 ///
 ///   warm_restart_harness populate [--sleep-ms=N]
