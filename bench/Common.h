@@ -213,9 +213,18 @@ jitConversion(const std::string &Src, const std::string &Dst,
   return *(Pinned[convert::planKey(Source, Target, Opts)] = Handle);
 }
 
-/// Times a JIT conversion on a marshalled input (frees outputs).
+/// Times a JIT conversion on a marshalled input (frees outputs). A
+/// degraded handle has no native routine to time: the benchmark exits
+/// naming the reason instead of reporting interpreter numbers.
 inline TimeStats timeJitStats(const jit::JitConversion &Conv,
                               const tensor::SparseTensor &In) {
+  if (Conv.degraded()) {
+    std::fprintf(stderr, "convgen: cannot time %s -> %s natively: %s\n",
+                 Conv.conversion().Source.Name.c_str(),
+                 Conv.conversion().Target.Name.c_str(),
+                 Conv.degradationReason().c_str());
+    std::exit(1);
+  }
   jit::CTensor A;
   jit::marshalInput(In, &A);
   return timeStats([&] {
@@ -232,14 +241,16 @@ inline double timeJit(const jit::JitConversion &Conv,
 }
 
 /// Like timeJitStats, but also reports the routine's own per-phase
-/// breakdown (jit::kNumPhases slots, mean seconds per run) from the
-/// handle's runRaw phase totals. Zeros on a degraded handle.
+/// breakdown (jit::kNumPhases slots, mean seconds per run): the delta of
+/// the handle's runRaw phase totals between snapshots taken before and
+/// after the loop.
 inline TimeStats timeJitWithPhases(const jit::JitConversion &Conv,
                                    const tensor::SparseTensor &In,
                                    double Phases[jit::kNumPhases]) {
   const double *P = Conv.phaseSeconds();
   std::vector<double> Before(P, P + jit::kNumPhases);
   TimeStats S = timeJitStats(Conv, In);
+  P = Conv.phaseSeconds();
   for (int I = 0; I < jit::kNumPhases; ++I)
     Phases[I] = (P[I] - Before[static_cast<size_t>(I)]) /
                 static_cast<double>(benchReps());

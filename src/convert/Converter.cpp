@@ -169,10 +169,15 @@ Converter::tryRun(const tensor::SparseTensor &In,
   Status Order = checkSourceOrder(*Plan, In);
   if (!Order.ok())
     return Order;
+  return interpretPlan(*Plan, In);
+}
+
+tensor::SparseTensor convert::interpretPlan(const codegen::Conversion &Conv,
+                                            const tensor::SparseTensor &In) {
   ir::Interpreter Interp;
   bindSourceTensor(Interp, In);
-  ir::RunResult Result = Interp.run(Plan->Func);
-  return collectTargetTensor(Plan->Target, In.Dims, Result);
+  ir::RunResult Result = Interp.run(Conv.Func);
+  return collectTargetTensor(Conv.Target, In.Dims, Result);
 }
 
 tensor::SparseTensor Converter::run(const tensor::SparseTensor &In) const {

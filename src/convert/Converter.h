@@ -98,6 +98,13 @@ tensor::SparseTensor collectTargetTensor(const formats::Format &Target,
                                          const std::vector<int64_t> &Dims,
                                          ir::RunResult &Result);
 
+/// Runs exactly \p Conv's routine on \p In through the reference
+/// interpreter (bind, run, collect): no per-request routing and no source
+/// order check, which the caller has done. Converter::tryRun and a
+/// degraded JitConversion serve requests through it.
+tensor::SparseTensor interpretPlan(const codegen::Conversion &Conv,
+                                   const tensor::SparseTensor &In);
+
 } // namespace convert
 } // namespace convgen
 

@@ -718,8 +718,9 @@ PreloadStats PlanCache::preload(const std::string &Path, PreloadMode) {
     auto Evict = [&](const std::string &Why) {
       S.Evicted++;
       Dropped = true;
+      S.EvictReasons.push_back("manifest entry evicted: " + Why);
       DegradationLog::instance().record(Degradation::PreloadEviction,
-                                        "manifest entry evicted: " + Why);
+                                        S.EvictReasons.back());
     };
     std::vector<std::string> F = splitTabs(Line);
     if (F.size() != 9) {

@@ -59,6 +59,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <vector>
 
 namespace convgen {
 namespace convert {
@@ -98,6 +99,9 @@ struct PreloadStats {
                         ///< failed load — dropped, never served
                         ///< (preload-evict).
   uint64_t Skipped = 0; ///< Entries already warm in memory.
+  /// One reason per evicted entry, in manifest order: the text recorded
+  /// in the DegradationLog as PreloadEviction.
+  std::vector<std::string> EvictReasons;
 };
 
 /// Thread-safety contract: every method may be called from any number of

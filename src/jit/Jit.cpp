@@ -9,20 +9,21 @@
 
 #include "convert/Converter.h"
 #include "convert/PlanCache.h"
-#include "ir/Interpreter.h"
 #include "support/Assert.h"
 #include "support/DegradationLog.h"
 #include "support/Fault.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <sys/wait.h>
@@ -46,29 +47,31 @@ std::string scratchRoot() {
   return "/tmp";
 }
 
-/// mkdtemp under scratchRoot(); empty string on failure (never aborts —
-/// the caller degrades).
-std::string makeScratchDir(const char *Tag) {
-  std::string Template = scratchRoot() + "/convgen-" + Tag + "-XXXXXX";
-  std::vector<char> Buf(Template.begin(), Template.end());
-  Buf.push_back('\0');
-  if (!mkdtemp(Buf.data()))
-    return "";
-  return std::string(Buf.data());
-}
+/// A mkdtemp'd directory under scratchRoot(), removed with everything in
+/// it when the guard goes out of scope. path() is empty when creation
+/// failed (never aborts — the caller degrades).
+class ScratchDir {
+public:
+  explicit ScratchDir(const std::string &Tag) {
+    std::string Template = scratchRoot() + "/convgen-" + Tag + "-XXXXXX";
+    std::vector<char> Buf(Template.begin(), Template.end());
+    Buf.push_back('\0');
+    if (mkdtemp(Buf.data()))
+      Path = Buf.data();
+  }
+  ~ScratchDir() {
+    std::error_code Ignored;
+    if (!Path.empty())
+      std::filesystem::remove_all(Path, Ignored);
+  }
+  ScratchDir(const ScratchDir &) = delete;
+  ScratchDir &operator=(const ScratchDir &) = delete;
 
-/// Removes every file a compile attempt can leave in \p Dir, then the
-/// directory itself. Used on all exit paths — success, failure, and the
-/// destructor — so no scratch tree outlives its JitConversion.
-void removeScratchTree(const std::string &Dir) {
-  if (Dir.empty())
-    return;
-  static const char *const Files[] = {"conv.c", "conv.so", "cc.log",
-                                      "probe.c", "probe.so"};
-  for (const char *F : Files)
-    std::remove((Dir + "/" + F).c_str());
-  rmdir(Dir.c_str());
-}
+  const std::string &path() const { return Path; }
+
+private:
+  std::string Path;
+};
 
 /// Whitespace-splits a command or flag string into argv tokens (the
 /// compiler spec "ccache cc" is two tokens; quoting inside flags is not
@@ -265,8 +268,8 @@ bool jit::jitOpenMPAvailable() {
   // accepts -fopenmp but not these must be treated as OpenMP-unavailable
   // or every parallel conversion would fail to build.
   bool Ok = false;
-  std::string Dir = makeScratchDir("omp");
-  if (!Dir.empty()) {
+  ScratchDir Scratch("omp");
+  if (const std::string &Dir = Scratch.path(); !Dir.empty()) {
     std::string Probe = Dir + "/probe.c";
     std::string Out = Dir + "/probe.so";
     if (std::FILE *File = std::fopen(Probe.c_str(), "w")) {
@@ -290,7 +293,6 @@ bool jit::jitOpenMPAvailable() {
       Args.push_back(Probe);
       Ok = runCommand(Args, "", compileTimeoutMillis()) == 0;
     }
-    removeScratchTree(Dir);
   }
   Cache[Cc] = Ok;
   return Ok;
@@ -455,7 +457,15 @@ Status JitConversion::initialize(const support::Deadline &RequestDeadline) {
 
 Status
 JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
-  std::string Dir = makeScratchDir("jit");
+  // Every exit removes the scratch tree, success included: a dlopen'd
+  // object stays mapped after its file is unlinked. dlopen matches an
+  // already loaded object by path before it reads the file, and mkdtemp
+  // may hand out a removed directory's name again, so a per-process serial
+  // in the name keeps every object path this process loads unique.
+  static std::atomic<uint64_t> Serial{0};
+  ScratchDir Scratch(
+      strfmt("jit-%llu", static_cast<unsigned long long>(++Serial)));
+  const std::string &Dir = Scratch.path();
   if (Dir.empty())
     return Status::error(ErrorCode::Unavailable,
                          "jit: cannot create a scratch directory under " +
@@ -467,24 +477,20 @@ JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
 
   {
     std::FILE *File = std::fopen(CPath.c_str(), "w");
-    if (!File) {
-      removeScratchTree(Dir);
+    if (!File)
       return Status::error(ErrorCode::Unavailable,
                            "jit: cannot write the generated source in " +
                                Dir);
-    }
     std::string Source = Conv.cSource();
     bool Ok = std::fwrite(Source.data(), 1, Source.size(), File) ==
               Source.size();
     if (std::fclose(File) != 0)
       Ok = false;
-    if (!Ok) {
-      removeScratchTree(Dir);
+    if (!Ok)
       return Status::error(ErrorCode::Unavailable,
                            "jit: cannot write the generated source (disk "
                            "full?) in " +
                                Dir);
-    }
   }
 
   std::vector<std::string> Args = splitTokens(compilerSpec());
@@ -525,7 +531,6 @@ JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
                        .count();
   }
   if (TimedOut) {
-    removeScratchTree(Dir);
     std::string What = strfmt(
         "%s -> %s: compiler child exceeded %lldms and was killed",
         Conv.Source.Name.c_str(), Conv.Target.Name.c_str(),
@@ -540,7 +545,6 @@ JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
   }
   if (Rc != 0) {
     std::string Log = readDiagnostics(LogPath);
-    removeScratchTree(Dir);
     if (Log.empty())
       Log = "(no compiler diagnostics)";
     Status S = Status::error(ErrorCode::Unavailable,
@@ -559,11 +563,9 @@ JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
 
   std::string Error;
   if (!loadConversion(SoPath, Conv.Func.Name, &Handle, &Fn, &Error)) {
-    removeScratchTree(Dir);
     DegradationLog::instance().record(Degradation::JitLoadFailure, Error);
     return Status::error(ErrorCode::Unavailable, Error);
   }
-  WorkDir = Dir;
   return Status();
 }
 
@@ -577,7 +579,6 @@ JitConversion::~JitConversion() {
   // at most one object per (pair, options, flags) through the PlanCache.
   if (Handle && !jitOpenMPAvailable())
     dlclose(Handle);
-  removeScratchTree(WorkDir);
 }
 
 void jit::marshalInput(const tensor::SparseTensor &In, CTensor *Out) {
@@ -637,82 +638,25 @@ void jit::freeOutput(CTensor *B) {
   B->vals = nullptr;
 }
 
-/// Rebuilds a SparseTensor view of a marshalled input (the degraded runRaw
-/// path has only the ABI struct to work from). Array contents are copied
-/// into owned storage; \p A is not modified.
-static tensor::SparseTensor unmarshalInput(const formats::Format &Source,
-                                           const CTensor &A) {
-  tensor::SparseTensor In;
-  In.Format = Source;
-  In.Dims.assign(A.dims, A.dims + Source.SrcOrder);
-  In.Levels.resize(Source.Levels.size());
-  for (size_t K = 0; K < Source.Levels.size(); ++K) {
-    size_t Slot = K + 1;
-    tensor::LevelStorage &L = In.Levels[K];
-    L.Pos.assign(A.pos[Slot], A.pos[Slot] + A.pos_len[Slot]);
-    L.Crd.assign(A.crd[Slot], A.crd[Slot] + A.crd_len[Slot]);
-    L.Perm.assign(A.perm[Slot], A.perm[Slot] + A.perm_len[Slot]);
-    L.SizeParam = A.params[Slot];
-  }
-  In.Vals.assign(A.vals, A.vals + A.vals_len);
-  return In;
-}
-
-template <typename T>
-static T *mallocCopy(const tensor::OwnedArray<T> &V) {
-  T *P = static_cast<T *>(
-      std::malloc((V.size() ? V.size() : 1) * sizeof(T)));
-  if (P && !V.empty())
-    std::memcpy(P, V.data(), V.size() * sizeof(T));
-  return P;
-}
-
-/// Publishes \p Out through the CTensor ABI as malloc'd copies, matching
-/// what a native routine produces (the caller frees with freeOutput or
-/// adopts via collectOutput).
-static void marshalOutputCopy(const tensor::SparseTensor &Out, CTensor *B) {
-  *B = CTensor();
-  for (size_t D = 0; D < Out.Dims.size(); ++D)
-    B->dims[D] = Out.Dims[D];
-  for (size_t K = 0; K < Out.Levels.size(); ++K) {
-    const tensor::LevelStorage &L = Out.Levels[K];
-    size_t Slot = K + 1;
-    B->pos[Slot] = mallocCopy(L.Pos);
-    B->pos_len[Slot] = static_cast<int64_t>(L.Pos.size());
-    B->crd[Slot] = mallocCopy(L.Crd);
-    B->crd_len[Slot] = static_cast<int64_t>(L.Crd.size());
-    B->perm[Slot] = mallocCopy(L.Perm);
-    B->perm_len[Slot] = static_cast<int64_t>(L.Perm.size());
-    B->params[Slot] = L.SizeParam;
-  }
-  B->vals = mallocCopy(Out.Vals);
-  B->vals_len = static_cast<int64_t>(Out.Vals.size());
-}
-
-tensor::SparseTensor
-JitConversion::interpretRun(const tensor::SparseTensor &In) const {
-  ir::Interpreter Interp;
-  convert::bindSourceTensor(Interp, In);
-  ir::RunResult Result = Interp.run(Conv.Func);
-  return convert::collectTargetTensor(Conv.Target, In.Dims, Result);
-}
-
 void JitConversion::runRaw(const CTensor *A, CTensor *B) const {
-  if (Fn) {
-    double Phases[kNumPhases] = {};
-    Fn(&runtimeTable(), A, B, Phases);
-    std::lock_guard<std::mutex> Lock(PhaseMu);
-    for (int K = 0; K < kNumPhases; ++K)
-      PhaseSecs[K] += Phases[K];
-    return;
-  }
-  CONVGEN_ASSERT(Degraded, "jit function not loaded");
-  // Degraded: the interpreter serves the call. The ownership contract is
-  // preserved — B receives malloc'd copies of the interpreter's yields,
-  // released by freeOutput or adopted by collectOutput like any native
-  // output.
-  tensor::SparseTensor In = unmarshalInput(Conv.Source, *A);
-  marshalOutputCopy(interpretRun(In), B);
+  if (!Fn)
+    fatalError(strfmt("jit: runRaw needs a native routine, but %s -> %s is "
+                      "degraded: %s",
+                      Conv.Source.Name.c_str(), Conv.Target.Name.c_str(),
+                      DegradedWhy.c_str())
+                   .c_str());
+  double Phases[kNumPhases] = {};
+  Fn(&runtimeTable(), A, B, Phases);
+  std::lock_guard<std::mutex> Lock(PhaseMu);
+  for (int K = 0; K < kNumPhases; ++K)
+    PhaseSecs[K] += Phases[K];
+}
+
+const double *JitConversion::phaseSeconds() const {
+  thread_local double Snapshot[kNumPhases];
+  std::lock_guard<std::mutex> Lock(PhaseMu);
+  std::copy(PhaseSecs, PhaseSecs + kNumPhases, Snapshot);
+  return Snapshot;
 }
 
 StatusOr<tensor::SparseTensor>
@@ -773,7 +717,7 @@ JitConversion::tryRun(const tensor::SparseTensor &In) const {
   if (!Order.ok())
     return Order;
   if (Degraded)
-    return interpretRun(In);
+    return convert::interpretPlan(Conv, In);
   CTensor A, B;
   marshalInput(In, &A);
   Fn(&runtimeTable(), &A, &B, nullptr);

@@ -14,21 +14,27 @@
 /// (jit/Runtime.h) through the table every call passes it; a loaded
 /// object holds no state of its own.
 ///
+/// A handle holds a loaded object or the reason it has none, and nothing
+/// else: no file on disk, no mutable state but its runRaw phase totals.
+///
 /// Fault tolerance: environment failures (a missing or broken compiler, a
 /// failed dlopen/dlsym, an unwritable scratch directory) never abort.
 /// Construction retries transient failures with bounded backoff and then
-/// degrades the handle — run()/tryRun()/runRaw() keep working by executing
-/// the same generated routine through the reference interpreter, bit-exact
-/// with the native path. Every degradation is counted in the process-wide
-/// support::DegradationLog; degraded() exposes the state per handle.
-/// Request errors (wrong source format, unsorted input, unsupported dims)
-/// are returned from tryRun as a Status and never fall back — the
-/// interpreter would fail identically.
+/// degrades the handle — run()/tryRun() keep working by executing the same
+/// generated routine through the reference interpreter, bit-exact with the
+/// native path. runRaw(), the benchmark interface, has no interpreter
+/// path: on a degraded handle it aborts naming degradationReason(). Every
+/// degradation is counted in the process-wide support::DegradationLog;
+/// degraded() exposes the state per handle. Request errors (wrong source
+/// format, unsorted input, unsupported dims) are returned from tryRun as a
+/// Status and never fall back — the interpreter would fail identically.
 ///
 /// The external compiler is invoked with fork/exec (never a shell), so
-/// paths and flags with shell metacharacters are safe; scratch directories
-/// honor TMPDIR and are removed on every exit path. A watchdog bounds the
-/// wait on the compiler child: a child exceeding
+/// paths and flags with shell metacharacters are safe. Each compile
+/// attempt works in a scratch directory under TMPDIR that is removed
+/// before the attempt returns, once the object is loaded (a dlopen'd
+/// object stays mapped after its file is unlinked) or on failure. A
+/// watchdog bounds the wait on the compiler child: a child exceeding
 /// min(CONVGEN_COMPILE_TIMEOUT_MS, request-deadline remaining) is
 /// SIGKILLed and reaped, and the handle degrades immediately — a hung
 /// compiler can stall one request thread for at most the bound, never
@@ -133,7 +139,7 @@ public:
   /// when available), and loads it. Never aborts on environment failures:
   /// a failed compile or load is retried with bounded backoff
   /// (CONVGEN_JIT_ATTEMPTS, default 3) and the handle then degrades to
-  /// interpreter-backed execution (degraded() == true, every run still
+  /// interpreter-backed execution (degraded() == true, every tryRun still
   /// bit-exact). When \p CachedSoPath is nonempty, a checksum-verified
   /// object there is loaded directly (skipping the external compiler
   /// entirely, compileSeconds() == 0); otherwise the freshly compiled
@@ -169,8 +175,9 @@ public:
   /// with; the warm-start manifest reads it.
   const std::string &cachedSoPath() const { return CachedSoPath; }
 
-  /// True when the native object could not be built or loaded and runs
-  /// execute through the reference interpreter instead.
+  /// True when the native object could not be built or loaded: run and
+  /// tryRun execute through the reference interpreter instead, and runRaw
+  /// aborts.
   bool degraded() const { return Degraded; }
 
   /// True when the handle degraded only because the caller's request
@@ -200,11 +207,12 @@ public:
 
   /// Raw invocation for benchmarking: \p A must be marshalled with
   /// marshalInput; \p B receives malloc'd arrays that the caller releases
-  /// with freeOutput (or adopts via collectOutput). On a degraded handle
-  /// the interpreter serves the call and \p B receives malloc'd copies of
-  /// its yields — the same ownership contract either way. The routine
-  /// times its phases into a call-local array, which is then added to
-  /// this handle's phaseSeconds() totals.
+  /// with freeOutput (or adopts via collectOutput). The routine times its
+  /// phases into a call-local array, which is then added to this handle's
+  /// phaseSeconds() totals. Native handles only: on a degraded handle it
+  /// aborts naming degradationReason(), so a benchmark without a compiler
+  /// fails loudly instead of timing the interpreter. Check degraded()
+  /// first.
   void runRaw(const CTensor *A, CTensor *B) const;
 
   /// Wall-clock seconds spent in the external compiler (cumulative across
@@ -213,11 +221,13 @@ public:
 
   /// Cumulative per-phase wall-clock seconds of this handle's runRaw calls
   /// (kNumPhases slots; never null, all zero on a degraded handle). Other
-  /// handles, tryRun and run add nothing. Benchmarks snapshot before/after
-  /// a timing loop and divide the delta by the rep count; runRaw calls on
-  /// other threads during the loop add to the delta. Read it while no
-  /// runRaw on this handle is in flight.
-  const double *phaseSeconds() const { return PhaseSecs; }
+  /// handles, tryRun and run add nothing. The totals are copied under the
+  /// handle's lock into a per-thread snapshot, so they may be read while
+  /// runRaw calls are in flight; the pointer stays valid until this
+  /// thread's next phaseSeconds() call on any handle. Benchmarks snapshot
+  /// before/after a timing loop and divide the delta by the rep count;
+  /// runRaw calls on other threads during the loop add to the delta.
+  const double *phaseSeconds() const;
 
   const codegen::Conversion &conversion() const { return Conv; }
 
@@ -236,12 +246,10 @@ private:
   /// handle instead of propagating.
   Status initialize(const support::Deadline &RequestDeadline);
   /// One compile + install + load attempt in a fresh scratch directory
-  /// (removed on every failure path). The compiler wait is bounded by
+  /// (removed before it returns). The compiler wait is bounded by
   /// min(CONVGEN_COMPILE_TIMEOUT_MS, deadline remaining) when either is
   /// finite; a child exceeding the bound is SIGKILLed and reaped.
   Status compileAndLoadOnce(const support::Deadline &RequestDeadline);
-  /// The interpreter path a degraded handle serves runs through.
-  tensor::SparseTensor interpretRun(const tensor::SparseTensor &In) const;
 
   codegen::Conversion Conv;
   std::string CachedSoPath;
@@ -250,7 +258,6 @@ private:
   /// runRaw's per-handle phase totals, added to under PhaseMu.
   mutable std::mutex PhaseMu;
   mutable double PhaseSecs[kNumPhases] = {};
-  std::string WorkDir;
   double CompileSecs = 0;
   bool FromCache = false;
   bool Degraded = false;

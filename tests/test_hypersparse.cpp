@@ -12,7 +12,6 @@
 #include "convert/Converter.h"
 #include "convert/PlanCache.h"
 #include "formats/Standard.h"
-#include "ir/Interpreter.h"
 #include "jit/Jit.h"
 #include "remap/RemapParser.h"
 #include "tensor/Corpus.h"
@@ -395,11 +394,8 @@ tensor::SparseTensor runPlan(const formats::Format &Src,
                              const formats::Format &Dst,
                              const codegen::Options &Opts,
                              const tensor::SparseTensor &In) {
-  auto Plan = convert::PlanCache::instance().plan(Src, Dst, Opts);
-  ir::Interpreter Interp;
-  convert::bindSourceTensor(Interp, In);
-  ir::RunResult Result = Interp.run(Plan->Func);
-  return convert::collectTargetTensor(Dst, In.Dims, Result);
+  return convert::interpretPlan(
+      *convert::PlanCache::instance().plan(Src, Dst, Opts), In);
 }
 
 void expectBitIdentical(const tensor::SparseTensor &Want,

@@ -13,9 +13,12 @@
 #include "tensor/Generators.h"
 #include "tensor/Oracle.h"
 
+#include "ScopedEnv.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <climits>
 #include <filesystem>
@@ -24,6 +27,7 @@
 #include <thread>
 
 using namespace convgen;
+using convgen::testing::ScopedEnv;
 
 // Most of this suite verifies *behavior* (bit-exactness with the
 // interpreter), which holds even when CONVGEN_FAULT degrades handles to
@@ -35,6 +39,15 @@ using namespace convgen;
   do {                                                                        \
     if (support::faultsConfigured())                                          \
       GTEST_SKIP() << "asserts native-path artifacts; CONVGEN_FAULT is set"; \
+  } while (false)
+
+// runRaw refuses a degraded handle (it aborts naming the reason; see
+// JitDeathTest), so the raw-interface tests skip one. Under
+// CONVGEN_FAULT=compile:0.5 one handle in eight degrades.
+#define SKIP_IF_DEGRADED(Handle)                                              \
+  do {                                                                        \
+    if ((Handle).degraded())                                                  \
+      GTEST_SKIP() << "degraded handle: " << (Handle).degradationReason();    \
   } while (false)
 
 namespace {
@@ -154,6 +167,7 @@ TEST(Jit, OutputIsAdoptedNotCopied) {
       tensor::buildFromTriplets(formats::makeCOO(), T);
   convert::Converter Conv(formats::makeCOO(), formats::makeCSR());
   jit::JitConversion Native(Conv.conversion());
+  SKIP_IF_DEGRADED(Native);
   jit::CTensor A, B;
   jit::marshalInput(In, &A);
   Native.runRaw(&A, &B);
@@ -185,7 +199,8 @@ namespace {
 
 /// Per-phase totals of \p H, copied out.
 std::vector<double> phaseTotals(const jit::JitConversion &H) {
-  return {H.phaseSeconds(), H.phaseSeconds() + jit::kNumPhases};
+  const double *P = H.phaseSeconds();
+  return {P, P + jit::kNumPhases};
 }
 
 double sum(const std::vector<double> &V) {
@@ -241,6 +256,7 @@ TEST(Jit, PhaseSecondsAccumulate) {
       tensor::buildFromTriplets(formats::makeCSR(), T);
   convert::Converter Conv(formats::makeCSR(), formats::makeCSC());
   jit::JitConversion Native(Conv.conversion());
+  SKIP_IF_DEGRADED(Native);
   ASSERT_NE(Native.phaseSeconds(), nullptr);
   EXPECT_EQ(sum(phaseTotals(Native)), 0.0);
   // runRaw adds its phases to the handle's totals.
@@ -295,6 +311,7 @@ TEST(Jit, ConcurrentRawRunsAddToOneHandlesTotals) {
       tensor::buildFromTriplets(formats::makeCSR(), T);
   convert::Converter Conv(formats::makeCSR(), formats::makeCSC());
   jit::JitConversion Shared(Conv.conversion());
+  SKIP_IF_DEGRADED(Shared);
   const tensor::SparseTensor Reference = Conv.run(In);
   constexpr int Runs = 50;
   double Wall[2] = {};
@@ -317,6 +334,88 @@ TEST(Jit, ConcurrentRawRunsAddToOneHandlesTotals) {
   double Grew = sum(phaseTotals(Shared)) - Before;
   EXPECT_GT(Grew, 0.0);
   EXPECT_LE(Grew, Wall[0] + Wall[1]);
+}
+
+TEST(Jit, PhaseTotalsReadWhileRunRawIsInFlight) {
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  tensor::Triplets T = tensor::genBandedRandom(120, 120, 6.0, 15, 3, 37);
+  tensor::SparseTensor In =
+      tensor::buildFromTriplets(formats::makeCSR(), T);
+  convert::Converter Conv(formats::makeCSR(), formats::makeCSC());
+  jit::JitConversion Native(Conv.conversion());
+  SKIP_IF_DEGRADED(Native);
+  // One thread adds to the totals while this one reads them: each read is
+  // a snapshot taken under the handle's lock, so the sums never go back.
+  // The slots are read one by one, as timeJitWithPhases does; the thread
+  // sanitizer checks element reads, not the bulk copy phaseTotals makes.
+  std::atomic<bool> Done{false};
+  std::thread Runner([&] {
+    jit::CTensor A;
+    jit::marshalInput(In, &A);
+    for (int Rep = 0; Rep < 200; ++Rep) {
+      jit::CTensor B;
+      Native.runRaw(&A, &B);
+      jit::freeOutput(&B);
+    }
+    Done = true;
+  });
+  double Last = 0;
+  bool Monotone = true;
+  do {
+    const double *P = Native.phaseSeconds();
+    double Now = 0;
+    for (int K = 0; K < jit::kNumPhases; ++K)
+      Now += P[K];
+    Monotone = Monotone && Now >= Last;
+    Last = Now;
+  } while (!Done);
+  Runner.join();
+  EXPECT_TRUE(Monotone);
+  EXPECT_GT(sum(phaseTotals(Native)), 0.0);
+}
+
+TEST(Jit, ScratchDirectoryIsGoneOnceTheObjectLoads) {
+  // Each compile works in a scratch tree under TMPDIR. None may outlive
+  // the load, whether the object went into a disk slot or not: a handle
+  // the PlanCache keeps lives as long as the process.
+  ScratchDir Tmp, CacheDir;
+  ASSERT_FALSE(Tmp.Path.empty());
+  ASSERT_FALSE(CacheDir.Path.empty());
+  ScopedEnv Scratch("TMPDIR", Tmp.Path);
+  tensor::Triplets T = tensor::genBandedRandom(70, 70, 5.0, 13, 5, 31);
+  tensor::SparseTensor In =
+      tensor::buildFromTriplets(formats::makeCOO(), T);
+  convert::Converter Conv(formats::makeCOO(), formats::makeCSR());
+  jit::JitConversion NoDisk(Conv.conversion());
+  jit::JitConversion Installed(Conv.conversion(), CacheDir.Path + "/conv.so");
+  EXPECT_TRUE(std::filesystem::is_empty(Tmp.Path));
+  StatusOr<tensor::SparseTensor> Want = Conv.tryRun(In);
+  ASSERT_TRUE(Want.ok()) << Want.status().toString();
+  for (const jit::JitConversion *H : {&NoDisk, &Installed}) {
+    StatusOr<tensor::SparseTensor> Got = H->tryRun(In);
+    ASSERT_TRUE(Got.ok()) << Got.status().toString();
+    EXPECT_TRUE(sameStorage(*Got, *Want));
+  }
+}
+
+TEST(JitDeathTest, RawRunOnADegradedHandleAbortsNamingTheReason) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ScopedEnv NoCompiler("CONVGEN_CC", "/nonexistent/convgen-cc");
+  tensor::Triplets T = tensor::genBandedRandom(40, 40, 4.0, 9, 7, 41);
+  tensor::SparseTensor In =
+      tensor::buildFromTriplets(formats::makeCSR(), T);
+  convert::Converter Conv(formats::makeCSR(), formats::makeCSC());
+  jit::JitConversion Degraded(Conv.conversion());
+  ASSERT_TRUE(Degraded.degraded());
+  // Requests keep their interpreter path; the benchmark interface refuses.
+  StatusOr<tensor::SparseTensor> Served = Degraded.tryRun(In);
+  ASSERT_TRUE(Served.ok()) << Served.status().toString();
+  EXPECT_TRUE(sameStorage(*Served, Conv.run(In)));
+  jit::CTensor A, B;
+  jit::marshalInput(In, &A);
+  EXPECT_DEATH(Degraded.runRaw(&A, &B),
+               "runRaw needs a native routine.*no working C compiler");
 }
 
 namespace {
@@ -414,6 +513,7 @@ TEST(Jit, RawInterfaceReusesBuffers) {
       tensor::buildFromTriplets(formats::makeCSR(), T);
   convert::Converter Conv(formats::makeCSR(), formats::makeDIA());
   jit::JitConversion Native(Conv.conversion());
+  SKIP_IF_DEGRADED(Native);
   jit::CTensor A, B;
   jit::marshalInput(In, &A);
   for (int Rep = 0; Rep < 3; ++Rep) {

@@ -264,6 +264,60 @@ TEST(WarmStart, CorruptManifestLineEvictsOnlyThatEntry) {
   EXPECT_EQ(Again.Loaded + Again.Skipped, pairPool().size() - 1);
 }
 
+TEST(WarmStart, EveryEvictedLineReportsItsOwnReason) {
+  if (skipWithoutJit())
+    GTEST_SKIP() << "needs a native compiler without injected faults";
+  ScopedCacheDir Scope;
+  ASSERT_FALSE(Scope.Dir.empty());
+  PlanCache &Cache = PlanCache::instance();
+  Cache.clearMemory();
+  ASSERT_EQ(populate(Cache), static_cast<int>(pairPool().size()));
+  std::string ManifestPath = PlanCache::manifestFilePath();
+  ASSERT_TRUE(Cache.exportManifest().ok());
+  Cache.clearMemory();
+
+  // Two entries evicted for two different reasons: the first line's
+  // integrity hash breaks, the second line (rehashed, so it passes the
+  // integrity check) records an object path this environment does not
+  // derive.
+  std::vector<std::string> Lines;
+  std::istringstream Manifest(readFile(ManifestPath));
+  for (std::string Line; std::getline(Manifest, Line);)
+    Lines.push_back(Line);
+  ASSERT_GE(Lines.size(), 3u); // header + at least two entries
+  Lines[1][0] = Lines[1][0] == 'x' ? 'y' : 'x';
+  std::vector<std::string> F;
+  std::istringstream Fields(Lines[2]);
+  for (std::string Field; std::getline(Fields, Field, '\t');)
+    F.push_back(Field);
+  ASSERT_EQ(F.size(), 9u);
+  F[6] += ".moved";
+  std::string Prefix;
+  for (size_t I = 0; I < 8; ++I)
+    Prefix += (I ? "\t" : "") + F[I];
+  Lines[2] = Prefix + "\t" + convert::contentHash(Prefix);
+  std::string Contents;
+  for (const std::string &Line : Lines)
+    Contents += Line + "\n";
+  writeFile(ManifestPath, Contents);
+
+  PreloadStats S = Cache.preload();
+  EXPECT_EQ(S.Entries, pairPool().size());
+  EXPECT_EQ(S.Evicted, 2u);
+  EXPECT_EQ(S.Loaded, pairPool().size() - 2);
+  ASSERT_EQ(S.EvictReasons.size(), 2u);
+  EXPECT_NE(S.EvictReasons[0].find("line integrity hash mismatch"),
+            std::string::npos)
+      << S.EvictReasons[0];
+  EXPECT_NE(S.EvictReasons[1].find("recorded object path does not match"),
+            std::string::npos)
+      << S.EvictReasons[1];
+  // The log keeps only the last detail per kind; the stats keep both.
+  EXPECT_EQ(DegradationLog::instance().lastDetail(
+                Degradation::PreloadEviction),
+            S.EvictReasons[1]);
+}
+
 TEST(WarmStart, CorruptObjectEvictsAtPreloadAndNeverServes) {
   if (skipWithoutJit())
     GTEST_SKIP() << "needs a native compiler without injected faults";

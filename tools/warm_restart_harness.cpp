@@ -54,7 +54,6 @@
 #include "convert/PlanCache.h"
 #include "formats/Standard.h"
 #include "service/ConversionService.h"
-#include "support/DegradationLog.h"
 #include "tensor/Generators.h"
 #include "tensor/Oracle.h"
 
@@ -243,11 +242,8 @@ int runVerify(bool RequireWarm, long ExpectEvict) {
               (unsigned long long)PS.Evicted,
               (unsigned long long)PS.Skipped);
 
-  if (PS.Evicted != 0)
-    std::fprintf(stderr, "note: last eviction: %s\n",
-                 support::DegradationLog::instance()
-                     .lastDetail(support::Degradation::PreloadEviction)
-                     .c_str());
+  for (const std::string &Why : PS.EvictReasons)
+    std::fprintf(stderr, "note: %s\n", Why.c_str());
   if (ExpectEvict >= 0 && PS.Evicted != (uint64_t)ExpectEvict)
     return fail("expected exactly " + std::to_string(ExpectEvict) +
                 " preload eviction(s), saw " + std::to_string(PS.Evicted));
