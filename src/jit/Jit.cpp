@@ -21,6 +21,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <dlfcn.h>
 #include <fcntl.h>
 #include <filesystem>
@@ -93,13 +94,25 @@ std::vector<std::string> splitTokens(const std::string &S) {
   return Out;
 }
 
-/// Watchdog wait: reaps \p Pid, SIGKILLing it first if it is still running
-/// after \p TimeoutMs (<= 0 waits unboundedly — the historical behavior).
-/// The bounded path polls waitpid(WNOHANG) with an escalating nanosleep
-/// (1ms doubling to a 20ms cap) so a fast compile pays ~1ms of latency and
-/// a hung one is detected within ~20ms of the bound. Always reaps — no
-/// zombie survives, even on the kill path. Sets \p TimedOut (when
-/// non-null) and returns -1 if the child had to be killed.
+/// fork() whose child leads a new process group, so the watchdog kills a
+/// compiler driver with its cc1 and as. Both sides call setpgid, so the
+/// group exists before either of them goes on.
+pid_t forkGroupLeader() {
+  pid_t Pid = fork();
+  if (Pid == 0)
+    setpgid(0, 0);
+  else if (Pid > 0)
+    setpgid(Pid, Pid);
+  return Pid;
+}
+
+/// Watchdog wait: reaps \p Pid, SIGKILLing its process group first if it
+/// is still running after \p TimeoutMs (<= 0 waits unboundedly — the
+/// historical behavior). The bounded path polls waitpid(WNOHANG) with an
+/// escalating nanosleep (1ms doubling to a 20ms cap) so a fast compile
+/// pays ~1ms of latency and a hung one is detected within ~20ms of the
+/// bound. Always reaps — no zombie survives, even on the kill path. Sets
+/// \p TimedOut (when non-null) and returns -1 if the child was killed.
 int waitBounded(pid_t Pid, int64_t TimeoutMs, bool *TimedOut) {
   if (TimedOut)
     *TimedOut = false;
@@ -126,9 +139,9 @@ int waitBounded(pid_t Pid, int64_t TimeoutMs, bool *TimedOut) {
     if (SleepNs < 20000000) // escalate to a 20ms cap
       SleepNs *= 2;
   }
-  // Timed out: kill and reap. SIGKILL cannot be caught, so the blocking
-  // reap below terminates promptly.
-  kill(Pid, SIGKILL);
+  // Timed out: kill the group and reap. SIGKILL cannot be caught, so the
+  // blocking reap below terminates promptly.
+  kill(-Pid, SIGKILL);
   while (waitpid(Pid, &Wait, 0) < 0)
     if (errno != EINTR)
       break;
@@ -140,13 +153,14 @@ int waitBounded(pid_t Pid, int64_t TimeoutMs, bool *TimedOut) {
 /// fork/exec of \p Args with stdout+stderr redirected to \p LogPath
 /// ("/dev/null" when empty). No shell is involved, so cache directories,
 /// TMPDIR values, and flag strings with metacharacters cannot be
-/// reinterpreted as shell syntax. Returns the child's exit code, or -1
-/// when the child could not be spawned (including exec failure, reported
-/// as 127 by convention) or exceeded \p TimeoutMs and was killed (see
-/// waitBounded).
+/// reinterpreted as shell syntax. A nonempty \p ChildTmpDir becomes the
+/// child's TMPDIR. Returns the child's exit code, or -1 when the child
+/// could not be spawned (including exec failure, reported as 127 by
+/// convention) or exceeded \p TimeoutMs and was killed (see waitBounded).
 int runCommand(const std::vector<std::string> &Args,
                const std::string &LogPath, int64_t TimeoutMs = 0,
-               bool *TimedOut = nullptr) {
+               bool *TimedOut = nullptr,
+               const std::string &ChildTmpDir = "") {
   if (TimedOut)
     *TimedOut = false;
   if (Args.empty())
@@ -156,7 +170,17 @@ int runCommand(const std::vector<std::string> &Args,
   for (const std::string &A : Args)
     Argv.push_back(const_cast<char *>(A.c_str()));
   Argv.push_back(nullptr);
-  pid_t Pid = fork();
+  // Built before the fork: setenv is not async-signal-safe.
+  std::string TmpEntry = "TMPDIR=" + ChildTmpDir;
+  std::vector<char *> Envp;
+  if (!ChildTmpDir.empty()) {
+    for (char **E = environ; *E; ++E)
+      if (std::strncmp(*E, "TMPDIR=", 7) != 0)
+        Envp.push_back(*E);
+    Envp.push_back(TmpEntry.data());
+    Envp.push_back(nullptr);
+  }
+  pid_t Pid = forkGroupLeader();
   if (Pid < 0)
     return -1;
   if (Pid == 0) {
@@ -168,7 +192,10 @@ int runCommand(const std::vector<std::string> &Args,
       if (Fd > STDERR_FILENO)
         close(Fd);
     }
-    execvp(Argv[0], Argv.data());
+    if (Envp.empty())
+      execvp(Argv[0], Argv.data());
+    else
+      execvpe(Argv[0], Argv.data(), Envp.data());
     _exit(127);
   }
   return waitBounded(Pid, TimeoutMs, TimedOut);
@@ -179,7 +206,7 @@ int runCommand(const std::vector<std::string> &Args,
 /// against it. Only the fork differs from a genuine hang — detection,
 /// SIGKILL, and reaping all exercise the production path.
 int runHangingChild(int64_t TimeoutMs, bool *TimedOut) {
-  pid_t Pid = fork();
+  pid_t Pid = forkGroupLeader();
   if (Pid < 0) {
     if (TimedOut)
       *TimedOut = false;
@@ -248,54 +275,10 @@ bool jit::jitAvailable() {
 }
 
 bool jit::jitOpenMPAvailable() {
-#ifndef CONVGEN_HAVE_OPENMP
-  // The library was configured with CONVGEN_ENABLE_OPENMP=OFF (or OpenMP
-  // was not found at build time): keep generated routines serial too.
-  return false;
+#ifdef CONVGEN_HAVE_OPENMP
+  return true;
 #else
-  const char *Disable = std::getenv("CONVGEN_NO_OPENMP");
-  if (Disable && *Disable && std::string(Disable) != "0")
-    return false;
-  static std::mutex Mu;
-  static std::map<std::string, bool> Cache;
-  std::string Cc = compilerSpec();
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Cache.find(Cc);
-  if (It != Cache.end())
-    return It->second;
-  // Probe with the constructs generated code uses (a parallel region
-  // around a worksharing loop, a critical section, omp.h). A compiler that
-  // accepts -fopenmp but not these must be treated as OpenMP-unavailable
-  // or every parallel conversion would fail to build.
-  bool Ok = false;
-  ScratchDir Scratch("omp");
-  if (const std::string &Dir = Scratch.path(); !Dir.empty()) {
-    std::string Probe = Dir + "/probe.c";
-    std::string Out = Dir + "/probe.so";
-    if (std::FILE *File = std::fopen(Probe.c_str(), "w")) {
-      std::fputs("#include <omp.h>\n"
-                 "void convgen_probe(int *hist, long n) {\n"
-                 "#pragma omp parallel\n"
-                 "  {\n"
-                 "    int t = omp_get_thread_num();\n"
-                 "#pragma omp for\n"
-                 "    for (long i = 0; i < n; i++) hist[i] = t;\n"
-                 "#pragma omp critical\n"
-                 "    hist[0] += 1;\n"
-                 "  }\n"
-                 "}\n",
-                 File);
-      std::fclose(File);
-      std::vector<std::string> Args = splitTokens(Cc);
-      for (const char *F : {"-fopenmp", "-shared", "-fPIC", "-o"})
-        Args.push_back(F);
-      Args.push_back(Out);
-      Args.push_back(Probe);
-      Ok = runCommand(Args, "", compileTimeoutMillis()) == 0;
-    }
-  }
-  Cache[Cc] = Ok;
-  return Ok;
+  return false;
 #endif
 }
 
@@ -458,10 +441,12 @@ Status JitConversion::initialize(const support::Deadline &RequestDeadline) {
 Status
 JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
   // Every exit removes the scratch tree, success included: a dlopen'd
-  // object stays mapped after its file is unlinked. dlopen matches an
-  // already loaded object by path before it reads the file, and mkdtemp
-  // may hand out a removed directory's name again, so a per-process serial
-  // in the name keeps every object path this process loads unique.
+  // object stays mapped after its file is unlinked. The compiler gets the
+  // tree as its TMPDIR, so its own temporaries go with it, even those of a
+  // killed compile. dlopen matches an already loaded object by path before
+  // it reads the file, and mkdtemp may hand out a removed directory's name
+  // again, so a per-process serial in the name keeps every object path
+  // this process loads unique.
   static std::atomic<uint64_t> Serial{0};
   ScratchDir Scratch(
       strfmt("jit-%llu", static_cast<unsigned long long>(++Serial)));
@@ -525,7 +510,7 @@ JitConversion::compileAndLoadOnce(const support::Deadline &RequestDeadline) {
     if (BoundMs > 0 && support::faultInjected(FaultSite::CompileHang))
       Rc = runHangingChild(BoundMs, &TimedOut);
     else
-      Rc = runCommand(Args, LogPath, BoundMs, &TimedOut);
+      Rc = runCommand(Args, LogPath, BoundMs, &TimedOut, Dir);
     CompileSecs += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - Begin)
                        .count();

@@ -33,12 +33,13 @@
 /// paths and flags with shell metacharacters are safe. Each compile
 /// attempt works in a scratch directory under TMPDIR that is removed
 /// before the attempt returns, once the object is loaded (a dlopen'd
-/// object stays mapped after its file is unlinked) or on failure. A
-/// watchdog bounds the wait on the compiler child: a child exceeding
-/// min(CONVGEN_COMPILE_TIMEOUT_MS, request-deadline remaining) is
-/// SIGKILLed and reaped, and the handle degrades immediately — a hung
-/// compiler can stall one request thread for at most the bound, never
-/// forever.
+/// object stays mapped after its file is unlinked) or on failure; the
+/// compiler runs with that directory as its TMPDIR, so its temporaries go
+/// too. A watchdog bounds the wait on the compiler child: a child
+/// exceeding min(CONVGEN_COMPILE_TIMEOUT_MS, request-deadline remaining)
+/// is SIGKILLed with its whole process group (cc1, as) and reaped, and the
+/// handle degrades immediately — a hung compiler can stall one request
+/// thread for at most the bound, never forever.
 ///
 /// Ownership contract at the JIT boundary (no marshalling copies):
 ///
@@ -105,7 +106,7 @@ using RoutineFn = void (*)(const RuntimeTable *, const CTensor *, CTensor *,
 
 /// The external C compiler command: CONVGEN_CC, or "cc" when that is unset
 /// or empty. Re-read per use so tests can rebind CONVGEN_CC in-process
-/// (availability probes are memoized per value).
+/// (jitAvailable() is memoized per value).
 std::string compilerSpec();
 
 /// True if a working C compiler is available. Probed once per distinct
@@ -113,16 +114,16 @@ std::string compilerSpec();
 /// and observe the no-compiler degradation in-process).
 bool jitAvailable();
 
-/// True if the external C compiler accepts -fopenmp (probed once per
-/// distinct CONVGEN_CC / CONVGEN_NO_OPENMP setting), so the
-/// parallel-annotated loops of generated routines actually run
-/// multi-threaded. Set CONVGEN_NO_OPENMP=1 to force serial compilation;
-/// the emitted pragmas are then ignored and the code stays valid C.
+/// True when the library was built with OpenMP (CONVGEN_HAVE_OPENMP):
+/// generated routines then get -fopenmp. A fact of the build that no
+/// compiler run decides, so a warm restart needs no compiler; a JIT
+/// compiler without OpenMP fails its compiles and the handles degrade.
+/// CONVGEN_JIT_FLAGS=-fno-openmp makes an OpenMP build's objects serial.
 bool jitOpenMPAvailable();
 
 /// The complete flag string JitConversion hands the compiler: the fixed
-/// base flags, -fopenmp when available, and CONVGEN_JIT_FLAGS (exposed so
-/// the plan cache can key shared objects on it).
+/// base flags, -fopenmp when jitOpenMPAvailable(), and CONVGEN_JIT_FLAGS
+/// (exposed so the plan cache can key shared objects on it).
 std::string jitEffectiveFlags();
 
 /// The hung-compiler watchdog bound in milliseconds

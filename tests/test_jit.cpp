@@ -19,12 +19,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <climits>
+#include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <sstream>
 #include <thread>
+
+#include <unistd.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 using namespace convgen;
 using convgen::testing::ScopedEnv;
@@ -416,6 +424,145 @@ TEST(JitDeathTest, RawRunOnADegradedHandleAbortsNamingTheReason) {
   jit::marshalInput(In, &A);
   EXPECT_DEATH(Degraded.runRaw(&A, &B),
                "runRaw needs a native routine.*no working C compiler");
+}
+
+namespace {
+
+/// Writes \p Body as an executable shell script at \p Path.
+void writeScript(const std::string &Path, const std::string &Body) {
+  std::ofstream(Path) << "#!/bin/sh\n" << Body;
+  std::filesystem::permissions(Path, std::filesystem::perms::owner_all,
+                               std::filesystem::perm_options::add);
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// True once \p Pid has exited: no such process, or a zombie nobody has
+/// reaped yet.
+bool goneOrZombie(pid_t Pid) {
+  if (kill(Pid, 0) != 0 && errno == ESRCH)
+    return true;
+  std::string Stat = readFile("/proc/" + std::to_string(Pid) + "/stat");
+  size_t Close = Stat.rfind(')');
+  return Close != std::string::npos && Close + 2 < Stat.size() &&
+         Stat[Close + 2] == 'Z';
+}
+
+} // namespace
+
+TEST(Jit, EffectiveFlagsNeverRunTheCompiler) {
+  // The flags are a fact of the build. A compiler that fails every
+  // invocation, at a path this process has never used, is not consulted
+  // to decide them.
+  ScratchDir Dir;
+  ASSERT_FALSE(Dir.Path.empty());
+  const std::string Log = Dir.Path + "/invocations.log";
+  const std::string Stub = Dir.Path + "/cc";
+  writeScript(Stub, "echo \"$@\" >> '" + Log + "'\nexit 1\n");
+  ScopedEnv Cc("CONVGEN_CC", Stub);
+  ScopedEnv NoExtra("CONVGEN_JIT_FLAGS", "");
+  std::string Want = "-O3 -march=native -std=c11 -shared -fPIC";
+#ifdef CONVGEN_HAVE_OPENMP
+  Want += " -fopenmp";
+  EXPECT_TRUE(jit::jitOpenMPAvailable());
+#else
+  EXPECT_FALSE(jit::jitOpenMPAvailable());
+#endif
+  EXPECT_EQ(jit::jitEffectiveFlags(), Want);
+  EXPECT_FALSE(std::filesystem::exists(Log))
+      << "the compiler ran: " << readFile(Log);
+}
+
+TEST(Jit, NoOpenMPFlagBuildsSerialBitExactObjects) {
+  // CONVGEN_JIT_FLAGS=-fno-openmp is how an OpenMP build asks for serial
+  // objects: the flag follows -fopenmp, so _OPENMP stays undefined and
+  // the routine runs one partition however many threads are asked for.
+  if (!jit::jitAvailable())
+    GTEST_SKIP() << "no system C compiler";
+  SKIP_UNDER_FAULT_INJECTION();
+  const char *Extra = std::getenv("CONVGEN_JIT_FLAGS");
+  ScopedEnv Serial("CONVGEN_JIT_FLAGS",
+                   std::string(Extra ? Extra : "") + " -fno-openmp");
+  ScopedEnv Threads("OMP_NUM_THREADS", "4");
+#ifdef _OPENMP
+  int SavedThreads = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  struct Case {
+    const char *Src, *Dst;
+    tensor::Triplets T;
+  };
+  const Case Cases[] = {
+      {"coo", "csr", tensor::genBandedRandom(90, 80, 6.0, 17, 5, 7)},
+      {"csr", "csc", tensor::genBandedRandom(80, 90, 5.0, 11, 9, 8)},
+      {"coo3", "csf", tensor::genRandomTensor3(24, 20, 16, 600, 9)}};
+  for (const Case &C : Cases) {
+    std::string Label = std::string(C.Src) + " -> " + C.Dst;
+    formats::Format Src = formats::standardFormatOrDie(C.Src);
+    formats::Format Dst = formats::standardFormatOrDie(C.Dst);
+    tensor::SparseTensor In = tensor::buildFromTriplets(Src, C.T);
+    convert::Converter Conv(Src, Dst);
+    jit::JitConversion Native(Conv.conversion());
+    ASSERT_FALSE(Native.degraded()) << Label << ": "
+                                    << Native.degradationReason();
+    EXPECT_GT(Native.compileSeconds(), 0.0) << Label;
+    StatusOr<tensor::SparseTensor> Want = Conv.tryRun(In);
+    StatusOr<tensor::SparseTensor> Got = Native.tryRun(In);
+    ASSERT_TRUE(Want.ok()) << Want.status().toString();
+    ASSERT_TRUE(Got.ok()) << Got.status().toString();
+    EXPECT_TRUE(sameStorage(*Got, *Want)) << Label;
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(SavedThreads);
+#endif
+}
+
+TEST(Jit, AKilledCompileTakesItsChildrenAndTemporariesWithIt) {
+  // A compiler driver that starts a child, writes a temporary into
+  // $TMPDIR and waits: the shape of cc driving cc1. When the watchdog
+  // kills it, the child dies with it and the temporary goes with the
+  // attempt's scratch directory, leaving the outer TMPDIR empty.
+  SKIP_UNDER_FAULT_INJECTION();
+  ScratchDir Tools, Outer;
+  ASSERT_FALSE(Tools.Path.empty());
+  ASSERT_FALSE(Outer.Path.empty());
+  const std::string PidFile = Tools.Path + "/child.pid";
+  const std::string Cc = Tools.Path + "/hung-cc";
+  writeScript(Cc, "case \"$*\" in *--version*) exit 0;; esac\n"
+                  "sleep 30 &\n"
+                  "echo $! > '" +
+                      PidFile +
+                      "'\n"
+                      "touch \"$TMPDIR/hung-cc-temporary\"\n"
+                      "wait\n");
+  ScopedEnv Compiler("CONVGEN_CC", Cc);
+  ScopedEnv Timeout("CONVGEN_COMPILE_TIMEOUT_MS", "300");
+  ScopedEnv Scratch("TMPDIR", Outer.Path);
+  convert::Converter Conv(formats::makeCOO(), formats::makeCSR());
+  jit::JitConversion Hung(Conv.conversion());
+  ASSERT_TRUE(Hung.degraded());
+  EXPECT_NE(Hung.degradationReason().find("was killed"), std::string::npos)
+      << Hung.degradationReason();
+  pid_t Child = static_cast<pid_t>(std::atol(readFile(PidFile).c_str()));
+  ASSERT_GT(Child, 0) << "the compiler never started its child";
+  // The orphaned child's SIGKILL and reaping happen asynchronously.
+  bool Gone = goneOrZombie(Child);
+  for (int Poll = 0; Poll < 200 && !Gone; ++Poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Gone = goneOrZombie(Child);
+  }
+  EXPECT_TRUE(Gone) << "the compiler's child " << Child << " outlived it";
+  if (!Gone)
+    kill(Child, SIGKILL);
+  std::vector<std::string> Left;
+  for (const auto &E : std::filesystem::directory_iterator(Outer.Path))
+    Left.push_back(E.path().filename().string());
+  EXPECT_TRUE(Left.empty()) << "left in TMPDIR: " << Left.front();
 }
 
 namespace {

@@ -138,21 +138,24 @@ void resetBooks() {
 }
 
 /// A healthy but slow toolchain for the scope: CONVGEN_CC runs a wrapper
-/// that sleeps \p Seconds before each conversion compile and then runs the
-/// real compiler, so a compile outlasts a short request deadline every
-/// time. The availability probes skip the sleep and are warmed here,
-/// outside any deadline.
+/// that sleeps \p Seconds before each compile of a `.c` file and then runs
+/// the real compiler, so a compile outlasts a short request deadline every
+/// time. The `--version` availability probe passes no `.c` file, skips the
+/// sleep and is warmed here, outside any deadline. Tests prove a compile
+/// was slow by its handle's compileSeconds() >= seconds().
 class SlowCompiler {
 public:
-  explicit SlowCompiler(const std::string &Seconds)
-      : Script(writeScript(Seconds)), Cc("CONVGEN_CC", "sh " + Script) {
+  explicit SlowCompiler(int Seconds)
+      : Secs(Seconds), Script(writeScript(Seconds)),
+        Cc("CONVGEN_CC", "sh " + Script) {
     jit::jitAvailable();
-    jit::jitOpenMPAvailable();
   }
   ~SlowCompiler() { std::remove(Script.c_str()); }
 
+  double seconds() const { return Secs; }
+
 private:
-  static std::string writeScript(const std::string &Seconds) {
+  static std::string writeScript(int Seconds) {
     const char *Tmp = std::getenv("TMPDIR");
     std::string Path =
         std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/convgen-slowcc-XXXXXX";
@@ -160,13 +163,14 @@ private:
     EXPECT_GE(Fd, 0) << "cannot create " << Path;
     if (std::FILE *F = fdopen(Fd, "w")) {
       std::fprintf(F,
-                   "case \"$*\" in *conv.so*) sleep %s;; esac\n"
+                   "case \" $* \" in *'.c '*) sleep %d;; esac\n"
                    "exec %s \"$@\"\n",
-                   Seconds.c_str(), jit::compilerSpec().c_str());
+                   Seconds, jit::compilerSpec().c_str());
       std::fclose(F);
     }
     return Path;
   }
+  int Secs;
   std::string Script;
   ScopedEnv Cc;
 };
@@ -473,7 +477,7 @@ TEST(Deadlines, PatientWaiterCompilesRatherThanTakeAnImpatientLeadersHandle) {
   ScopedEnv NoDisk("CONVGEN_DISABLE_DISK_CACHE", "1");
   ScopedEnv NoFaults("CONVGEN_FAULT", "");
   ScopedEnv Timeout("CONVGEN_COMPILE_TIMEOUT_MS", "60000");
-  SlowCompiler Slow("1");
+  SlowCompiler Slow(1);
   resetBooks();
   WorkItem W = makeItem("coo", "csc", smallMatrix());
   PlanCache::instance().clearMemory();
@@ -507,6 +511,8 @@ TEST(Deadlines, PatientWaiterCompilesRatherThanTakeAnImpatientLeadersHandle) {
   ASSERT_TRUE(Patient.ok()) << Patient.status().toString();
   EXPECT_FALSE(Patient.value()->degraded())
       << Patient.value()->degradationReason();
+  EXPECT_GE(Patient.value()->compileSeconds(), Slow.seconds())
+      << "the compile was not slow, so the leader's deadline proved nothing";
   EXPECT_GE(DegradationLog::instance().snapshot()
                 [Degradation::SingleFlightCoalesce],
             1u)
